@@ -1,8 +1,8 @@
-"""Backend smoke benchmarks: fast-vs-cycle speed and schema parity.
+"""Backend smoke benchmarks: compiled-vs-cycle speed and schema parity.
 
 The CI benchmark job runs this file and uploads the pytest-benchmark
 JSON: ``e2_speedup`` in ``extra_info`` tracks how much faster the
-functional backend sweeps quick-mode E2 than the cycle-stepped
+compiled backend sweeps quick-mode E2 than the cycle-stepped
 simulator (required: >= 10x).
 """
 
@@ -13,42 +13,42 @@ from repro.eval.experiments import QUICK, run_experiment
 from repro.workloads import get_spec, random_dense_vector
 
 
-def test_e2_fast_vs_cycle(benchmark):
-    """Quick-mode E2 on the fast backend: >= 10x faster, same schema."""
+def test_e2_compiled_vs_cycle(benchmark):
+    """Quick-mode E2 on the compiled backend: >= 10x faster, same schema."""
     t0 = time.perf_counter()
     cycle_result = run_experiment("E2", backend="cycle")
     cycle_s = time.perf_counter() - t0
 
-    fast_result = benchmark.pedantic(
-        lambda: run_experiment("E2", backend="fast"), rounds=1, iterations=1)
+    comp_result = benchmark.pedantic(
+        lambda: run_experiment("E2", backend="compiled"), rounds=1, iterations=1)
     t1 = time.perf_counter()
-    run_experiment("E2", backend="fast")
-    fast_s = time.perf_counter() - t1
+    run_experiment("E2", backend="compiled")
+    comp_s = time.perf_counter() - t1
 
     # identical table schema: columns, row count, swept x values
-    assert fast_result.columns == cycle_result.columns
-    assert len(fast_result.rows) == len(cycle_result.rows)
-    assert [r[0] for r in fast_result.rows] == [r[0] for r in cycle_result.rows]
-    assert set(fast_result.measured) == set(cycle_result.measured)
-    assert len(fast_result.rows) == len(QUICK["E2"]["nnz_per_row"])
+    assert comp_result.columns == cycle_result.columns
+    assert len(comp_result.rows) == len(cycle_result.rows)
+    assert [r[0] for r in comp_result.rows] == [r[0] for r in cycle_result.rows]
+    assert set(comp_result.measured) == set(cycle_result.measured)
+    assert len(comp_result.rows) == len(QUICK["E2"]["nnz_per_row"])
 
-    speedup = cycle_s / max(fast_s, 1e-9)
+    speedup = cycle_s / max(comp_s, 1e-9)
     benchmark.extra_info["e2_cycle_seconds"] = cycle_s
-    benchmark.extra_info["e2_fast_seconds"] = fast_s
+    benchmark.extra_info["e2_compiled_seconds"] = comp_s
     benchmark.extra_info["e2_speedup"] = speedup
-    print(f"\nE2 quick sweep: cycle {cycle_s:.2f}s, fast {fast_s:.3f}s "
+    print(f"\nE2 quick sweep: cycle {cycle_s:.2f}s, compiled {comp_s:.3f}s "
           f"({speedup:.0f}x)")
     assert speedup >= 10.0
 
-    # the fast backend tracks the simulator's headline numbers
+    # the compiled backend tracks the simulator's headline numbers
     for key in ("ssr speedup", "issr32 speedup", "issr16 speedup"):
-        rel = abs(fast_result.measured[key] - cycle_result.measured[key]) \
+        rel = abs(comp_result.measured[key] - cycle_result.measured[key]) \
             / cycle_result.measured[key]
-        assert rel < 0.15, f"{key}: {fast_result.measured[key]} vs " \
+        assert rel < 0.15, f"{key}: {comp_result.measured[key]} vs " \
                            f"{cycle_result.measured[key]}"
 
 
-def test_fast_backend_large_matrix(benchmark):
+def test_compiled_backend_large_matrix(benchmark):
     """A matrix far beyond cycle-stepping reach runs in seconds.
 
     Uses the single-CC model (the cluster runtime requires the dense
@@ -58,11 +58,13 @@ def test_fast_backend_large_matrix(benchmark):
     spec = get_spec("webgraph64k")
     matrix = spec.generate(seed=1)
     x = random_dense_vector(matrix.ncols, seed=1)
-    backend = get_backend("fast")
+    backend = get_backend("compiled")
 
     def run():
-        issr, _ = backend.csrmv(matrix, x, "issr", 16)
-        base, _ = backend.csrmv(matrix, x, "base", 32)
+        issr, _ = backend.run("csrmv", variant="issr", index_bits=16,
+                              matrix=matrix, x=x)
+        base, _ = backend.run("csrmv", variant="base", index_bits=32,
+                              matrix=matrix, x=x)
         return base.cycles / issr.cycles
 
     speedup = benchmark.pedantic(run, rounds=1, iterations=1)

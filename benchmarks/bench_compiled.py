@@ -9,10 +9,6 @@ the cycle-stepped engine, with predicted cycles inside the documented
   all four kernel series) on a busy single cluster-core: the headline
   requirement is the compiled backend >= 10x faster wall-clock than
   ``Engine(mode="event")`` cycle-stepping the same programs;
-- the same point through the fast backend, where the requirement is
-  *identical cycles* (the two functional paths share one timing
-  contract) and wall-clock parity within 5x (the lowering adds a
-  decode/match step, amortized by the program cache);
 - a masked-SpVV + SpGEMM sparse-sparse point, same contracts.
 
 The run writes ``BENCH_compiled.json`` (wall-clock per benchmark,
@@ -30,7 +26,6 @@ import numpy as np
 from repro.backends import (
     CompiledBackend,
     CycleBackend,
-    FastBackend,
     cycles_within_tolerance,
 )
 from repro.eval.parallel import code_version
@@ -64,40 +59,34 @@ def dual_run(name, points, tolerance_key, rounds=3):
 
     ``points(backend)`` must return ``(cycles, result_bytes)`` after
     running the workload through ``backend``. Asserts bit-identical
-    results, compiled cycles == fast cycles exactly, and compiled
-    cycles within ``CYCLE_TOLERANCE[tolerance_key]`` of the simulated
-    count. Records the measurement and returns the compiled-vs-cycle
-    wall-clock speedup.
+    results and compiled cycles within
+    ``CYCLE_TOLERANCE[tolerance_key]`` of the simulated count. Records
+    the measurement and returns the compiled-vs-cycle wall-clock
+    speedup.
     """
-    compiled, fast, cycle = CompiledBackend(), FastBackend(), CycleBackend()
+    compiled, cycle = CompiledBackend(), CycleBackend()
     points(compiled)  # warm the program + lowering caches untimed
     compiled_s, (comp_cycles, comp_bytes) = _time_best(
         lambda: points(compiled), rounds)
-    fast_s, (fast_cycles, fast_bytes) = _time_best(
-        lambda: points(fast), rounds)
     with engine_mode("event"):
         cycle_s, (sim_cycles, sim_bytes) = _time_best(
             lambda: points(cycle), 1)
 
-    assert comp_bytes == fast_bytes == sim_bytes, \
+    assert comp_bytes == sim_bytes, \
         f"{name}: results not bit-identical across backends"
-    assert comp_cycles == fast_cycles, \
-        f"{name}: compiled {comp_cycles} != fast {fast_cycles} cycles"
     assert cycles_within_tolerance(comp_cycles, sim_cycles, tolerance_key), \
         f"{name}: predicted {comp_cycles} vs simulated {sim_cycles}"
 
     speedup = cycle_s / compiled_s
     RESULTS[name] = {
         "compiled_s": round(compiled_s, 5),
-        "fast_s": round(fast_s, 5),
         "cycle_s": round(cycle_s, 4),
         "cycles": comp_cycles,
         "simulated_cycles": sim_cycles,
         "speedup": round(speedup, 2),
     }
     print(f"{name}: {comp_cycles} cycles — compiled {compiled_s:.4f}s, "
-          f"fast {fast_s:.4f}s, event engine {cycle_s:.3f}s, "
-          f"speedup {speedup:.0f}x")
+          f"event engine {cycle_s:.3f}s, speedup {speedup:.0f}x")
     return speedup
 
 

@@ -6,7 +6,7 @@ into a temp dir, so cold-cache ingest cost is measured too):
 - **ingest**: disk-generator -> binary cache write throughput (MB/s);
 - **open**: cache open + tile planning latency (header + ptr pages
   only — must stay in single-digit milliseconds regardless of nnz);
-- **stream**: a full streaming CsrMV pass on the fast backend, wall
+- **stream**: a full streaming CsrMV pass on the compiled backend, wall
   tiles/s and effective streamed MB/s.
 
 Writes ``BENCH_outofcore.json`` and fails when tiles/s or streamed

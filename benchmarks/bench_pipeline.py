@@ -1,8 +1,8 @@
-"""Pipeline smoke benchmark: fast-vs-cycle speed on a 20-iteration CG.
+"""Pipeline smoke benchmark: compiled-vs-cycle speed on a 20-iteration CG.
 
 The CI benchmark job runs this file alongside ``bench_backends.py``
 and ``bench_spgemm.py``: ``pipeline_speedup`` in ``extra_info`` tracks
-how much faster the fast executor runs a quick TCDM-resident CG than
+how much faster the compiled executor runs a quick TCDM-resident CG than
 the cycle-stepped one (required: >= 10x), with the per-iteration
 residual history **bit-identical** between backends and the modeled
 cycle count inside the documented "pipeline" tolerance.
@@ -28,28 +28,29 @@ def _run(backend):
                     n_iters=ITERS, tol=0.0, backend=backend)
 
 
-def test_pipeline_fast_vs_cycle(benchmark):
-    """Quick CG: fast >= 10x faster, bit-identical residual history."""
+def test_pipeline_compiled_vs_cycle(benchmark):
+    """Quick CG: compiled >= 10x faster, bit-identical residual history."""
     t0 = time.perf_counter()
     cyc = _run("cycle")
     cycle_s = time.perf_counter() - t0
 
-    fast = benchmark.pedantic(lambda: _run("fast"), rounds=1, iterations=1)
+    comp = benchmark.pedantic(lambda: _run("compiled"), rounds=1,
+                              iterations=1)
     t1 = time.perf_counter()
-    _run("fast")
-    fast_s = time.perf_counter() - t1
+    _run("compiled")
+    comp_s = time.perf_counter() - t1
 
-    assert fast.iterations == cyc.iterations == ITERS
-    assert fast.history["rr"] == cyc.history["rr"]  # bit-identical
-    assert fast.x.tobytes() == cyc.x.tobytes()
+    assert comp.iterations == cyc.iterations == ITERS
+    assert comp.history["rr"] == cyc.history["rr"]  # bit-identical
+    assert comp.x.tobytes() == cyc.x.tobytes()
 
-    speedup = cycle_s / max(fast_s, 1e-9)
+    speedup = cycle_s / max(comp_s, 1e-9)
     benchmark.extra_info["pipeline_cycle_seconds"] = cycle_s
-    benchmark.extra_info["pipeline_fast_seconds"] = fast_s
+    benchmark.extra_info["pipeline_compiled_seconds"] = comp_s
     benchmark.extra_info["pipeline_speedup"] = speedup
-    benchmark.extra_info["pipeline_modeled_cycles"] = fast.stats.cycles
+    benchmark.extra_info["pipeline_modeled_cycles"] = comp.stats.cycles
     print(f"\nPipeline CG ({ITERS} iterations): cycle {cycle_s:.2f}s, "
-          f"fast {fast_s:.3f}s ({speedup:.0f}x)")
+          f"compiled {comp_s:.3f}s ({speedup:.0f}x)")
     assert speedup >= 10.0
-    assert cycles_within_tolerance(fast.stats.cycles, cyc.stats.cycles,
+    assert cycles_within_tolerance(comp.stats.cycles, cyc.stats.cycles,
                                    "pipeline")

@@ -1,9 +1,9 @@
-"""SpGEMM smoke benchmarks: fast-vs-cycle speed and model parity.
+"""SpGEMM smoke benchmarks: compiled-vs-cycle speed and model parity.
 
 The CI benchmark job runs this file alongside ``bench_backends.py``
 and uploads the same pytest-benchmark JSON shape:
-``spgemm_speedup`` in ``extra_info`` tracks how much faster the fast
-backend sweeps the quick SpGEMM grid than the cycle-stepped simulator
+``spgemm_speedup`` in ``extra_info`` tracks how much faster the
+compiled backend sweeps the quick SpGEMM grid than the cycle-stepped simulator
 (required: >= 10x), with results byte-equal point for point.
 """
 
@@ -25,40 +25,41 @@ def _sweep(backend):
         a = random_csr(m, k, nnza, seed=seed)
         b = random_csr(k, n, nnzb, seed=seed + 50)
         for variant, bits in VARIANTS:
-            stats, c = backend.spgemm(a, b, variant, bits)
+            stats, c = backend.run("spgemm", variant=variant,
+                                   index_bits=bits, a=a, b=b)
             results.append(c)
             total_cycles += stats.cycles
     return results, total_cycles
 
 
-def test_spgemm_fast_vs_cycle(benchmark):
-    """Quick SpGEMM grid: fast >= 10x faster, byte-equal results."""
+def test_spgemm_compiled_vs_cycle(benchmark):
+    """Quick SpGEMM grid: compiled >= 10x faster, byte-equal results."""
     cycle = get_backend("cycle")
-    fast = get_backend("fast")
+    compiled = get_backend("compiled")
 
     t0 = time.perf_counter()
     cycle_results, cycle_cycles = _sweep(cycle)
     cycle_s = time.perf_counter() - t0
 
-    fast_results, fast_cycles = benchmark.pedantic(
-        lambda: _sweep(fast), rounds=1, iterations=1)
+    comp_results, comp_cycles = benchmark.pedantic(
+        lambda: _sweep(compiled), rounds=1, iterations=1)
     t1 = time.perf_counter()
-    _sweep(fast)
-    fast_s = time.perf_counter() - t1
+    _sweep(compiled)
+    comp_s = time.perf_counter() - t1
 
-    assert len(fast_results) == len(cycle_results)
-    for got, want in zip(fast_results, cycle_results):
+    assert len(comp_results) == len(cycle_results)
+    for got, want in zip(comp_results, cycle_results):
         assert got == want  # bit-identical CSR output
 
-    speedup = cycle_s / max(fast_s, 1e-9)
+    speedup = cycle_s / max(comp_s, 1e-9)
     benchmark.extra_info["spgemm_cycle_seconds"] = cycle_s
-    benchmark.extra_info["spgemm_fast_seconds"] = fast_s
+    benchmark.extra_info["spgemm_compiled_seconds"] = comp_s
     benchmark.extra_info["spgemm_speedup"] = speedup
-    benchmark.extra_info["spgemm_modeled_cycles"] = fast_cycles
-    print(f"\nSpGEMM quick sweep: cycle {cycle_s:.2f}s, fast {fast_s:.3f}s "
+    benchmark.extra_info["spgemm_modeled_cycles"] = comp_cycles
+    print(f"\nSpGEMM quick sweep: cycle {cycle_s:.2f}s, compiled {comp_s:.3f}s "
           f"({speedup:.0f}x)")
     assert speedup >= 10.0
 
     # the analytic model tracks the simulator's aggregate cycle count
-    rel = abs(fast_cycles - cycle_cycles) / cycle_cycles
+    rel = abs(comp_cycles - cycle_cycles) / cycle_cycles
     assert rel < 0.10, f"aggregate modeled cycles off by {rel:.1%}"

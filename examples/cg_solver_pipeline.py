@@ -21,28 +21,28 @@ def main():
           f"(max row {int(matrix.row_lengths().max())} — bounded, so "
           "BASE/SSR/ISSR iterate bit-identically)")
 
-    fast = solve_cg(matrix, b, variant="issr", index_bits=16,
-                    n_iters=60, tol=1e-8, backend="fast")
+    comp = solve_cg(matrix, b, variant="issr", index_bits=16,
+                    n_iters=60, tol=1e-8, backend="compiled")
     cyc = solve_cg(matrix, b, variant="issr", index_bits=16,
                    n_iters=60, tol=1e-8, backend="cycle")
-    assert fast.history["rr"] == cyc.history["rr"]  # bit-identical
-    err = float(np.abs(fast.x - reference_solution(matrix, b)).max())
-    print(f"converged in {fast.iterations} iterations "
+    assert comp.history["rr"] == cyc.history["rr"]  # bit-identical
+    err = float(np.abs(comp.x - reference_solution(matrix, b)).max())
+    print(f"converged in {comp.iterations} iterations "
           f"(max err vs direct solve: {err:.2e})")
     print(f"cycle backend: {cyc.stats.cycles} cycles "
           f"({cyc.stats.cycles_per_iteration:.0f}/iteration), "
           f"matrix DMA {cyc.stats.matrix_dma_words} words at setup, "
           f"{sum(cyc.stats.dma_words_by_iteration)} words afterwards")
-    print(f"fast backend model: {fast.stats.cycles} cycles "
-          f"({100 * abs(fast.stats.cycles - cyc.stats.cycles) / cyc.stats.cycles:.1f}% off)")
+    print(f"compiled backend model: {comp.stats.cycles} cycles "
+          f"({100 * abs(comp.stats.cycles - cyc.stats.cycles) / cyc.stats.cycles:.1f}% off)")
 
     sharded = solve_cg(matrix, b, variant="issr", index_bits=16,
-                       n_iters=60, tol=1e-8, backend="fast",
+                       n_iters=60, tol=1e-8, backend="compiled",
                        n_clusters=4, partitioner="nnz_balanced")
-    assert sharded.iterations == fast.iterations
+    assert sharded.iterations == comp.iterations
     print(f"4 clusters: {sharded.stats.cycles_per_iteration:.0f} "
           f"cycles/iteration "
-          f"({fast.stats.cycles_per_iteration / sharded.stats.cycles_per_iteration:.2f}x"
+          f"({comp.stats.cycles_per_iteration / sharded.stats.cycles_per_iteration:.2f}x"
           " vs 1 cluster; dots allreduce, search direction exchanges)")
 
 

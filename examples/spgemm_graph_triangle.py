@@ -9,13 +9,13 @@ entry ``(A @ A)[i, j]`` counts the common neighbors of i and j, so
 Two routes through the new kernel family compute it:
 
 1. **SpGEMM route** — ``C = A @ A`` through the Gustavson numeric
-   kernel (fast backend), then the mask-and-sum over A's pattern;
+   kernel (compiled backend), then the mask-and-sum over A's pattern;
 2. **masked-SpVV route** — ``(A @ A)[i, j]`` for an edge (i, j) *is*
    the sparse-sparse dot of rows i and j, so summing masked SpVV over
    every edge counts triangles without materializing C — each dot
    running on the intersection unit.
 
-A cycle-backend spot check on one edge confirms the fast backend's
+A cycle-backend spot check on one edge confirms the compiled backend's
 replay is bit-identical; the final counts are validated against the
 dense NumPy reference.
 
@@ -45,14 +45,14 @@ def build_graph(seed=11):
 
 def main():
     adj = build_graph()
-    fast = get_backend("fast")
+    compiled = get_backend("compiled")
     cycle = get_backend("cycle")
     dense = adj.to_dense()
     expect = int(round(((dense @ dense) * dense).sum() / 6))
 
     # Route 1: one SpGEMM, then mask by A's pattern and sum.
-    stats_mm, c = fast.run("spgemm", variant="issr", index_bits=16,
-                           a=adj, b=adj)
+    stats_mm, c = compiled.run("spgemm", variant="issr", index_bits=16,
+                               a=adj, b=adj)
     total = 0.0
     for r in range(adj.nrows):
         row_c = c.row(r)
@@ -71,9 +71,9 @@ def main():
     for i in range(adj.nrows):
         row_i = adj.row(i)
         for j in row_i.indices[row_i.indices > i]:  # each edge once
-            stats, dot = fast.run("masked_spvv", variant="issr",
-                                  fiber_a=row_i,
-                                  fiber_b=adj.row(int(j)))
+            stats, dot = compiled.run("masked_spvv", variant="issr",
+                                      fiber_a=row_i,
+                                      fiber_b=adj.row(int(j)))
             edge_dots += dot
             spvv_cycles += stats.cycles
             n_edges += 1
@@ -82,11 +82,12 @@ def main():
     # Cycle-backend spot check: one edge, bit-identical dot.
     i = int(np.argmax(adj.row_lengths()))
     j = int(adj.row(i).indices[0])
-    _, dot_fast = fast.run("masked_spvv", variant="issr",
-                           fiber_a=adj.row(i), fiber_b=adj.row(j))
+    _, dot_comp = compiled.run("masked_spvv", variant="issr",
+                               fiber_a=adj.row(i), fiber_b=adj.row(j))
     _, dot_cycle = cycle.run("masked_spvv", variant="issr",
                              fiber_a=adj.row(i), fiber_b=adj.row(j))
-    assert dot_fast == dot_cycle, "fast backend diverged from the simulator"
+    assert dot_comp == dot_cycle, \
+        "compiled backend diverged from the simulator"
 
     assert spgemm_triangles == expect, (spgemm_triangles, expect)
     assert spvv_triangles == expect, (spvv_triangles, expect)

@@ -14,7 +14,7 @@ Quick start::
 
     A = random_csr(128, 1024, 128 * 32, seed=1)
     x = random_dense_vector(1024, seed=2)
-    stats, y = api.run("csrmv", backend="fast", variant="issr",
+    stats, y = api.run("csrmv", backend="compiled", variant="issr",
                        index_bits=16, matrix=A, x=x)
     print(stats.cycles, stats.fpu_utilization)
 
@@ -24,7 +24,7 @@ Scale-out::
 
     stats, y = run_multicluster(A, x, n_clusters=8,
                                 partitioner="nnz_balanced",
-                                backend="fast")
+                                backend="compiled")
 
 Iterative solvers on the pipeline subsystem::
 
@@ -33,7 +33,7 @@ Iterative solvers on the pipeline subsystem::
 
     A = random_spd_csr(256, offdiag_per_row=6, seed=1)
     res = solve_cg(A, random_dense_vector(256, seed=2),
-                   backend="fast", n_clusters=4)
+                   backend="compiled", n_clusters=4)
     print(res.converged, res.stats.cycles_per_iteration)
 
 See docs/ARCHITECTURE.md for the layer map and the contracts between

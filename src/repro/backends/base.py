@@ -5,54 +5,57 @@ the §IV-B cluster runtime) from *how it is executed*. Kernels are
 described declaratively in :mod:`repro.api.registry`; a backend
 implements a capability by defining an ``_exec_<kernel>`` method with
 the registry's operand schema, and every call — from experiments, the
-CLI, tests, or the legacy per-kernel methods — resolves through
-:meth:`Backend.run`:
+CLI, or tests — resolves through :meth:`Backend.run`:
 
 - :class:`~repro.backends.cycle.CycleBackend` pushes every instruction
   through the cycle-stepped engine — exact, slow;
-- :class:`~repro.backends.fast.FastBackend` executes functionally with
-  vectorized NumPy and predicts cycles with analytic models — fast,
-  bit-identical results, cycles within a documented tolerance;
 - :class:`~repro.backends.compiled.CompiledBackend` lowers the *same
   assembled programs* the cycle engine runs through
   :mod:`repro.compiler` into fused vectorized closures — fast,
-  bit-identical, cycles derived from the recovered program structure.
+  bit-identical, cycles from the analytic models.
 
 Every kernel returns the same ``(stats, result)`` pair, where
 ``stats`` is a :class:`~repro.sim.counters.RunStats` (or
 :class:`~repro.cluster.runtime.ClusterStats`) and ``result`` the
 numerical output. Experiments accept ``backend=`` (a name or an
 instance) and resolve it with :func:`repro.backends.get_backend`.
-
-The old flat per-kernel methods (``backend.csrmv(...)`` etc.) still
-work but are deprecation shims: each forwards through :meth:`run` and
-emits a :class:`DeprecationWarning` once per (backend class, kernel).
 """
 
-import warnings
-
 from repro.api.registry import KERNELS, get_kernel
-from repro.errors import UnsupportedKernelError
+from repro.errors import FormatError, UnsupportedKernelError
+from repro.formats.csf import CsfTensor
+from repro.formats.csr import CsrMatrix
+from repro.formats.fiber import SparseFiber
+from repro.kernels.common import check_index_bits, check_variant
 from repro.telemetry import metrics as _metrics
 
-#: (backend class name, kernel) pairs that already warned — the legacy
-#: shims emit each DeprecationWarning once, not per call.
-_WARNED_SHIMS = set()
+
+def _index_array(operand):
+    """The index array a kernel packs from ``operand`` (or None)."""
+    if isinstance(operand, CsrMatrix):
+        return operand.idcs
+    if isinstance(operand, SparseFiber):
+        return operand.indices
+    if isinstance(operand, CsfTensor):
+        return operand.idcs[-1]
+    return None
 
 
-def reset_shim_warnings():
-    """Forget which legacy shims have warned (returns the old set).
+def check_index_width(spec, operands, index_bits):
+    """Raise :class:`FormatError` if a sparse index overflows the width.
 
-    The once-per-process warning registry makes shim-warning
-    assertions order-dependent: whichever test (or library call) hits
-    a shim first consumes the only warning. Tests that assert on shim
-    warnings reset this registry (the shared ``conftest.py`` fixture
-    isolates every test) instead of depending on suite order.
+    Every index the kernel streams through the ISSR must fit in
+    ``index_bits`` (the paper's 16/32-bit axis) — the same check, with
+    the same message, that :func:`repro.utils.bits.pack_indices`
+    applies when the cycle backend packs the operands.
     """
-    global _WARNED_SHIMS
-    old = _WARNED_SHIMS
-    _WARNED_SHIMS = set()
-    return old
+    limit = 1 << index_bits
+    for name in spec.operands:
+        idcs = _index_array(operands[name])
+        if idcs is not None and len(idcs) and idcs.max() >= limit:
+            first = int(idcs[(idcs >= limit).argmax()])
+            raise FormatError(
+                f"index {first} does not fit in {index_bits} bits")
 
 
 class Backend:
@@ -66,18 +69,17 @@ class Backend:
     #: Registry name; subclasses override.
     name = "abstract"
 
-    # -- dispatch surface -------------------------------------------------
-
     def run(self, kernel, *, variant=None, index_bits=32, check=True,
             **operands):
         """Execute a registered kernel; returns ``(stats, result)``.
 
         ``kernel`` is a name from :data:`repro.api.registry.KERNELS`
         (or a :class:`~repro.api.registry.KernelSpec`). Operands are
-        keyword-only and validated against the registry schema;
+        keyword-only and validated against the registry schema, and
+        every sparse index must fit in ``index_bits``;
         ``variant``/``index_bits``/``check`` follow the kernel entry
-        points' conventions (kernels without a variant axis ignore
-        ``variant``). Raises
+        points' conventions (``variant`` defaults to ISSR; kernels
+        without a variant axis ignore it). Raises
         :class:`~repro.errors.UnsupportedKernelError` when this
         backend has no implementation.
         """
@@ -87,16 +89,12 @@ class Backend:
             raise UnsupportedKernelError(self.name, spec.name,
                                          supported=self.kernels())
         spec.validate_operands(operands)
-        kwargs = dict(operands)
+        check_index_bits(index_bits)
         if spec.has_variant:
-            defaults = {"cluster_csrmv": ("issr", 16)}
-            dflt_variant, dflt_bits = defaults.get(spec.name, ("issr", 32))
-            kwargs["variant"] = dflt_variant if variant is None else variant
-            kwargs["index_bits"] = index_bits
-        else:
-            kwargs["index_bits"] = index_bits
-        kwargs["check"] = check
-        out = impl(**kwargs)
+            operands["variant"] = "issr" if variant is None else variant
+            check_variant(operands["variant"])
+        check_index_width(spec, operands, index_bits)
+        out = impl(index_bits=index_bits, check=check, **operands)
         if _metrics.ENABLED:
             _metrics.record_kernel_run(spec.name, self.name, out[0])
         return out
@@ -109,66 +107,6 @@ class Backend:
     def kernels(self):
         """Registered kernel names this backend implements."""
         return [name for name in KERNELS if self.supports(name)]
-
-    # -- legacy per-kernel shims ------------------------------------------
-
-    def _shim(self, kernel, operands, variant=None, index_bits=32,
-              check=True, **extra):
-        """Forward a legacy per-kernel call through :meth:`run`."""
-        key = (type(self).__name__, kernel)
-        if key not in _WARNED_SHIMS:
-            _WARNED_SHIMS.add(key)
-            warnings.warn(
-                f"Backend.{kernel}(...) is deprecated; use "
-                f"backend.run({kernel!r}, ...) or repro.api.run",
-                DeprecationWarning, stacklevel=3)
-        return self.run(kernel, variant=variant, index_bits=index_bits,
-                        check=check, **operands, **extra)
-
-    def spvv(self, fiber, x, variant, index_bits=32, check=True):
-        """Deprecated: use ``run("spvv", fiber=..., x=...)``."""
-        return self._shim("spvv", {"fiber": fiber, "x": x}, variant,
-                          index_bits, check)
-
-    def csrmv(self, matrix, x, variant, index_bits=32, check=True):
-        """Deprecated: use ``run("csrmv", matrix=..., x=...)``."""
-        return self._shim("csrmv", {"matrix": matrix, "x": x}, variant,
-                          index_bits, check)
-
-    def csrmm(self, matrix, dense, variant, index_bits=32, check=True):
-        """Deprecated: use ``run("csrmm", matrix=..., dense=...)``."""
-        return self._shim("csrmm", {"matrix": matrix, "dense": dense},
-                          variant, index_bits, check)
-
-    def ttv(self, tensor, vector, index_bits=32, check=True):
-        """Deprecated: use ``run("ttv", tensor=..., vector=...)``."""
-        return self._shim("ttv", {"tensor": tensor, "vector": vector},
-                          None, index_bits, check)
-
-    def masked_spvv(self, fiber_a, fiber_b, variant, index_bits=32,
-                    check=True):
-        """Deprecated: use ``run("masked_spvv", fiber_a=..., ...)``."""
-        return self._shim("masked_spvv",
-                          {"fiber_a": fiber_a, "fiber_b": fiber_b},
-                          variant, index_bits, check)
-
-    def masked_csrmv(self, matrix, x_fiber, variant, index_bits=32,
-                     check=True):
-        """Deprecated: use ``run("masked_csrmv", matrix=..., ...)``."""
-        return self._shim("masked_csrmv",
-                          {"matrix": matrix, "x_fiber": x_fiber},
-                          variant, index_bits, check)
-
-    def spgemm(self, a, b, variant, index_bits=32, check=True, **kwargs):
-        """Deprecated: use ``run("spgemm", a=..., b=...)``."""
-        return self._shim("spgemm", {"a": a, "b": b}, variant,
-                          index_bits, check, **kwargs)
-
-    def cluster_csrmv(self, matrix, x, variant="issr", index_bits=16,
-                      check=True, **kwargs):
-        """Deprecated: use ``run("cluster_csrmv", matrix=..., x=...)``."""
-        return self._shim("cluster_csrmv", {"matrix": matrix, "x": x},
-                          variant, index_bits, check, **kwargs)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"

@@ -1,27 +1,26 @@
 """Compiled backend: lower assembled programs to fused closures.
 
-The third execution backend. Where ``cycle`` simulates every
-instruction and ``fast`` replays each kernel from its *name*, the
-compiled backend starts from the *same assembled ISA program* the
-cycle engine would run, pushes it through the
-:mod:`repro.compiler` pass pipeline (decode -> structure recovery ->
-template match), and executes the resulting fused vectorized closure.
-Everything downstream of the program is **recovered, not assumed**:
-the variant, index width, and accumulator count that parameterize both
-the closure and the analytic timing derivation come from the lowered
+The non-cycle execution backend (``fast`` is an accepted alias).
+Where ``cycle`` simulates every instruction, the compiled backend
+starts from the *same assembled ISA program* the cycle engine would
+run, pushes it through the :mod:`repro.compiler` pass pipeline
+(decode -> structure recovery -> template match), and executes the
+resulting fused vectorized closure. Everything downstream of the
+program is **recovered, not assumed**: the variant, index width, and
+accumulator count that parameterize both the closure and the analytic
+timing derivation come from the lowered
 :class:`~repro.compiler.templates.CompiledKernel`, and a program only
 executes if its normalized instruction stream exactly matches a
-canonical op template (otherwise
-:class:`~repro.errors.LoweringError`).
+canonical op template (otherwise :class:`~repro.errors.LoweringError`).
 
 Results are bit-identical to the cycle engine (shared replay
 primitives, :mod:`repro.compiler.vectorize` — the ISSR kernels'
 staggered accumulation of §III-B/Listing 1 is replayed exactly);
-cycle counts come from the same analytic contract
-:mod:`repro.backends.model` documents (the §IV-A issue rates), so
-the documented ``CYCLE_TOLERANCE`` keys apply unchanged. Lowered
-kernels are cached in the shared program cache and their closures are
-memoized per shape class, so steady-state dispatch is two dict hits.
+cycle counts come from the analytic contract
+:mod:`repro.backends.model` documents (the §IV-A issue rates), within
+the documented ``CYCLE_TOLERANCE``. Lowered kernels are cached in the
+shared program cache and their closures are memoized per shape class,
+so steady-state dispatch is two dict hits.
 """
 
 import numpy as np
@@ -48,7 +47,6 @@ from repro.errors import ConfigError, FormatError, LoweringError
 from repro.formats.builder import spgemm_pattern
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
-from repro.kernels.common import check_index_bits, check_variant
 from repro.kernels.ttv import _nonleaf_coords
 
 
@@ -65,8 +63,6 @@ class CompiledBackend(Backend):
         a mismatch would mean the builder and the template set have
         diverged, which is a programming error worth failing loudly on.
         """
-        check_variant(variant)
-        check_index_bits(index_bits)
         program, _meta = build(variant, index_bits)
         kernel = lower(program, family_hint=family)
         if (kernel.family, kernel.variant,
@@ -214,7 +210,7 @@ class CompiledBackend(Backend):
         Every worker core runs the same single-CC CsrMV program on its
         row tiles, so that program is what gets lowered; the cluster
         schedule (DMA double-buffering, barriers) is the analytic model
-        both non-cycle backends share.
+        of :func:`~repro.backends.model.cluster_csrmv_stats`.
         """
         from repro.kernels.csrmv import build_csrmv
 

@@ -56,7 +56,7 @@ class CycleBackend(Backend):
     def _exec_spgemm(self, a, b, variant, index_bits=32, check=True,
                      pattern=None):
         """Simulate the Gustavson SpGEMM numeric phase on one CC."""
-        del pattern  # symbolic-phase reuse is a fast/compiled-path knob
+        del pattern  # symbolic-phase reuse is a compiled-path knob
         return run_spgemm(a, b, variant, index_bits, check=check)
 
     def _exec_cluster_csrmv(self, matrix, x, variant="issr", index_bits=16,

@@ -1,4 +1,4 @@
-"""Analytic cycle and counter models for the fast backend.
+"""Analytic cycle and counter models for the compiled backend.
 
 Every constant below is derived from the *structure* of the assembled
 kernels (see :mod:`repro.kernels`) and validated against the
@@ -39,7 +39,7 @@ from repro.cluster.runtime import (
 from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
 from repro.sim.counters import LaneStats, RunStats
 
-#: Documented cycle-prediction tolerances of the fast backend, as a
+#: Documented cycle-prediction tolerances of the compiled backend, as a
 #: relative fraction of the cycle backend's count (plus a small
 #: absolute slack for setup-dominated runs, :data:`CYCLE_SLACK`).
 #: "masked" covers the sparse-sparse intersection kernels (masked
@@ -104,7 +104,7 @@ def cycle_error(predicted, simulated, kind):
 
 
 def cycles_within_tolerance(predicted, simulated, kind):
-    """Whether a fast-backend cycle prediction meets its contract."""
+    """Whether a compiled-backend cycle prediction meets its contract."""
     rel, _slack = cycle_tolerance(kind)
     return cycle_error(predicted, simulated, kind) <= rel
 

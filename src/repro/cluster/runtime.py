@@ -53,7 +53,7 @@ def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
     """Split rows into (r0, r1) tiles fitting half the buffer budget.
 
     This is the pure planning core of the double-buffered runtime; the
-    fast backend reuses it so both backends agree on the tile schedule.
+    compiled backend reuses it so both backends agree on the tile schedule.
     """
     budget = tcdm_words - x_words - 64  # spare words for alignment
     if budget <= 0:

@@ -1,7 +1,7 @@
 """Vectorized bit-exact replay primitives for the lowered closures.
 
 These are the NumPy bodies the template matcher fuses into compiled
-kernels (and that :class:`~repro.backends.fast.FastBackend` shares).
+kernels executed by :class:`~repro.backends.compiled.CompiledBackend`.
 Results are **bit-identical** to the cycle engine: the simulator's FPU
 evaluates ``fmadd.d`` as the Python expression ``a * b + c`` (two
 roundings), so replaying each kernel's exact accumulation order with

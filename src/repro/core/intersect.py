@@ -462,7 +462,7 @@ def intersect_indices(a_idcs, b_idcs):
     The functional contract of :class:`IntersectLane`: walk both sorted
     index lists, emit the element positions of every matched index pair
     in order, and stop as soon as either list is exhausted. Used by the
-    fast backend's replay and as the unit-test oracle.
+    compiled backend's replay and as the unit-test oracle.
     """
     pos_a, pos_b = [], []
     i = j = 0
@@ -497,7 +497,7 @@ def merge_profile(a_idcs, b_idcs):
     (or two on a match), and the merge stops when either side is
     exhausted — so ``steps = consumed_a + consumed_b - matches`` where
     a side's consumption is capped at its last element ``<= min(max_a,
-    max_b)``. Shared by the analytic models so the fast backend prices
+    max_b)``. Shared by the analytic models so the compiled backend prices
     intersections without replaying them element by element.
     """
     import numpy as np

@@ -4,13 +4,13 @@ Usage::
 
     python -m repro.eval                      # run everything (quick mode)
     python -m repro.eval run E1 E5            # run selected experiments
-    python -m repro.eval run E2 --backend fast --parallel 8
-    python -m repro.eval scaling --backend fast --parallel
+    python -m repro.eval run E2 --backend compiled --parallel 8
+    python -m repro.eval scaling --backend compiled --parallel
     python -m repro.eval --full               # full-fidelity workloads (slow)
 
-The leading ``run`` token is optional. ``--backend fast`` executes on
-the functional backend with analytic timing (see
-:mod:`repro.backends`); ``--parallel N`` fans experiment points out
+The leading ``run`` token is optional. ``--backend compiled`` executes
+on the lowered-program replay with analytic timing (see
+:mod:`repro.backends`; ``fast`` is an accepted alias); ``--parallel N`` fans experiment points out
 over N worker processes with on-disk result caching (bare
 ``--parallel`` uses every CPU). The ``scaling`` experiment
 additionally writes its strong+weak dataset to ``scaling.json``
@@ -23,7 +23,7 @@ import json
 import sys
 import time
 
-from repro.backends import BACKENDS
+from repro.backends import ALIASES, BACKENDS
 from repro.eval.experiments import (
     BUDGET_AWARE,
     CLUSTER_AWARE,
@@ -108,8 +108,10 @@ def main(argv=None):
                              "default: all")
     parser.add_argument("--full", action="store_true",
                         help="full-fidelity workloads (slow; default quick)")
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                        help="execution backend (default: cycle)")
+    parser.add_argument("--backend", choices=[*BACKENDS, *ALIASES],
+                        default=None,
+                        help="execution backend (default: cycle; fast is "
+                             "an alias of compiled)")
     parser.add_argument("--variant", choices=sorted(VARIANTS), default=None,
                         help="kernel variant for the variant-aware "
                              f"experiments ({', '.join(sorted(VARIANT_AWARE))})")

@@ -5,7 +5,7 @@ returning :class:`~repro.eval.report.ExperimentResult`. ``run_all``
 executes the whole reproduction at a chosen fidelity.
 
 Kernel-running experiments accept a ``backend=`` selector ("cycle" or
-"fast", see :mod:`repro.backends`) and sweep-shaped ones additionally a
+"compiled", see :mod:`repro.backends`) and sweep-shaped ones additionally a
 ``runner=`` (:class:`~repro.eval.parallel.ParallelRunner`) to fan
 their points out over worker processes with on-disk caching.
 """
@@ -96,8 +96,8 @@ EXPERIMENT_INFO = {
                            "weak_scaling_efficiency_le_1")},
     "sparse_sparse": {"output": "sparse_sparse.json",
                       "claims": ("issr_speedup_above_threshold",
-                                 "fast_cycle_bit_identical",
-                                 "fast_cycle_within_tolerance")},
+                                 "compiled_cycle_bit_identical",
+                                 "compiled_cycle_within_tolerance")},
     "solvers": {"output": "solvers.json",
                 "claims": ("issr_speedup_above_threshold",
                            "multicluster_speedup",
@@ -108,7 +108,6 @@ EXPERIMENT_INFO = {
                            "solvers_converge")},
     "outofcore": {"output": "outofcore.json",
                   "claims": ("peak_resident_under_quarter",
-                             "streamed_bit_identical_backends",
                              "window_bit_identical_resident",
                              "cycle_prefix_bit_identical",
                              "tiles_streamed_once_per_pass")},
@@ -156,17 +155,17 @@ EXPERIMENTS = {
     "E8": claims.run_claims,
     "E9": _run_related_from_e3,
     "E10": claims.run_csrmm_claim,
-    # E11: multi-cluster strong/weak scaling (defaults to the fast
+    # E11: multi-cluster strong/weak scaling (defaults to the compiled
     # backend — an analytic-model sweep; "scaling" is its CLI name).
     "scaling": scaling.run,
     # E12: sparse-sparse kernel family (masked SpVV / SpGEMM) swept
     # over match density; "sparse_sparse" is its CLI name.
     "sparse_sparse": sparse_sparse.run,
     # E13: TCDM-resident iterative solvers on the pipeline subsystem
-    # (defaults to the fast backend); "solvers" is its CLI name.
+    # (defaults to the compiled backend); "solvers" is its CLI name.
     "solvers": solvers.run,
     # E14: out-of-core streaming-tiled execution over mmap-backed CSR
-    # caches (defaults to fast+compiled); "outofcore" is its CLI name.
+    # caches (defaults to compiled); "outofcore" is its CLI name.
     "outofcore": outofcore.run,
 }
 

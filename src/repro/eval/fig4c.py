@@ -10,7 +10,7 @@ over 5x for nnz/row > 50; bank conflicts lower peak utilization from
 Cycle-simulating the full-size matrices is slow in Python, so the
 default run scales each matrix down while preserving nnz/row (the
 figure's x-axis); pass ``scale=1.0`` to reproduce at full size — or
-``backend="fast"`` to sweep any size on the analytic model.
+``backend="compiled"`` to sweep any size on the analytic model.
 
 Each matrix is one experiment *point* (see :func:`point`).
 """

@@ -11,10 +11,9 @@ executor (:mod:`repro.stream`):
 - **residency**: the double-buffered tile plan keeps the modeled
   matrix working set under 25% of the matrix bytes (default budget:
   1/8 of the matrix);
-- **exactness**: the streamed result is bit-identical across the fast
-  and compiled backends, bit-identical to a resident run on a
-  subsampled row window, and bit-identical to the cycle engine on a
-  truncated, column-remapped prefix;
+- **exactness**: the streamed result is bit-identical to a resident
+  run on a subsampled row window, and bit-identical to the cycle
+  engine on a truncated, column-remapped prefix;
 - **single-pass streaming**: the transfer ledger shows every tile
   crossing the link exactly once per CsrMV pass, including across the
   multi-pass power iteration;
@@ -55,7 +54,7 @@ CYCLE_ROWS = 96
 #: Power-iteration passes of the ledger exactly-once check.
 DEFAULT_ITERS = 3
 #: Backends the full matrix streams on (cycle runs the prefix only).
-STREAM_BACKENDS = ("fast", "compiled")
+STREAM_BACKENDS = ("compiled",)
 #: Default JSON artifact path.
 DEFAULT_JSON = "outofcore.json"
 
@@ -92,8 +91,7 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
         out_json=DEFAULT_JSON):
     """Run the out-of-core experiment; returns an ExperimentResult.
 
-    ``backend`` narrows the streamed sweep to one backend (the
-    cross-backend digest claim then degenerates to a single digest);
+    ``backend`` overrides the backend of the streamed sweep;
     ``mainmem_budget`` (bytes) overrides the fractional budget —
     the CLI's ``--mainmem-budget`` lands here. The matrix cache is
     generated once into ``cache_dir`` (default ``$REPRO_CACHE_DIR`` or
@@ -126,13 +124,14 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
          "Mcycles", "B/cycle", "GB/s @1GHz"])
 
     sweep = []
-    digests = {}
+    ref = None
     for name in backends:
         ledger = TransferLedger()
         stats, y = stream_csrmv(matrix, x, budget_bytes=budget,
                                 backend=name, ledger=ledger)
         counts = ledger.counts(0)
-        digests[name] = _digest(y)
+        if ref is None:
+            ref = y
         row = {
             "backend": name,
             "tiles": stats.tiles,
@@ -145,7 +144,7 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
             "dma_cycles": stats.dma_cycles,
             "bytes_per_cycle": stats.bytes_per_cycle,
             "overlap_efficiency": stats.overlap_efficiency,
-            "digest": digests[name],
+            "digest": _digest(y),
             "tiles_streamed_once": all(v == 1 for v in counts.values())
             and len(counts) == stats.tiles,
         }
@@ -157,10 +156,6 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
                        round(stats.cycles / 1e6, 2),
                        round(stats.bytes_per_cycle, 2),
                        round(stats.bytes_per_cycle, 2))
-    y_fast = None
-    if "fast" in digests:
-        _, y_fast = stream_csrmv(matrix, x, budget_bytes=budget,
-                                 backend="fast")
 
     # resident differential on a mid-matrix row window
     w0 = min(max((matrix.nrows - window_rows) // 2, 0), matrix.nrows)
@@ -169,12 +164,8 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
     # fully resident copy — no mmap views behind the reference run
     window = CsrMatrix(np.array(block.ptr), np.array(block.idcs),
                        np.array(block.vals), block.shape)
-    _, y_window = get_backend("fast").run(
+    _, y_window = get_backend("compiled").run(
         "csrmv", matrix=window, x=x, variant="issr", index_bits=32)
-    ref = y_fast if y_fast is not None else None
-    if ref is None:
-        _, ref = stream_csrmv(matrix, x, budget_bytes=budget,
-                              backend=backends[0])
     window_identical = bool(np.array_equal(ref[w0:w1], y_window))
 
     # cycle-engine differential on a truncated, column-remapped prefix
@@ -186,9 +177,8 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
 
     # multi-pass power iteration: each tile exactly once per pass
     ledger = TransferLedger()
-    pow_backend = "fast" if "fast" in backends else backends[0]
     pstats, _, history = stream_power_iteration(
-        matrix, n_iters, budget_bytes=budget, backend=pow_backend,
+        matrix, n_iters, budget_bytes=budget, backend=backends[0],
         ledger=ledger)
     per_pass_once = all(
         all(v == 1 for v in ledger.counts(pid).values())
@@ -201,10 +191,6 @@ def run(nrows=DEFAULT_NROWS, workload="webgraph", degree=DEFAULT_DEGREE,
                 r["backend"]: r["resident_fraction"] for r in sweep},
             "holds": all(r["resident_fraction"] < RESIDENT_CLAIM
                          for r in sweep),
-        },
-        "streamed_bit_identical_backends": {
-            "digests": digests,
-            "holds": len(set(digests.values())) == 1,
         },
         "window_bit_identical_resident": {
             "window": [w0, w1],

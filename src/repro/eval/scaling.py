@@ -27,7 +27,7 @@ point parameters carry the cluster count, partitioner, and HBM
 configuration so cached multi-cluster results can never collide with
 single-cluster ones.
 
-Defaults execute on the **fast** backend (an analytic-model sweep);
+Defaults execute on the **compiled** backend (an analytic-model sweep);
 ``backend="cycle"`` shrinks the sweep to stay tractable and serves as
 a spot-check of the analytic model.
 """
@@ -41,7 +41,7 @@ from repro.eval.report import ExperimentResult, ascii_plot
 from repro.multicluster import HBM_WORDS_PER_CYCLE, HbmConfig, run_multicluster
 from repro.workloads import get_spec, random_csr, random_dense_vector
 
-#: Cluster counts swept by default (fast backend).
+#: Cluster counts swept by default (compiled backend).
 DEFAULT_CLUSTERS = (1, 2, 4, 8, 16, 32)
 #: Cycle-backend fallback sweep (cycle-stepping 32 clusters is hours).
 CYCLE_CLUSTERS = (1, 2, 4)
@@ -149,7 +149,8 @@ def run(clusters=None, workloads=None, partitioners=DEFAULT_PARTITIONERS,
     Writes the full strong+weak dataset (plus the derived claims and
     an ASCII speedup plot) to ``out_json`` unless it is None.
     """
-    backend_name = get_backend(backend).name if backend is not None else "fast"
+    backend_name = get_backend(backend).name if backend is not None \
+        else "compiled"
     rows_per_cluster = WEAK_ROWS_PER_CLUSTER
     if clusters is None:
         clusters = DEFAULT_CLUSTERS if backend_name != "cycle" \

@@ -7,13 +7,13 @@ three solver scenarios (:mod:`repro.solvers`: CG, Jacobi, power
 iteration) running on :mod:`repro.pipeline`:
 
 - a **speedup sweep** over matrix density: cycles-per-iteration for
-  BASE / SSR / ISSR-32 / ISSR-16 per solver (fast backend), with the
+  BASE / SSR / ISSR-32 / ISSR-16 per solver (compiled backend), with the
   ISSR-over-BASE ratio per point;
 - a **cluster sweep**: CG cycles-per-iteration on 1..8 clusters
   (matrix partitioned once, per-iteration dot allreduce + replicated
   search-direction exchange);
 - **cross-checks** that always run both backends on small problems:
-  recorded residual histories must match bit for bit, fast-predicted
+  recorded residual histories must match bit for bit, compiled-predicted
   cycles must stay within ``CYCLE_TOLERANCE["pipeline"]``, and the
   real ``Dma`` counters must show **zero matrix re-DMA after setup**
   (one cluster moves no words at all per iteration; N clusters move
@@ -59,7 +59,7 @@ SPEEDUP_CLAIM = 2.0
 SWEEP_KERNELS = (("base", 32), ("ssr", 32), ("issr", 32), ("issr", 16))
 #: Solvers swept.
 DEFAULT_SOLVERS = ("cg", "jacobi", "power")
-#: Problem size of the sweep (fast backend).
+#: Problem size of the sweep (compiled backend).
 DEFAULT_N = 2048
 #: Clusters the density sweep shards over (the sweep matrices exceed
 #: one cluster's TCDM — the pipeline partitions the matrix once and
@@ -142,7 +142,7 @@ def crosscheck_point(params):
     kwargs = dict(variant="issr", index_bits=16, n_iters=CROSSCHECK_ITERS,
                   tol=0.0, n_clusters=n_clusters)
     cyc = _solve(solver, matrix, rhs, backend="cycle", **kwargs)
-    fst = _solve(solver, matrix, rhs, backend="fast", **kwargs)
+    comp = _solve(solver, matrix, rhs, backend="compiled", **kwargs)
     key = solver_history_key(solver)
     per_iter = list(cyc.stats.dma_words_by_iteration)
     if n_clusters == 1:
@@ -154,14 +154,14 @@ def crosscheck_point(params):
                     and per_iter[0] < cyc.stats.matrix_dma_words)
     return {
         "kind": "crosscheck", "solver": solver, "n_clusters": n_clusters,
-        "bit_identical": cyc.x.tobytes() == fst.x.tobytes()
-        and cyc.history[key] == fst.history[key],
+        "bit_identical": cyc.x.tobytes() == comp.x.tobytes()
+        and cyc.history[key] == comp.history[key],
         "cycle_cycles": int(cyc.stats.cycles),
-        "fast_cycles": int(fst.stats.cycles),
-        "rel_err": round(cycle_error(fst.stats.cycles, cyc.stats.cycles,
+        "compiled_cycles": int(comp.stats.cycles),
+        "rel_err": round(cycle_error(comp.stats.cycles, cyc.stats.cycles,
                                      "pipeline"), 4),
         "within_tolerance": cycles_within_tolerance(
-            fst.stats.cycles, cyc.stats.cycles, "pipeline"),
+            comp.stats.cycles, cyc.stats.cycles, "pipeline"),
         "matrix_dma_words": int(cyc.stats.matrix_dma_words),
         "dma_words_by_iteration": per_iter,
         "no_matrix_redma": no_redma,
@@ -175,7 +175,7 @@ def variant_point(params):
     outs = []
     for variant in ("base", "ssr", "issr"):
         res = _solve(solver, matrix, rhs, variant=variant, index_bits=16,
-                     n_iters=CROSSCHECK_ITERS, tol=0.0, backend="fast")
+                     n_iters=CROSSCHECK_ITERS, tol=0.0, backend="compiled")
         outs.append(res.x.tobytes())
     return {"kind": "variants", "solver": solver,
             "bit_identical": len(set(outs)) == 1}
@@ -187,12 +187,12 @@ def convergence_point(params):
     matrix, rhs = _workload(solver, CROSSCHECK_N, 0.05, params["seed"])
     if solver == "power":
         res = _solve(solver, matrix, None, n_iters=300, tol=1e-10,
-                     backend="fast")
+                     backend="compiled")
         _x, lams = power_oracle(matrix, 300, tol=1e-20)
         err = abs(res.history["lam"][-1] - lams[-1])
     else:
         res = _solve(solver, matrix, rhs, n_iters=300, tol=1e-10,
-                     backend="fast")
+                     backend="compiled")
         err = float(np.abs(res.x - reference_solution(matrix, rhs)).max())
     return {"kind": "convergence", "solver": solver,
             "converged": bool(res.converged),
@@ -268,13 +268,13 @@ def run(densities=DEFAULT_DENSITIES, solvers=DEFAULT_SOLVERS, n=DEFAULT_N,
 
     Writes the full dataset (speedup + cluster sweeps, cross-checks,
     derived claims, ASCII plot) to ``out_json`` unless None. The
-    sweeps execute on ``backend`` (default fast — analytic models);
+    sweeps execute on ``backend`` (default compiled — analytic models);
     cross-check points always cycle-step regardless.
     """
     from repro.backends import get_backend
 
     backend_name = get_backend(backend).name if backend is not None \
-        else "fast"
+        else "compiled"
     densities = tuple(float(d) for d in densities)
     solvers = tuple(solvers)
 

@@ -19,9 +19,9 @@ Claims derived into the JSON ``claims`` section:
 - ``issr_speedup_above_threshold`` — ISSR >= 2x BASE at every swept
   match density >= :data:`DENSITY_THRESHOLD` (the documented
   threshold; below it, fixed two-pass setup can dominate tiny merges);
-- ``fast_cycle_bit_identical`` / ``fast_cycle_within_tolerance`` — a
-  small cross-check set runs on *both* backends regardless of
-  ``backend=``: results must match to the last bit and fast-predicted
+- ``compiled_cycle_bit_identical`` / ``compiled_cycle_within_tolerance``
+  — a small cross-check set runs on *both* backends regardless of
+  ``backend=``: results must match to the last bit and compiled-predicted
   cycles must stay within ``CYCLE_TOLERANCE["masked"]`` /
   ``["spgemm"]`` (plus ``CYCLE_SLACK``).
 
@@ -105,9 +105,9 @@ def spgemm_point(params):
 
 def crosscheck_point(params):
     """Run one small point on BOTH backends; compare results/cycles."""
-    from repro.backends import CycleBackend, FastBackend
+    from repro.backends import CompiledBackend, CycleBackend
 
-    cycle, fast = CycleBackend(), FastBackend()
+    cycle, compiled = CycleBackend(), CompiledBackend()
     nnz = params["nnz"]
     out = {"kind": params["check_kind"], "density": params["density"],
            "bit_identical": True, "max_rel_err": 0.0}
@@ -118,8 +118,8 @@ def crosscheck_point(params):
         for variant, bits in SPVV_KERNELS:
             sc, rc = cycle.run("masked_spvv", variant=variant,
                                index_bits=bits, fiber_a=fa, fiber_b=fb)
-            sf, rf = fast.run("masked_spvv", variant=variant,
-                              index_bits=bits, fiber_a=fa, fiber_b=fb)
+            sf, rf = compiled.run("masked_spvv", variant=variant,
+                                  index_bits=bits, fiber_a=fa, fiber_b=fb)
             out["bit_identical"] &= (rc == rf)
             out["max_rel_err"] = max(
                 out["max_rel_err"],
@@ -133,8 +133,8 @@ def crosscheck_point(params):
         for variant, bits in SPVV_KERNELS:
             sc, cc = cycle.run("spgemm", variant=variant,
                                index_bits=bits, a=a, b=b)
-            sf, cf = fast.run("spgemm", variant=variant,
-                              index_bits=bits, a=a, b=b)
+            sf, cf = compiled.run("spgemm", variant=variant,
+                                  index_bits=bits, a=a, b=b)
             out["bit_identical"] &= (cc == cf)
             out["max_rel_err"] = max(
                 out["max_rel_err"],
@@ -159,12 +159,12 @@ def _claims(spvv_rows, check_rows):
             "holds": all(g >= SPEEDUP_CLAIM for g in gains.values())
             if gains else None,
         },
-        "fast_cycle_bit_identical": {
+        "compiled_cycle_bit_identical": {
             "points": len(check_rows),
             "holds": all(r["bit_identical"] for r in check_rows)
             if check_rows else None,
         },
-        "fast_cycle_within_tolerance": {
+        "compiled_cycle_within_tolerance": {
             "tolerances": {"masked": CYCLE_TOLERANCE["masked"],
                            "spgemm": CYCLE_TOLERANCE["spgemm"]},
             "max_rel_err": round(max((r["max_rel_err"] for r in check_rows),
@@ -232,15 +232,15 @@ def run(densities=DEFAULT_DENSITIES, workloads=DEFAULT_WORKLOADS,
     result.paper = {
         f"ISSR/BASE speedup @ density >= {DENSITY_THRESHOLD}":
             SPEEDUP_CLAIM,
-        "fast-vs-cycle max relative cycle error":
+        "compiled-vs-cycle max relative cycle error":
             CYCLE_TOLERANCE["masked"],
     }
     result.measured = {
         f"ISSR/BASE speedup @ density >= {DENSITY_THRESHOLD}":
             min(speed_claim["speedup_by_point"].values())
             if speed_claim["speedup_by_point"] else None,
-        "fast-vs-cycle max relative cycle error":
-            claims["fast_cycle_within_tolerance"]["max_rel_err"],
+        "compiled-vs-cycle max relative cycle error":
+            claims["compiled_cycle_within_tolerance"]["max_rel_err"],
     }
     result.notes.append(
         "model-level claims (the paper covers sparse-dense only); "

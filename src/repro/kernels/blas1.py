@@ -221,7 +221,7 @@ def apply_glue(kind, x, y=None, alpha=None, dinv=None):
     """The bit-exact functional semantics of one glue operation.
 
     Replays the assembled kernel's exact FP rounding order with NumPy
-    float64 arithmetic — the fast pipeline executor computes every glue
+    float64 arithmetic — the compiled pipeline executor computes every glue
     stage through this function, and tests compare it against the
     cycle-stepped run byte for byte. Returns a float for the scalar
     kinds, otherwise the updated/produced vector.

@@ -26,7 +26,7 @@ Variants:
   FREP'd ``fmadd.d`` accumulates them.
 
 All three variants accumulate the matched products in the same order
-(left to right from +0.0), so their results — and the fast backend's
+(left to right from +0.0), so their results — and the compiled backend's
 replay — are bit-identical.
 
 Argument registers (see :mod:`repro.kernels.common` for the shared

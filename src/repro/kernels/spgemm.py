@@ -31,7 +31,7 @@ Variants:
   row k must land before the gather of row k+1 may alias it).
 
 All variants apply products in the same (k-major, then B-row) order,
-so results are bit-identical across variants and to the fast backend's
+so results are bit-identical across variants and to the compiled backend's
 replay.
 
 Argument registers: a0=A_vals, a1=A_idcs, a2=A_ptr, a3=B_vals,

@@ -11,7 +11,7 @@ multi-cluster accelerators behind HBM, see PAPERS.md):
   shared HBM bandwidth, per-cluster DMA links, contention;
 - :mod:`~repro.multicluster.runtime` — N cycle-accurate clusters
   stepped by one engine behind an :class:`HbmFabric`;
-- :mod:`~repro.multicluster.model` — the fast backend's analytic
+- :mod:`~repro.multicluster.model` — the compiled backend's analytic
   per-cluster prediction (max over clusters + combine cost);
 - :mod:`~repro.multicluster.dispatch` — :func:`run_multicluster`, the
   single entry point used by the scaling experiments
@@ -20,7 +20,7 @@ multi-cluster accelerators behind HBM, see PAPERS.md):
 >>> from repro.multicluster import run_multicluster
 >>> stats, y = run_multicluster(matrix, x, n_clusters=8,
 ...                             partitioner="nnz_balanced",
-...                             backend="fast")   # doctest: +SKIP
+...                             backend="compiled")   # doctest: +SKIP
 """
 
 from repro.multicluster.dispatch import MULTICLUSTER_KERNELS, run_multicluster

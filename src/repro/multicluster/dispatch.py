@@ -5,18 +5,18 @@
 invocation across N simulated clusters with a chosen partitioner,
 executes every shard on the selected backend — ``cycle`` steps N
 :class:`~repro.cluster.cluster.SnitchCluster` instances in one engine
-behind a shared HBM fabric; ``fast`` predicts each cluster
-analytically at the contended bandwidth — and scatters the per-cluster
+behind a shared HBM fabric; ``compiled`` replays each shard's lowered
+program and predicts each cluster analytically at the contended
+bandwidth — and scatters the per-cluster
 results back into the global result. Supported kernels:
 
-- ``csrmv`` — all backends (``compiled`` replays shards through the
-  lowered programs), bit-identical results;
+- ``csrmv`` — both backends, bit-identical results;
 - ``spvv_batch`` — a batch of SpVV fibers against one dense vector,
   lowered to CsrMV (one fiber per row, §III-B) and sharded the same
-  way, all backends;
-- ``csrmm`` — fast/compiled only (there is no cycle-level cluster
+  way, both backends;
+- ``csrmm`` — compiled only (there is no cycle-level cluster
   CsrMM runtime to validate against yet);
-- ``spgemm`` — sparse-sparse CSR x CSR (fast/compiled only): A's rows
+- ``spgemm`` — sparse-sparse CSR x CSR (compiled only): A's rows
   shard through the same partitioners, B broadcasts whole through the
   HBM model, and the combine stays a pure row scatter
   (:meth:`~repro.multicluster.partition.Partition.combine_sparse`).
@@ -51,8 +51,8 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
     of :class:`SparseFiber` for ``spvv_batch``); ``dense`` the dense
     one (vector for ``csrmv``/``spvv_batch``, matrix for ``csrmm``).
     ``max_cycles`` and ``watchdog`` bound the cycle-stepped backend
-    (the fast backend computes analytically and ignores them, like
-    ``FastBackend.cluster_csrmv`` ignores ``max_cycles``). Returns
+    (the compiled backend computes analytically and ignores them, like
+    its ``cluster_csrmv`` ignores ``max_cycles``). Returns
     ``(MultiClusterStats, result)``. The partition's combine step is a
     pure row scatter, so results are bit-identical across backends and
     to a single-cluster run of the same kernel.
@@ -67,10 +67,10 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
     hbm = hbm if hbm is not None else HbmConfig()
     backend = get_backend(backend)
     backend_name = backend.name
-    if backend_name not in ("cycle", "fast", "compiled"):
+    if backend_name not in ("cycle", "compiled"):
         raise ConfigError(
-            f"multicluster supports the 'cycle', 'fast', and 'compiled' "
-            f"backends, not {backend_name!r}"
+            f"multicluster supports the 'cycle' and 'compiled' backends, "
+            f"not {backend_name!r}"
         )
 
     if kernel == "spvv_batch":
@@ -88,7 +88,7 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
         if backend_name == "cycle":
             raise ConfigError(
                 "multicluster spgemm is modeled analytically; "
-                "run it with backend='fast' or 'compiled'"
+                "run it with backend='compiled'"
             )
         stats, c = multicluster_spgemm_fast(
             partition, dense, variant, index_bits, hbm=hbm,
@@ -102,7 +102,7 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
         if backend_name == "cycle":
             raise ConfigError(
                 "multicluster csrmm is modeled analytically; "
-                "run it with backend='fast' or 'compiled'"
+                "run it with backend='compiled'"
             )
         stats, out = multicluster_csrmm_fast(
             partition, dense, variant, index_bits, hbm=hbm,

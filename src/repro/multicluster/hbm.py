@@ -15,11 +15,11 @@ finite. This module models that hierarchy at two fidelities:
   deliberately simple contention model (no reordering, no per-bank
   HBM state).
 - :meth:`HbmConfig.cluster_bandwidth` — the analytic counterpart used
-  by the fast backend: with ``n`` clusters actively moving data, each
+  by the compiled backend: with ``n`` clusters actively moving data, each
   sees ``min(per-cluster link, aggregate / n)`` words per cycle.
 
 Both fidelities share one :class:`HbmConfig`, so the cycle-accurate
-and fast multi-cluster paths agree on the memory system by
+and compiled multi-cluster paths agree on the memory system by
 construction (the same way both backends share ``plan_tiles``).
 """
 

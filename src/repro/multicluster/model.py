@@ -1,15 +1,15 @@
 """Analytic scale-out model: per-cluster prediction, max over clusters.
 
-The fast-backend counterpart of :mod:`repro.multicluster.runtime`.
+The compiled-backend counterpart of :mod:`repro.multicluster.runtime`.
 Each shard's cost is the single-cluster analytic model
 (:func:`repro.backends.model.cluster_csrmv_stats` — itself validated
 against the cycle-stepped simulator, §IV-B schedule) evaluated at the
 *contended* DMA bandwidth from :meth:`HbmConfig.cluster_bandwidth`;
 total time is the slowest cluster plus the partition's combine /
-synchronization cost. Functional results reuse the fast backend's
+synchronization cost. Functional results reuse the compiled backend's
 bit-identical per-row accumulation replay, scattered through the
-partition's combine plan, so fast and cycle multi-cluster runs return
-byte-equal results.
+partition's combine plan, so compiled and cycle multi-cluster runs
+return byte-equal results.
 """
 
 import math
@@ -38,18 +38,18 @@ from repro.sim.counters import LaneStats, RunStats
 def _functional_backend(spec):
     """Resolve the functional-replay backend for the ``*_fast`` paths.
 
-    Accepts ``None`` (→ fast), a name, or a Backend instance; the
+    Accepts ``None`` (→ compiled), a name, or a Backend instance; the
     cycle backend is rejected — these paths replay functionally and
     compose analytic shard models, they never step the simulator.
     """
     from repro.backends import get_backend
     from repro.errors import ConfigError
 
-    backend = get_backend("fast" if spec is None else spec)
+    backend = get_backend("compiled" if spec is None else spec)
     if backend.name == "cycle":
         raise ConfigError(
             "the multicluster fast paths replay functionally; use "
-            "backend='fast' or 'compiled' (or run_multicluster with "
+            "backend='compiled' (or run_multicluster with "
             "backend='cycle' for the stepped simulation)")
     return backend
 
@@ -346,8 +346,7 @@ def multicluster_spgemm_fast(partition, b, variant, index_bits, hbm=None,
     """Functional + analytic fast SpGEMM path; returns ``(stats, C)``.
 
     Each shard replays the single-CC Gustavson order through the
-    selected non-cycle backend (``fast`` by default, ``compiled``
-    accepted) and the rows scatter back losslessly, so the combined
+    compiled backend and the rows scatter back losslessly, so the combined
     CSR equals a single-cluster run bit for bit.
     """
     from repro.formats.builder import spgemm_pattern
@@ -380,8 +379,8 @@ def multicluster_csrmv_fast(partition, x, variant, index_bits, hbm=None,
                             backend=None):
     """Functional + analytic fast path; returns ``(stats, y)``.
 
-    The numerical result replays each shard through the selected
-    non-cycle backend's exact accumulation-order model and scatters
+    The numerical result replays each shard through the compiled
+    backend's exact accumulation-order model and scatters
     rows via the combine plan — bit-identical to the cycle-stepped
     multi-cluster run.
     """

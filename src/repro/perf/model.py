@@ -11,7 +11,7 @@ are the one timing contract shared with the analytic backend —
 :data:`repro.backends.model.ISSUE_RATE` — and the FPU dependency
 latency comes from the simulated FPU itself
 (:data:`repro.isa.isa.FPU_LATENCY`), so the closed forms here, the
-fast/compiled cycle predictions, and the cycle-stepped simulator can
+compiled backend's cycle predictions, and the cycle-stepped simulator can
 never drift apart silently.
 """
 

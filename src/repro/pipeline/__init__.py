@@ -9,7 +9,7 @@ The layer iterative algorithms sit on (see :mod:`repro.solvers`):
 - :mod:`~repro.pipeline.executor` — :func:`run_pipeline`, executing
   the same IR on both backends and on N clusters, bit-identically;
 - :mod:`~repro.pipeline.cycle` / :mod:`~repro.pipeline.fast` — the
-  two executors.
+  cycle and compiled executors.
 
 >>> from repro.pipeline import Pipeline, run_pipeline
 >>> pipe = Pipeline("demo", variant="issr", index_bits=16)  # doctest: +SKIP

@@ -17,11 +17,11 @@ Plans where every pipeline buffer lives for one cluster's TCDM:
   a reading stage, DMA-out after a writing stage
   (:data:`BufferPlan.stage_spills`); the executors turn those entries
   into real :class:`~repro.mem.dma.Dma` transfers (cycle) or modeled
-  transfer cycles (fast).
+  transfer cycles (compiled).
 
 The plan is pure (no simulator state), so both executors derive the
 identical layout — addresses on the cycle backend, traffic volumes on
-the fast one.
+the compiled one.
 """
 
 from repro.errors import ConfigError

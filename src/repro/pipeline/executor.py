@@ -8,13 +8,11 @@ on either backend and on N clusters:
   TCDM-resident per the :mod:`~repro.pipeline.buffers` plan; DMA
   traffic (setup, spills, replicated-buffer exchanges) is real
   :class:`~repro.mem.dma.Dma` transfers.
-- ``fast`` (:mod:`repro.pipeline.fast`) — functionally replays every
-  stage's exact FP order (bit-identical results and histories) and
-  composes the analytic stage models, within the documented
-  ``CYCLE_TOLERANCE["pipeline"]``.
-- ``compiled`` (:mod:`repro.pipeline.compiled`) — the fast executor
-  with the CsrMV stages replayed through the *lowered* assembled
-  program (:mod:`repro.compiler`); same results, same contract.
+- ``compiled`` (:mod:`repro.pipeline.fast`) — functionally replays
+  every stage's exact FP order (the CsrMV stages through the *lowered*
+  assembled program, :mod:`repro.compiler`; bit-identical results and
+  histories) and composes the analytic stage models, within the
+  documented ``CYCLE_TOLERANCE["pipeline"]``.
 
 Everything that *coordinates* rather than computes lives here so both
 backends charge the identical cost: the host-stage cost, the per-stage
@@ -34,7 +32,7 @@ from repro.sim.counters import RunStats
 #: square roots, convergence checks) — identical on both backends.
 HOST_STAGE_CYCLES = 32
 
-#: Per-stage launch overhead added by the fast model on top of the
+#: Per-stage launch overhead added by the analytic model on top of the
 #: single-CC stage cost: the program hand-off by the runtime and the
 #: first fetch of the freshly loaded program (measured against the
 #: cycle executor's per-stage breakdown — the L0 I-cache turns out to
@@ -173,16 +171,11 @@ def run_pipeline(pipeline, n_iters, backend=None, n_clusters=1,
         return run_pipeline_cycle(pipeline, partition, shards, n_iters,
                                   hbm=hbm, tcdm_bytes=tcdm_bytes,
                                   watchdog=watchdog, max_cycles=max_cycles)
-    if backend_name == "fast":
+    if backend_name == "compiled":
         from repro.pipeline.fast import run_pipeline_fast
 
         return run_pipeline_fast(pipeline, partition, shards, n_iters,
                                  hbm=hbm, tcdm_bytes=tcdm_bytes)
-    if backend_name == "compiled":
-        from repro.pipeline.compiled import run_pipeline_compiled
-
-        return run_pipeline_compiled(pipeline, partition, shards, n_iters,
-                                     hbm=hbm, tcdm_bytes=tcdm_bytes)
     raise ConfigError(
-        f"pipelines support the 'cycle', 'fast', and 'compiled' "
-        f"backends, not {backend_name!r}")
+        f"pipelines support the 'cycle' and 'compiled' backends, not "
+        f"{backend_name!r}")

@@ -1,11 +1,13 @@
-"""Fast pipeline execution: exact functional replay + composed models.
+"""Functional pipeline execution: exact replay + composed models.
 
-Mirrors :mod:`repro.pipeline.cycle` stage for stage:
+The ``compiled`` backend's pipeline executor. Mirrors
+:mod:`repro.pipeline.cycle` stage for stage:
 
 - **results** — every stage replays the assembled kernel's exact FP
-  rounding order (CsrMV through the fast backend's row accumulation,
-  glue through :func:`repro.kernels.blas1.apply_glue`, reductions
-  through the shared :func:`~repro.pipeline.executor.combine_partials`
+  rounding order (CsrMV through the shape-class closures of the
+  pipeline's *lowered* CsrMV program, :mod:`repro.compiler`; glue
+  through :func:`repro.kernels.blas1.apply_glue`; reductions through
+  the shared :func:`~repro.pipeline.executor.combine_partials`
   order), so outputs, recorded histories, and early-stop decisions are
   bit-identical to the cycle executor;
 - **cycles** — composed analytic stage models: the documented CsrMV /
@@ -20,9 +22,9 @@ import math
 
 import numpy as np
 
-from repro.backends.fast import _accumulate_rows
 from repro.backends.model import _dma_cycles, csrmv_stats, glue_stats
 from repro.cluster.runtime import BARRIER_CYCLES
+from repro.compiler.templates import csr_shape_class, lower
 from repro.kernels.blas1 import apply_glue
 from repro.mem.dma import BEAT_WORDS
 from repro.pipeline.buffers import plan_buffers
@@ -47,22 +49,17 @@ def _accumulate(stats, stage_stats):
 
 
 def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
-                      tcdm_bytes=256 * 1024, backend_label="fast",
-                      csrmv_reduce=None):
-    """Execute one pipeline functionally; see the module docstring.
+                      tcdm_bytes=256 * 1024):
+    """Execute one pipeline functionally; see the module docstring."""
+    from repro.kernels.csrmv import build_csrmv
 
-    ``csrmv_reduce(matrix, products)`` optionally overrides the CsrMV
-    row reduction (the compiled executor injects its lowered shape-
-    class closures here); the default replays through
-    :func:`~repro.compiler.vectorize.accumulate_rows`. Both choices
-    are bit-identical — the override only changes *how* the exact
-    order is replayed. ``backend_label`` names the executor in the
-    returned stats.
-    """
-    if csrmv_reduce is None:
-        def csrmv_reduce(mat, products):
-            return _accumulate_rows(products, mat.ptr, pipeline.variant,
-                                    pipeline.index_bits)
+    program, _meta = build_csrmv(pipeline.variant, pipeline.index_bits)
+    kernel = lower(program, family_hint="csrmv")
+
+    def csrmv_reduce(mat, products):
+        reducer = kernel.row_reducer(csr_shape_class(mat.ptr))
+        return reducer(products, mat.ptr, mat.nrows)
+
     n_clusters = partition.n_clusters
     tcdm_words = tcdm_bytes // 8
     plans = [plan_buffers(pipeline, shards[c], shard.nrows, tcdm_words)
@@ -82,7 +79,7 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
     scalars = dict(pipeline.scalars)
 
     stats = PipelineStats()
-    stats.backend = backend_label
+    stats.backend = "compiled"
     stats.n_clusters = n_clusters
     stats.spilled = sorted(set().union(*(p.spilled for p in plans))
                            if plans else ())

@@ -3,7 +3,7 @@
 Runs a long-lived service on a UNIX socket::
 
     python -m repro.serve --socket /tmp/repro.sock --workers 4 \\
-        --backends compiled,fast --batch-max 8
+        --backends compiled --batch-max 8
 
 Clients speak newline-delimited JSON (see ``docs/serve.md`` for the
 frame schema), e.g. with :class:`repro.serve.SocketClient`::
@@ -34,14 +34,17 @@ from repro.serve.service import ServeConfig, Service, ServiceThread
 
 
 def _backend_list(text):
-    from repro.backends import BACKENDS
+    from repro.backends import canonical_backend
+    from repro.errors import ConfigError
 
-    names = tuple(part for part in text.split(",") if part)
-    unknown = [n for n in names if n not in BACKENDS]
-    if not names or unknown:
+    try:
+        names = tuple(canonical_backend(part)
+                      for part in text.split(",") if part)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not names:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated backend names from "
-            f"{sorted(BACKENDS)}, got {text!r}")
+            f"expected comma-separated backend names, got {text!r}")
     return names
 
 
@@ -135,9 +138,9 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="warm worker processes (default 2)")
     parser.add_argument("--backends", type=_backend_list,
-                        default=("compiled", "fast"), metavar="B[,B...]",
+                        default=("compiled",), metavar="B[,B...]",
                         help="backends each worker pre-constructs "
-                             "(default compiled,fast)")
+                             "(default compiled)")
     parser.add_argument("--batch-max", type=int, default=8, metavar="K",
                         help="max compatible requests per worker batch")
     parser.add_argument("--quota-queued", type=int, default=None,

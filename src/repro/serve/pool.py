@@ -71,7 +71,7 @@ def _warm_backends(backend_names, kernel_cache_dir=None):
     """
     from repro.backends import get_backend
 
-    backends = {name: get_backend(name) for name in backend_names}
+    backends = {b.name: b for b in map(get_backend, backend_names)}
     warmed = 0
     if "compiled" in backends:
         # Pre-lower the hottest templates so the first compiled
@@ -323,7 +323,7 @@ class WorkerPool:
     compiled-kernel cache location workers warm-start from.
     """
 
-    def __init__(self, n_workers=2, backends=("compiled", "fast"),
+    def __init__(self, n_workers=2, backends=("compiled",),
                  mp_context="fork", allow_fault_injection=False,
                  kernel_cache_dir=None):
         if n_workers < 1:

@@ -111,11 +111,14 @@ def validate_request(payload):
     else:
         req["variant"] = None
 
-    from repro.backends import BACKENDS
+    from repro.backends import canonical_backend
 
-    if req["backend"] not in BACKENDS:
-        raise RequestError(f"unknown backend {req['backend']!r}; "
-                           f"registered backends: {', '.join(BACKENDS)}")
+    # Aliases resolve at admission, so "fast" and "compiled" requests
+    # share one batch class and one cache key.
+    try:
+        req["backend"] = canonical_backend(req["backend"])
+    except ConfigError as exc:
+        raise RequestError(str(exc)) from None
     if not isinstance(req["priority"], int) or req["priority"] < 0:
         raise RequestError(
             f"priority must be an int >= 0 (0 is most urgent), got "

@@ -93,11 +93,13 @@ class ServeConfig:
     (``max_queued_total``); ``use_shm`` turns the shared-memory data
     plane off (operands/results fall back to pickled pipe frames);
     ``kernel_cache_dir`` overrides the persistent compiled-kernel
-    cache directory workers warm-start from.
+    cache directory workers warm-start from. ``backends`` names the
+    backends every worker warms, canonicalized (aliases resolved,
+    duplicates dropped) like request backends at admission.
     """
 
     workers: int = 2
-    backends: tuple = ("compiled", "fast")
+    backends: tuple = ("compiled",)
     batch_max: int = 8
     max_attempts: int = 2
     quota: TenantQuota = None
@@ -112,6 +114,12 @@ class ServeConfig:
     max_queued: int = None
     use_shm: bool = True
     kernel_cache_dir: str = None
+
+    def __post_init__(self):
+        from repro.backends import canonical_backend
+
+        self.backends = tuple(dict.fromkeys(
+            canonical_backend(name) for name in self.backends))
 
 
 class Service:

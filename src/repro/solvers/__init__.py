@@ -15,7 +15,7 @@ bounded-row-degree condition documented in ``docs/solvers.md``).
 :mod:`~repro.solvers.oracle` holds the SciPy-free NumPy references.
 
 >>> from repro.solvers import solve_cg                       # doctest: +SKIP
->>> res = solve_cg(A, b, variant="issr", backend="fast")     # doctest: +SKIP
+>>> res = solve_cg(A, b, variant="issr", backend="compiled") # doctest: +SKIP
 >>> res.converged, res.stats.cycles_per_iteration            # doctest: +SKIP
 """
 

@@ -119,7 +119,7 @@ def _finish_stats(stats, compute, dma, tiles, ptr):
 
 
 def stream_csrmv(matrix, x, *, budget_bytes=None, tile_rows=None,
-                 backend="fast", variant="issr", index_bits=32,
+                 backend="compiled", variant="issr", index_bits=32,
                  ledger=None, pass_id=0, release=True, on_tile=None):
     """``y = A @ x`` streamed tile-by-tile; returns ``(stats, y)``.
 
@@ -252,7 +252,7 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
 
 
 def stream_power_iteration(matrix, n_iters, *, budget_bytes=None,
-                           tile_rows=None, backend="fast", variant="issr",
+                           tile_rows=None, backend="compiled", variant="issr",
                            index_bits=32, ledger=None, x0=None,
                            release=True):
     """Power iteration with one streaming CsrMV pass per iteration.

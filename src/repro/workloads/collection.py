@@ -120,7 +120,7 @@ RECTANGULAR_SET = (
 )
 
 #: Beyond the paper's envelope: matrices far too large to cycle-step
-#: in Python, intended for the fast backend (``backend="fast"``) —
+#: in Python, intended for the compiled backend (``backend="compiled"``) —
 #: the follow-up papers (SSSR, NM-PIC) evaluate at this scale.
 LARGE_SET = (
     MatrixSpec("webgraph64k", 65536, 65536, 1048576, "powerlaw",
@@ -175,7 +175,7 @@ def calibration_set():
 
 
 def large_set():
-    """Beyond-envelope matrices for fast-backend sweeps (by nnz/row)."""
+    """Beyond-envelope matrices for compiled-backend sweeps (by nnz/row)."""
     return sorted(LARGE_SET, key=lambda s: s.nnz_per_row)
 
 

@@ -1,24 +1,6 @@
-"""Shared fixtures: per-test isolation of process-global registries.
-
-The legacy dispatch shims warn once per (backend class, kernel) via a
-module-global registry, which made any test asserting on those
-warnings order-dependent: whichever test touched a shim first consumed
-the only warning the process would ever emit. Every test now runs
-against a fresh registry (and the original is restored afterwards, so
-the suite cannot leak state into library behavior either way).
-"""
+"""Shared fixtures: per-test isolation of process-global registries."""
 
 import pytest
-
-from repro.backends import base as backend_base
-
-
-@pytest.fixture(autouse=True)
-def _fresh_shim_warning_registry():
-    """Isolate the once-per-process shim DeprecationWarning registry."""
-    saved = backend_base.reset_shim_warnings()
-    yield
-    backend_base._WARNED_SHIMS = saved
 
 
 @pytest.fixture(autouse=True)

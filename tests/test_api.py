@@ -1,15 +1,11 @@
-"""The redesigned dispatch surface: registry, facade, and shims.
+"""The dispatch surface: registry and facade.
 
-The contract under test (ISSUE 6): every kernel a backend executes is
-declared once in :data:`repro.api.KERNELS`; :func:`repro.api.run` and
+The contract under test: every kernel a backend executes is declared
+once in :data:`repro.api.KERNELS`; :func:`repro.api.run` and
 :meth:`Backend.run` dispatch through that declaration (validating
-operands, filling the documented defaults); backends without an
-implementation raise :class:`UnsupportedKernelError`; and the legacy
-per-kernel methods still work but warn exactly once per
-(backend class, kernel).
+operands and index widths, filling the documented defaults); backends
+without an implementation raise :class:`UnsupportedKernelError`.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +17,12 @@ from repro.backends import (
     CYCLE_TOLERANCE,
     KERNEL_TOLERANCE,
     Backend,
-    FastBackend,
     get_backend,
 )
-from repro.backends import base as backend_base
-from repro.errors import ConfigError, UnsupportedKernelError
+from repro.errors import ConfigError, FormatError, UnsupportedKernelError
 from repro.formats.csf import CsfTensor
+from repro.formats.csr import CsrMatrix
+from repro.formats.fiber import SparseFiber
 from repro.workloads import (
     random_csr,
     random_dense_matrix,
@@ -87,8 +83,8 @@ class TestRegistry:
 
     def test_list_kernels(self):
         assert api.list_kernels() == list(api.KERNELS)
-        assert set(api.list_backends()) == set(BACKENDS)
-        assert "compiled" in api.list_backends()
+        assert api.list_backends() == list(BACKENDS) == ["cycle", "compiled"]
+        assert get_backend("fast").name == "compiled"
 
     def test_validate_operands(self):
         spec = get_kernel("csrmv")
@@ -100,6 +96,8 @@ class TestRegistry:
 
 class TestDispatch:
     @pytest.mark.parametrize("kernel", sorted(api.KERNELS))
+    # "fast" is the accepted alias of compiled; every kernel must
+    # dispatch under both spellings
     @pytest.mark.parametrize("backend", ["fast", "compiled"])
     def test_every_kernel_dispatches_on_every_backend(self, kernel, backend):
         """The full registry round-trip: run or raise, never AttributeError."""
@@ -114,21 +112,22 @@ class TestDispatch:
 
     def test_api_run_facade(self):
         ops = small_operands("csrmv")
-        s_fast, y_fast = api.run("csrmv", backend="fast", variant="issr",
-                                 index_bits=16, **ops)
-        s_comp, y_comp = api.run("csrmv", backend="compiled", variant="issr",
-                                 index_bits=16, **ops)
-        assert y_fast.tobytes() == y_comp.tobytes()
-        assert s_fast.cycles == s_comp.cycles
+        s_api, y_api = api.run("csrmv", backend="compiled", variant="issr",
+                               index_bits=16, **ops)
+        s_dir, y_dir = get_backend("compiled").run(
+            "csrmv", variant="issr", index_bits=16, **ops)
+        assert y_api.tobytes() == y_dir.tobytes()
+        assert s_api.cycles == s_dir.cycles
 
     def test_defaults_match_the_documented_conventions(self):
-        """No variant given -> issr/32 (cluster_csrmv: issr/16)."""
-        ops = small_operands("csrmv")
-        s_dflt, y_dflt = api.run("csrmv", backend="fast", **ops)
-        s_issr, y_issr = api.run("csrmv", backend="fast", variant="issr",
-                                 index_bits=32, **ops)
-        assert y_dflt.tobytes() == y_issr.tobytes()
-        assert s_dflt.cycles == s_issr.cycles
+        """No variant or width given -> issr/32 (cluster_csrmv too)."""
+        for kernel in ("csrmv", "cluster_csrmv"):
+            ops = small_operands(kernel)
+            s_dflt, y_dflt = api.run(kernel, backend="compiled", **ops)
+            s_issr, y_issr = api.run(kernel, backend="compiled",
+                                     variant="issr", index_bits=32, **ops)
+            assert y_dflt.tobytes() == y_issr.tobytes()
+            assert s_dflt.cycles == s_issr.cycles
 
     def test_unsupported_kernel_error_carries_context(self):
         class NullBackend(Backend):
@@ -143,7 +142,7 @@ class TestDispatch:
 
     def test_unknown_operand_rejected_before_execution(self):
         with pytest.raises(ConfigError, match="unknown"):
-            api.run("spvv", backend="fast", bogus=1,
+            api.run("spvv", backend="compiled", bogus=1,
                     **small_operands("spvv"))
 
     def test_extra_kwargs_flow_through(self):
@@ -152,83 +151,44 @@ class TestDispatch:
 
         ops = small_operands("spgemm")
         pattern = spgemm_pattern(ops["a"], ops["b"])
-        s1, c1 = api.run("spgemm", backend="fast", **ops)
-        s2, c2 = api.run("spgemm", backend="fast", pattern=pattern, **ops)
+        s1, c1 = api.run("spgemm", backend="compiled", **ops)
+        s2, c2 = api.run("spgemm", backend="compiled", pattern=pattern,
+                         **ops)
         assert c1 == c2
         assert s1.cycles == s2.cycles
 
 
-class TestLegacyShims:
-    # warning-registry isolation comes from the shared conftest.py
-    # autouse fixture: every test in the suite sees a fresh
-    # _WARNED_SHIMS, so these assertions hold in any execution order.
+def wide_operands(kernel):
+    """Operands holding one index (70000) that overflows 16 bits."""
+    wide = CsrMatrix([0, 1], [70000], [3.0], (1, 70001))
+    fiber = SparseFiber([70000], [3.0], dim=70001)
+    if kernel in ("csrmv", "cluster_csrmv"):
+        return {"matrix": wide, "x": np.ones(70001)}
+    if kernel == "spvv":
+        return {"fiber": fiber, "x": np.ones(70001)}
+    if kernel == "ttv":
+        tensor = CsfTensor((1, 70001), [[0, 1]], [[0], [70000]], [3.0])
+        return {"tensor": tensor, "vector": np.ones(70001)}
+    if kernel == "masked_spvv":
+        return {"fiber_a": fiber, "fiber_b": fiber}
+    if kernel == "masked_csrmv":
+        return {"matrix": wide, "x_fiber": fiber}
+    if kernel == "spgemm":
+        return {"a": CsrMatrix([0, 1], [0], [2.0], (1, 1)), "b": wide}
+    raise AssertionError(f"no wide operands for kernel {kernel!r}")
 
-    def test_shim_results_match_run(self):
-        ops = small_operands("csrmv")
-        backend = FastBackend()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            s_old, y_old = backend.csrmv(ops["matrix"], ops["x"], "issr", 16)
-        s_new, y_new = backend.run("csrmv", variant="issr", index_bits=16,
-                                   **ops)
-        assert y_old.tobytes() == y_new.tobytes()
-        assert s_old.cycles == s_new.cycles
 
-    @pytest.mark.parametrize("kernel", sorted(
-        k for k in api.KERNELS if k != "cluster_csrmv"))
-    def test_every_shim_dispatches_identically(self, kernel):
-        """Each legacy method forwards through run() bit-identically."""
-        ops = small_operands(kernel)
-        backend = FastBackend()
-        spec = get_kernel(kernel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            if spec.has_variant:
-                s_old, r_old = getattr(backend, kernel)(
-                    *ops.values(), "issr", 32)
-            else:
-                s_old, r_old = getattr(backend, kernel)(*ops.values(), 32)
-        s_new, r_new = backend.run(kernel, variant="issr", index_bits=32,
-                                   **ops)
-        if hasattr(r_old, "to_dense"):
-            assert (r_old.to_dense().tobytes()
-                    == r_new.to_dense().tobytes())
-        else:
-            assert (np.asarray(r_old, np.float64).tobytes()
-                    == np.asarray(r_new, np.float64).tobytes())
-        assert s_old.cycles == s_new.cycles
-
-    def test_isolation_makes_warning_order_irrelevant(self):
-        """Regression for the order-dependent shim-warning suite: the
-        conftest fixture hands every test a fresh registry, so a shim
-        warns here even though other tests already exercised shims."""
-        assert backend_base._WARNED_SHIMS == set()
-        ops = small_operands("csrmv")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            FastBackend().csrmv(ops["matrix"], ops["x"], "issr", 32)
-        assert [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-
-    def test_shims_warn_once_per_class_and_kernel(self):
-        ops = small_operands("spvv")
-        backend = FastBackend()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend.spvv(ops["fiber"], ops["x"], "base", 32)
-            backend.spvv(ops["fiber"], ops["x"], "ssr", 32)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "backend.run('spvv', ...)" in str(deprecations[0].message)
-
-    def test_registry_path_never_warns(self):
-        ops = small_operands("spvv")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.run("spvv", backend="fast", variant="base", **ops)
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
+class TestIndexWidth:
+    @pytest.mark.parametrize("kernel", ["csrmv", "spvv", "ttv",
+                                        "masked_spvv", "masked_csrmv",
+                                        "spgemm", "cluster_csrmv"])
+    @pytest.mark.parametrize("backend", ["cycle", "compiled"])
+    def test_index_overflowing_the_width_raises(self, backend, kernel):
+        """Every backend rejects a 16-bit run whose index needs 17 bits."""
+        with pytest.raises(FormatError,
+                           match="index 70000 does not fit in 16 bits"):
+            api.run(kernel, backend=backend, variant="issr", index_bits=16,
+                    **wide_operands(kernel))
 
 
 class TestSpecImmutability:

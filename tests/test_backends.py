@@ -1,6 +1,6 @@
 """Backend parity, the parallel runner, and their support fixes.
 
-The contract under test (see ISSUE 1): ``FastBackend`` results are
+The contract under test: ``CompiledBackend`` results are
 **bit-identical** to ``CycleBackend`` for every kernel variant and
 index width, and its predicted cycles fall within the documented
 tolerance (``repro.backends.CYCLE_TOLERANCE`` relative +
@@ -14,8 +14,8 @@ import pytest
 
 from repro.backends import (
     BACKENDS,
+    CompiledBackend,
     CycleBackend,
-    FastBackend,
     cycle_tolerance,
     cycles_within_tolerance,
     get_backend,
@@ -36,25 +36,26 @@ ALL_KERNELS = [("base", 32), ("base", 16), ("ssr", 32), ("ssr", 16),
                ("issr", 32), ("issr", 16)]
 
 
-def assert_cycles_close(fast, cycle, kind="single"):
+def assert_cycles_close(predicted, cycle, kind="single"):
     rel, _slack = cycle_tolerance(kind)
-    assert cycles_within_tolerance(fast, cycle, kind), \
-        f"predicted {fast} vs simulated {cycle} cycles (tol {rel:.0%})"
+    assert cycles_within_tolerance(predicted, cycle, kind), \
+        f"predicted {predicted} vs simulated {cycle} cycles (tol {rel:.0%})"
 
 
 @pytest.fixture(scope="module")
 def backends():
-    return CycleBackend(), FastBackend()
+    return CycleBackend(), CompiledBackend()
 
 
 class TestRegistry:
     def test_names(self):
-        assert set(BACKENDS) == {"cycle", "fast", "compiled"}
+        assert list(BACKENDS) == ["cycle", "compiled"]
 
     def test_get_backend(self):
-        assert get_backend("fast").name == "fast"
+        assert get_backend("compiled").name == "compiled"
+        assert get_backend("fast").name == "compiled"  # accepted alias
         assert get_backend(None).name == "cycle"
-        inst = FastBackend()
+        inst = CompiledBackend()
         assert get_backend(inst) is inst
 
     def test_unknown(self):
@@ -66,18 +67,18 @@ class TestSpvvParity:
     @pytest.mark.parametrize("variant,bits", ALL_KERNELS)
     @pytest.mark.parametrize("nnz", [0, 1, 5, 64])
     def test_parity(self, backends, variant, bits, nnz):
-        cycle, fast = backends
+        cycle, comp = backends
         dim = max(nnz, 8)
         x = random_dense_vector(dim, seed=1)
         fiber = random_sparse_vector(dim, nnz, seed=2 + nnz)
         s_cyc, r_cyc = cycle.run("spvv", variant=variant, index_bits=bits,
                                  fiber=fiber, x=x)
-        s_fast, r_fast = fast.run("spvv", variant=variant, index_bits=bits,
+        s_comp, r_comp = comp.run("spvv", variant=variant, index_bits=bits,
                                   fiber=fiber, x=x)
-        assert np.float64(r_fast).tobytes() == np.float64(r_cyc).tobytes()
-        assert_cycles_close(s_fast.cycles, s_cyc.cycles)
-        assert s_fast.fpu_mac_ops == s_cyc.fpu_mac_ops
-        assert s_fast.fpu_compute_ops == s_cyc.fpu_compute_ops
+        assert np.float64(r_comp).tobytes() == np.float64(r_cyc).tobytes()
+        assert_cycles_close(s_comp.cycles, s_cyc.cycles)
+        assert s_comp.fpu_mac_ops == s_cyc.fpu_mac_ops
+        assert s_comp.fpu_compute_ops == s_cyc.fpu_compute_ops
 
 
 class TestCsrmvParity:
@@ -89,46 +90,46 @@ class TestCsrmvParity:
         (6, 0, "uniform"),        # all-empty matrix
     ])
     def test_parity(self, backends, variant, bits, nrows, npr, dist):
-        cycle, fast = backends
+        cycle, comp = backends
         matrix = random_csr(nrows, 128, nrows * npr, distribution=dist, seed=5)
         x = random_dense_vector(128, seed=1)
         s_cyc, y_cyc = cycle.run("csrmv", variant=variant, index_bits=bits,
                                  matrix=matrix, x=x)
-        s_fast, y_fast = fast.run("csrmv", variant=variant, index_bits=bits,
+        s_comp, y_comp = comp.run("csrmv", variant=variant, index_bits=bits,
                                   matrix=matrix, x=x)
-        assert y_fast.tobytes() == y_cyc.tobytes()  # bit-identical
-        assert_cycles_close(s_fast.cycles, s_cyc.cycles)
-        assert s_fast.fpu_mac_ops == s_cyc.fpu_mac_ops
-        assert s_fast.fpu_compute_ops == s_cyc.fpu_compute_ops
-        assert s_fast.mem_writes == s_cyc.mem_writes
+        assert y_comp.tobytes() == y_cyc.tobytes()  # bit-identical
+        assert_cycles_close(s_comp.cycles, s_cyc.cycles)
+        assert s_comp.fpu_mac_ops == s_cyc.fpu_mac_ops
+        assert s_comp.fpu_compute_ops == s_cyc.fpu_compute_ops
+        assert s_comp.mem_writes == s_cyc.mem_writes
 
 
 class TestCsrmmParity:
     @pytest.mark.parametrize("variant,bits", ALL_KERNELS)
     def test_parity(self, backends, variant, bits):
-        cycle, fast = backends
+        cycle, comp = backends
         matrix = random_csr(10, 64, 60, seed=7)
         dense = random_dense_matrix(64, 4, seed=8)
         s_cyc, c_cyc = cycle.run("csrmm", variant=variant, index_bits=bits,
                                  matrix=matrix, dense=dense)
-        s_fast, c_fast = fast.run("csrmm", variant=variant, index_bits=bits,
+        s_comp, c_comp = comp.run("csrmm", variant=variant, index_bits=bits,
                                   matrix=matrix, dense=dense)
-        assert c_fast.tobytes() == c_cyc.tobytes()
-        assert_cycles_close(s_fast.cycles, s_cyc.cycles)
-        assert s_fast.fpu_mac_ops == s_cyc.fpu_mac_ops
+        assert c_comp.tobytes() == c_cyc.tobytes()
+        assert_cycles_close(s_comp.cycles, s_cyc.cycles)
+        assert s_comp.fpu_mac_ops == s_cyc.fpu_mac_ops
 
     def test_non_power_of_two_rejected(self, backends):
-        _, fast = backends
+        _, comp = backends
         matrix = random_csr(4, 16, 8, seed=1)
         with pytest.raises(ValueError):
-            fast.run("csrmm", variant="issr", index_bits=16, matrix=matrix,
+            comp.run("csrmm", variant="issr", index_bits=16, matrix=matrix,
                      dense=random_dense_matrix(16, 3, seed=1))
 
 
 class TestTtvParity:
     @pytest.mark.parametrize("bits", [16, 32])
     def test_parity(self, backends, bits):
-        cycle, fast = backends
+        cycle, comp = backends
         rng = np.random.default_rng(3)
         dense = np.zeros((3, 4, 12))
         mask = rng.random(dense.shape) < 0.4
@@ -137,51 +138,51 @@ class TestTtvParity:
         v = random_dense_vector(12, seed=4)
         s_cyc, r_cyc = cycle.run("ttv", index_bits=bits, tensor=tensor,
                                  vector=v)
-        s_fast, r_fast = fast.run("ttv", index_bits=bits, tensor=tensor,
+        s_comp, r_comp = comp.run("ttv", index_bits=bits, tensor=tensor,
                                   vector=v)
-        assert r_fast.tobytes() == r_cyc.tobytes()
-        assert_cycles_close(s_fast.cycles, s_cyc.cycles)
+        assert r_comp.tobytes() == r_cyc.tobytes()
+        assert_cycles_close(s_comp.cycles, s_cyc.cycles)
 
 
 class TestClusterParity:
     @pytest.mark.parametrize("variant,bits", [("base", 32), ("issr", 16)])
     def test_parity(self, backends, variant, bits):
-        cycle, fast = backends
+        cycle, comp = backends
         matrix = get_spec("G11").generate(seed=1, scale=0.25)
         x = random_dense_vector(matrix.ncols, seed=1)
         s_cyc, y_cyc = cycle.run("cluster_csrmv", variant=variant,
                                  index_bits=bits, matrix=matrix, x=x)
-        s_fast, y_fast = fast.run("cluster_csrmv", variant=variant,
+        s_comp, y_comp = comp.run("cluster_csrmv", variant=variant,
                                   index_bits=bits, matrix=matrix, x=x)
-        assert y_fast.tobytes() == y_cyc.tobytes()
-        assert_cycles_close(s_fast.cycles, s_cyc.cycles, kind="cluster")
-        assert len(s_fast.per_core) == len(s_cyc.per_core)
+        assert y_comp.tobytes() == y_cyc.tobytes()
+        assert_cycles_close(s_comp.cycles, s_cyc.cycles, kind="cluster")
+        assert len(s_comp.per_core) == len(s_cyc.per_core)
         # per-core utilization tracks the simulator
         peak_cyc = max(c.fpu_utilization for c in s_cyc.per_core)
-        peak_fast = max(c.fpu_utilization for c in s_fast.per_core)
-        assert peak_fast == pytest.approx(peak_cyc, rel=0.25, abs=0.02)
+        peak_comp = max(c.fpu_utilization for c in s_comp.per_core)
+        assert peak_comp == pytest.approx(peak_cyc, rel=0.25, abs=0.02)
 
     def test_custom_cluster_config_honored(self, backends):
         from repro.cluster import SnitchCluster
-        cycle, fast = backends
+        cycle, comp = backends
         matrix = get_spec("Ragusa18").generate(seed=1)
         x = random_dense_vector(matrix.ncols, seed=1)
         s_cyc, y_cyc = cycle.run(
             "cluster_csrmv", variant="issr", index_bits=16, matrix=matrix,
             x=x, cluster=SnitchCluster(n_workers=4))
-        s_fast, y_fast = fast.run(
+        s_comp, y_comp = comp.run(
             "cluster_csrmv", variant="issr", index_bits=16, matrix=matrix,
             x=x, cluster=SnitchCluster(n_workers=4))
-        assert len(s_cyc.per_core) == len(s_fast.per_core) == 4
-        assert y_fast.tobytes() == y_cyc.tobytes()
-        assert_cycles_close(s_fast.cycles, s_cyc.cycles, kind="cluster")
+        assert len(s_cyc.per_core) == len(s_comp.per_core) == 4
+        assert y_comp.tobytes() == y_cyc.tobytes()
+        assert_cycles_close(s_comp.cycles, s_cyc.cycles, kind="cluster")
 
     def test_unmodeled_kwargs_rejected(self, backends):
-        _, fast = backends
+        _, comp = backends
         matrix = get_spec("Ragusa18").generate(seed=1)
         x = random_dense_vector(matrix.ncols, seed=1)
         with pytest.raises(ConfigError):
-            fast.run("cluster_csrmv", variant="issr", index_bits=16,
+            comp.run("cluster_csrmv", variant="issr", index_bits=16,
                      matrix=matrix, x=x, tile_rows=4)
 
 
@@ -189,11 +190,11 @@ class TestFastExperiments:
     def test_e2_schema_matches_cycle(self):
         from repro.eval.experiments import run_experiment
         kw = dict(nnz_per_row=(2, 16), nrows=24, ncols=128)
-        fast = run_experiment("E2", backend="fast", **kw)
+        comp = run_experiment("E2", backend="fast", **kw)
         cyc = run_experiment("E2", backend="cycle", **kw)
-        assert fast.columns == cyc.columns
-        assert [r[0] for r in fast.rows] == [r[0] for r in cyc.rows]
-        assert set(fast.measured) == set(cyc.measured)
+        assert comp.columns == cyc.columns
+        assert [r[0] for r in comp.rows] == [r[0] for r in cyc.rows]
+        assert set(comp.measured) == set(cyc.measured)
 
     def test_e4_power_runs_on_fast(self):
         from repro.eval.experiments import run_experiment
@@ -207,7 +208,7 @@ class TestParallelRunner:
         from repro.eval import fig4b
         from repro.eval.parallel import ParallelRunner
         params = [{"npr": npr, "nrows": 12, "ncols": 64, "seed": 1,
-                   "backend": "fast"} for npr in (1, 3, 5)]
+                   "backend": "compiled"} for npr in (1, 3, 5)]
         runner = ParallelRunner(processes=2, cache_dir=str(tmp_path))
         outs = runner.map(fig4b.point, params)
         serial = [fig4b.point(p) for p in params]
@@ -234,8 +235,8 @@ class TestParallelRunner:
         def fn(params):
             return None
 
-        k1 = point_key(fn, {"npr": 1, "backend": "fast"})
-        k2 = point_key(fn, {"npr": 2, "backend": "fast"})
+        k1 = point_key(fn, {"npr": 1, "backend": "compiled"})
+        k2 = point_key(fn, {"npr": 2, "backend": "compiled"})
         k3 = point_key(fn, {"npr": 1, "backend": "cycle"})
         assert len({k1, k2, k3}) == 3
 

@@ -6,7 +6,7 @@ execution is exact equality of the normalized instruction stream
 against a canonical builder's output. These tests pin each pass —
 every assembled kernel program must lower back to its own identity,
 foreign programs must fail loudly, and the shape-class closures must
-replay the fast backend's exact FP order.
+replay the general padded reducer's exact FP order.
 """
 
 import numpy as np
@@ -123,8 +123,8 @@ class TestShapeClasses:
     @pytest.mark.parametrize("shape", ["uniform_short", "uniform_long",
                                        "ragged", "empty"])
     def test_closures_replay_the_exact_fp_order(self, variant, bits, shape):
-        """Every shape-class closure == the fast backend's reduction."""
-        from repro.backends.fast import _accumulate_rows
+        """Every shape-class closure == the general padded reducer."""
+        from repro.compiler.vectorize import accumulate_rows
 
         rng = np.random.default_rng(hash((variant, bits, shape)) % 2**32)
         if shape == "uniform_short":
@@ -142,7 +142,7 @@ class TestShapeClasses:
         kernel = lower(program)
         reducer = kernel.row_reducer(csr_shape_class(ptr))
         got = reducer(products, ptr, len(ptr) - 1)
-        want = _accumulate_rows(products, ptr, variant, bits)
+        want = accumulate_rows(products, ptr, variant, bits)
         assert got.tobytes() == want.tobytes()
 
     def test_closures_are_memoized_per_shape_class(self):

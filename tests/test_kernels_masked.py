@@ -5,8 +5,8 @@ import pytest
 
 from repro.backends import (
     cycles_within_tolerance,
+    CompiledBackend,
     CycleBackend,
-    FastBackend,
 )
 from repro.formats.fiber import SparseFiber
 from repro.kernels.masked import run_masked_csrmv, run_masked_spvv
@@ -48,7 +48,7 @@ class TestMaskedSpvv:
             assert r == 0.0
 
     def test_fast_matches_cycle_bitwise_and_in_cycles(self):
-        cycle, fast = CycleBackend(), FastBackend()
+        cycle, comp = CycleBackend(), CompiledBackend()
         for density in (0.0, 0.05, 0.5, 1.0):
             fa, fb = random_fiber_pair(512, 96, 96, density, seed=11)
             for v in VARIANTS:
@@ -56,7 +56,7 @@ class TestMaskedSpvv:
                     sc, rc = cycle.run("masked_spvv", variant=v,
                                        index_bits=bits, fiber_a=fa,
                                        fiber_b=fb)
-                    sf, rf = fast.run("masked_spvv", variant=v,
+                    sf, rf = comp.run("masked_spvv", variant=v,
                                       index_bits=bits, fiber_a=fa,
                                       fiber_b=fb)
                     assert rc == rf
@@ -89,7 +89,7 @@ class TestMaskedCsrmv:
             run_masked_csrmv(matrix, x, v, 32)  # internal check asserts
 
     def test_fast_matches_cycle_bitwise_and_in_cycles(self):
-        cycle, fast = CycleBackend(), FastBackend()
+        cycle, comp = CycleBackend(), CompiledBackend()
         matrix = random_csr(20, 128, 320, seed=8)
         x = rand_fiber(128, 40, 9)
         for v in VARIANTS:
@@ -97,7 +97,7 @@ class TestMaskedCsrmv:
                 sc, yc = cycle.run("masked_csrmv", variant=v,
                                    index_bits=bits, matrix=matrix,
                                    x_fiber=x)
-                sf, yf = fast.run("masked_csrmv", variant=v,
+                sf, yf = comp.run("masked_csrmv", variant=v,
                                   index_bits=bits, matrix=matrix,
                                   x_fiber=x)
                 np.testing.assert_array_equal(yc, yf)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.backends import (
     cycles_within_tolerance,
+    CompiledBackend,
     CycleBackend,
-    FastBackend,
 )
 from repro.errors import ConfigError, FormatError
 from repro.kernels.spgemm import run_spgemm
@@ -45,14 +45,14 @@ class TestSpgemmSingleCC:
             run_spgemm(a, b, "base", 32)
 
     def test_fast_matches_cycle_bitwise_and_in_cycles(self):
-        cycle, fast = CycleBackend(), FastBackend()
+        cycle, comp = CycleBackend(), CompiledBackend()
         a = random_csr(10, 16, 60, seed=5)
         b = random_csr(16, 14, 70, seed=6)
         for v in VARIANTS:
             for bits in (32, 16):
                 sc, cc = cycle.run("spgemm", variant=v, index_bits=bits,
                                    a=a, b=b)
-                sf, cf = fast.run("spgemm", variant=v, index_bits=bits,
+                sf, cf = comp.run("spgemm", variant=v, index_bits=bits,
                                   a=a, b=b)
                 assert cc == cf
                 assert cycles_within_tolerance(sf.cycles, sc.cycles, "spgemm")
@@ -69,13 +69,13 @@ class TestSpgemmMulticluster:
     def test_sharded_matches_single_cluster_bitwise(self):
         a = random_csr(48, 32, 300, seed=9)
         b = random_csr(32, 28, 200, seed=10)
-        fast = FastBackend()
-        _, c_ref = fast.run("spgemm", variant="issr", index_bits=16, a=a, b=b)
+        comp = CompiledBackend()
+        _, c_ref = comp.run("spgemm", variant="issr", index_bits=16, a=a, b=b)
         for partitioner in ("row_block", "nnz_balanced", "cyclic"):
             stats, c = run_multicluster(
                 a, b, kernel="spgemm", n_clusters=4,
                 partitioner=partitioner, variant="issr", index_bits=16,
-                backend="fast")
+                backend="compiled")
             assert c == c_ref
             assert stats.n_clusters == 4
             assert stats.combine_cycles > 0
@@ -84,9 +84,9 @@ class TestSpgemmMulticluster:
         a = random_csr(16, 16, 80, seed=11)
         b = random_csr(16, 16, 90, seed=12)
         stats, c = run_multicluster(a, b, kernel="spgemm", n_clusters=1,
-                                    backend="fast")
+                                    backend="compiled")
         assert stats.combine_cycles == 0
-        sf, cf = FastBackend().run("spgemm", variant="issr", index_bits=16,
+        sf, cf = CompiledBackend().run("spgemm", variant="issr", index_bits=16,
                                    a=a, b=b)
         assert c == cf
 
@@ -100,7 +100,7 @@ class TestSpgemmMulticluster:
         a = random_csr(96, 48, 900, seed=15)
         b = random_csr(48, 40, 400, seed=16)
         s1, _ = run_multicluster(a, b, kernel="spgemm", n_clusters=1,
-                                 backend="fast")
+                                 backend="compiled")
         s8, _ = run_multicluster(a, b, kernel="spgemm", n_clusters=8,
-                                 backend="fast")
+                                 backend="compiled")
         assert s8.cycles < s1.cycles

@@ -4,7 +4,7 @@ The contracts under test (see ISSUE 2 and docs/ARCHITECTURE.md):
 
 - partitioners assign every nonzero to exactly one cluster and
   nnz-balanced respects its max-share bound;
-- multicluster fast and cycle backends return bit-identical results
+- multicluster compiled and cycle backends return bit-identical results
   on small matrices, and both match the single-cluster kernels;
 - N=1 degenerates to the existing single-cluster path;
 - the HBM model makes contention visible at both fidelities;
@@ -113,42 +113,42 @@ class TestBitIdentity:
     def test_fast_vs_cycle(self, scheme):
         matrix = skewed_matrix(nrows=32, npr=6)
         x = random_dense_vector(matrix.ncols, seed=2)
-        s_fast, y_fast = run_multicluster(matrix, x, n_clusters=3,
-                                          partitioner=scheme, backend="fast")
+        s_comp, y_comp = run_multicluster(matrix, x, n_clusters=3,
+                                          partitioner=scheme, backend="compiled")
         s_cyc, y_cyc = run_multicluster(matrix, x, n_clusters=3,
                                         partitioner=scheme, backend="cycle")
-        assert y_fast.tobytes() == y_cyc.tobytes()
-        assert s_fast.n_clusters == s_cyc.n_clusters == 3
-        assert s_fast.shard_nnz == s_cyc.shard_nnz
+        assert y_comp.tobytes() == y_cyc.tobytes()
+        assert s_comp.n_clusters == s_cyc.n_clusters == 3
+        assert s_comp.shard_nnz == s_cyc.shard_nnz
 
     def test_matches_single_cluster_kernel(self):
-        from repro.backends import FastBackend
+        from repro.backends import CompiledBackend
 
         matrix = skewed_matrix(nrows=24, npr=5)
         x = random_dense_vector(matrix.ncols, seed=3)
-        _, y_single = FastBackend().run("cluster_csrmv", variant="issr",
+        _, y_single = CompiledBackend().run("cluster_csrmv", variant="issr",
                                         index_bits=16, matrix=matrix, x=x)
         for scheme in ("row_block", "nnz_balanced", "cyclic"):
             _, y_multi = run_multicluster(matrix, x, n_clusters=4,
-                                          partitioner=scheme, backend="fast")
+                                          partitioner=scheme, backend="compiled")
             assert y_multi.tobytes() == y_single.tobytes()
 
     def test_spvv_batch_bit_identity(self):
         fibers = [random_sparse_vector(96, n, seed=10 + n)
                   for n in (0, 2, 9, 33)]
         x = random_dense_vector(96, seed=4)
-        s_fast, y_fast = run_multicluster(fibers, x, kernel="spvv_batch",
-                                          n_clusters=2, backend="fast")
+        s_comp, y_comp = run_multicluster(fibers, x, kernel="spvv_batch",
+                                          n_clusters=2, backend="compiled")
         s_cyc, y_cyc = run_multicluster(fibers, x, kernel="spvv_batch",
                                         n_clusters=2, backend="cycle")
-        assert y_fast.tobytes() == y_cyc.tobytes()
-        assert len(y_fast) == len(fibers)
+        assert y_comp.tobytes() == y_cyc.tobytes()
+        assert len(y_comp) == len(fibers)
 
     def test_csrmm_fast_only(self):
         matrix = random_csr(16, 32, 64, seed=5)
         dense = random_dense_matrix(32, 4, seed=6)
         stats, c = run_multicluster(matrix, dense, kernel="csrmm",
-                                    n_clusters=2, backend="fast")
+                                    n_clusters=2, backend="compiled")
         assert np.allclose(c, matrix.spmm(dense))
         with pytest.raises(ConfigError):
             run_multicluster(matrix, dense, kernel="csrmm", n_clusters=2,
@@ -163,7 +163,7 @@ class TestBitIdentity:
         """max_cycles/watchdog must not crash backend-switching callers."""
         matrix = random_csr(8, 16, 24, seed=1)
         x = random_dense_vector(16, seed=1)
-        for backend in ("fast", "cycle"):
+        for backend in ("compiled", "cycle"):
             stats, _ = run_multicluster(matrix, x, n_clusters=2,
                                         backend=backend,
                                         max_cycles=10_000_000,
@@ -173,15 +173,15 @@ class TestBitIdentity:
 
 class TestDegenerateSingleCluster:
     def test_n1_equals_single_cluster_fast(self):
-        from repro.backends import FastBackend
+        from repro.backends import CompiledBackend
 
         matrix = skewed_matrix(nrows=24, npr=5)
         x = random_dense_vector(matrix.ncols, seed=3)
-        s_single, y_single = FastBackend().run(
+        s_single, y_single = CompiledBackend().run(
             "cluster_csrmv", variant="issr", index_bits=16, matrix=matrix,
             x=x)
         s_multi, y_multi = run_multicluster(matrix, x, n_clusters=1,
-                                            backend="fast")
+                                            backend="compiled")
         assert y_multi.tobytes() == y_single.tobytes()
         assert s_multi.cycles == s_single.cycles  # no combine/sync charged
         assert s_multi.combine_cycles == 0
@@ -228,7 +228,7 @@ class TestHbmModel:
         matrix = random_csr(32, 128, 32 * 8, seed=7)
         x = random_dense_vector(128, seed=7)
         narrow = HbmConfig(words_per_cycle=2)
-        for backend in ("fast", "cycle"):
+        for backend in ("compiled", "cycle"):
             default, yd = run_multicluster(matrix, x, n_clusters=1,
                                            backend=backend)
             slow, ys = run_multicluster(matrix, x, n_clusters=1,
@@ -252,7 +252,7 @@ class TestHbmModel:
     def test_contention_raises_cycles_both_backends(self):
         matrix = random_csr(48, 128, 48 * 12, seed=4)
         x = random_dense_vector(128, seed=4)
-        for backend in ("fast", "cycle"):
+        for backend in ("compiled", "cycle"):
             wide, yw = run_multicluster(
                 matrix, x, n_clusters=4, backend=backend,
                 hbm=HbmConfig(words_per_cycle=256))
@@ -269,7 +269,7 @@ class TestScalingSanity:
 
         base = {"partitioner": "nnz_balanced", "seed": 1,
                 "rows_per_cluster": 64, "nnz_per_row": 8, "ncols": 256,
-                "variant": "issr", "index_bits": 16, "backend": "fast",
+                "variant": "issr", "index_bits": 16, "backend": "compiled",
                 "hbm_words": 64}
         cycles = {}
         for n in (1, 2, 4, 8):
@@ -282,9 +282,9 @@ class TestScalingSanity:
         matrix = skewed_matrix(nrows=512, ncols=1024, npr=24, seed=2)
         x = random_dense_vector(matrix.ncols, seed=2)
         rb, _ = run_multicluster(matrix, x, n_clusters=8,
-                                 partitioner="row_block", backend="fast")
+                                 partitioner="row_block", backend="compiled")
         nb, _ = run_multicluster(matrix, x, n_clusters=8,
-                                 partitioner="nnz_balanced", backend="fast")
+                                 partitioner="nnz_balanced", backend="compiled")
         assert nb.cycles <= 0.8 * rb.cycles  # >= 20% fewer cycles
 
     def test_strong_scaling_monotone_cluster_handling(self):
@@ -294,7 +294,7 @@ class TestScalingSanity:
         for n in (1, 2, 4, 8):
             stats, _ = run_multicluster(matrix, x, n_clusters=n,
                                         partitioner="nnz_balanced",
-                                        backend="fast")
+                                        backend="compiled")
             assert stats.n_clusters == n
             if prev is not None:
                 # balanced workload with ample HBM: more clusters never

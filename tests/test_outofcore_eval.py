@@ -41,7 +41,7 @@ class TestRegistry:
     def test_registry_entry(self):
         entry = {e["id"]: e for e in experiment_registry()}["outofcore"]
         assert entry["output"] == "outofcore.json"
-        assert entry["claim_count"] == 5
+        assert entry["claim_count"] == 4
         assert entry["backend_aware"] is True
 
     def test_info_claims_match_driver(self, quick_run):
@@ -61,7 +61,7 @@ class TestQuickRun:
         result, _ = quick_run
         assert result.exp_id == "E14"
         backends = [row[0] for row in result.rows]
-        assert backends == ["fast", "compiled"]
+        assert backends == ["compiled"]
         assert not any(note.startswith("CLAIM FAILED")
                        for note in result.notes)
 
@@ -71,11 +71,6 @@ class TestQuickRun:
             assert row["resident_fraction"] < outofcore.RESIDENT_CLAIM
             assert row["peak_resident_bytes"] <= \
                 payload["config"]["budget_bytes"]
-
-    def test_digests_agree_across_backends(self, quick_run):
-        _, payload = quick_run
-        digests = {row["digest"] for row in payload["sweep"]}
-        assert len(digests) == 1
 
     def test_power_iteration_passes(self, quick_run):
         _, payload = quick_run
@@ -93,14 +88,14 @@ class TestQuickRun:
 class TestBudgetThreading:
     def test_mainmem_budget_override(self, tmp_path):
         result = outofcore.run(nrows=2000, n_iters=1, window_rows=128,
-                               mainmem_budget=32768, backend="fast",
+                               mainmem_budget=32768, backend="compiled",
                                cache_dir=str(tmp_path),
                                out_json=str(tmp_path / "o.json"))
         assert "budget 0.0312 MiB" in result.title
 
     def test_run_experiment_threads_budget(self, tmp_path):
         result = run_experiment(
-            "outofcore", quick=True, backend="fast",
+            "outofcore", quick=True, backend="compiled",
             mainmem_budget=65536, nrows=2000,
             cache_dir=str(tmp_path), out_json=str(tmp_path / "o.json"))
         assert "budget 0.0625 MiB" in result.title

@@ -15,7 +15,7 @@ The contracts under test (see ISSUE 4):
 import numpy as np
 import pytest
 
-from repro.backends.base import Backend
+from repro.backends import BACKENDS
 from repro.backends.model import (
     CYCLE_TOLERANCE,
     KERNEL_TOLERANCE,
@@ -42,15 +42,13 @@ class TestToleranceRegistry:
             assert 0.0 < rel < 1.0 and slack >= 0
 
     def test_every_backend_kernel_is_registered(self):
-        """Every dispatchable kernel (and shim) maps to a tolerance."""
+        """Every dispatchable kernel maps to a tolerance."""
         from repro.api import KERNELS
         missing = [k for k in KERNELS if k not in KERNEL_TOLERANCE]
         assert not missing, f"no tolerance family for {missing}"
-        # the deprecated per-kernel shims cover the same surface
-        shims = [name for name in vars(Backend)
-                 if not name.startswith("_")
-                 and name not in ("name", "run", "supports", "kernels")]
-        assert set(shims) == set(KERNELS)
+        # both backends implement the whole registry
+        for cls in BACKENDS.values():
+            assert cls().kernels() == list(KERNELS), cls.name
 
     def test_pipeline_family_registered(self):
         assert KERNEL_TOLERANCE["pipeline"] == "pipeline"
@@ -215,18 +213,18 @@ class TestPipelineExecution:
     def test_backends_bit_identical_and_no_redma(self):
         m = random_spd_csr(48, 4, seed=3, dominance=2.0)
         b = random_dense_vector(48, seed=5)
-        pipe_f = _toy_pipeline(m, b)
-        stats_f, out_f = run_pipeline(pipe_f, 4, backend="fast")
+        pipe_k = _toy_pipeline(m, b)
+        stats_k, out_k = run_pipeline(pipe_k, 4, backend="compiled")
         pipe_c = _toy_pipeline(m, b)
         stats_c, out_c = run_pipeline(pipe_c, 4, backend="cycle")
-        assert out_f["y"].tobytes() == out_c["y"].tobytes()
-        assert stats_f.history["nn"] == stats_c.history["nn"]
-        assert cycles_within_tolerance(stats_f.cycles, stats_c.cycles,
+        assert out_k["y"].tobytes() == out_c["y"].tobytes()
+        assert stats_k.history["nn"] == stats_c.history["nn"]
+        assert cycles_within_tolerance(stats_k.cycles, stats_c.cycles,
                                        "pipeline")
         # the matrix moved once, at setup; iterations move nothing
         assert stats_c.matrix_dma_words > 0
         assert stats_c.dma_words_by_iteration == [0, 0, 0, 0]
-        assert stats_f.dma_words_by_iteration == [0, 0, 0, 0]
+        assert stats_k.dma_words_by_iteration == [0, 0, 0, 0]
 
     def test_spilled_run_matches_resident_run(self):
         m = random_spd_csr(64, 4, seed=3, dominance=2.0)
@@ -236,20 +234,20 @@ class TestPipelineExecution:
         assert resident.stats.spilled == []
         spilled_c = solve_cg(m, b, index_bits=16, n_iters=6, tol=0.0,
                              backend="cycle", tcdm_bytes=5120)
-        spilled_f = solve_cg(m, b, index_bits=16, n_iters=6, tol=0.0,
-                             backend="fast", tcdm_bytes=5120)
+        spilled_k = solve_cg(m, b, index_bits=16, n_iters=6, tol=0.0,
+                             backend="compiled", tcdm_bytes=5120)
         assert spilled_c.stats.spilled  # the tiny TCDM forced evictions
         assert spilled_c.x.tobytes() == resident.x.tobytes()
-        assert spilled_f.x.tobytes() == resident.x.tobytes()
+        assert spilled_k.x.tobytes() == resident.x.tobytes()
         assert spilled_c.stats.dma_words_by_iteration == \
-            spilled_f.stats.dma_words_by_iteration
+            spilled_k.stats.dma_words_by_iteration
         assert all(w > 0 for w in spilled_c.stats.dma_words_by_iteration)
 
     def test_early_stop_matches_across_backends(self):
         m = random_spd_csr(32, 3, seed=9, dominance=2.0)
         b = random_dense_vector(32, seed=2)
         f = solve_cg(m, b, index_bits=16, n_iters=50, tol=1e-6,
-                     backend="fast")
+                     backend="compiled")
         c = solve_cg(m, b, index_bits=16, n_iters=50, tol=1e-6,
                      backend="cycle")
         assert f.converged and c.converged
@@ -266,7 +264,7 @@ class TestPipelineExecution:
     def test_per_stage_cycles_cover_total(self):
         m = random_spd_csr(24, 3, seed=4, dominance=2.0)
         pipe = _toy_pipeline(m, random_dense_vector(24, seed=1))
-        stats, _ = run_pipeline(pipe, 3, backend="fast")
+        stats, _ = run_pipeline(pipe, 3, backend="compiled")
         assert stats.iterations == 3
         assert set(stats.per_stage) == {"csrmv", "dot"}
         assert sum(stats.per_stage.values()) <= stats.cycles

@@ -167,7 +167,7 @@ class TestPointKey:
 
         same = request_key(payload(tenant="a", priority=0))
         assert same == request_key(payload(tenant="b", priority=9))
-        assert same != request_key(payload(backend="fast"))
+        assert same != request_key(payload(backend="cycle"))
         assert len(same) == 64  # a point_key, same keyspace
 
 

@@ -25,7 +25,7 @@ class TestPoints:
         out = scaling.strong_point({
             "workload": "powerlaw-sorted-2k", "partitioner": "nnz_balanced",
             "n_clusters": 4, "seed": 1, "scale": 0.1, "variant": "issr",
-            "index_bits": 16, "backend": "fast", "hbm_words": 64,
+            "index_bits": 16, "backend": "compiled", "hbm_words": 64,
         })
         assert out["mode"] == "strong"
         assert out["cycles"] > 0
@@ -38,7 +38,7 @@ class TestPoints:
 
         base = {"workload": "uniform-2k", "partitioner": "row_block",
                 "n_clusters": 1, "seed": 1, "scale": 0.1, "variant": "issr",
-                "index_bits": 16, "backend": "fast", "hbm_words": 64}
+                "index_bits": 16, "backend": "compiled", "hbm_words": 64}
         keys = {point_key(scaling.strong_point, {**base, **delta})
                 for delta in ({}, {"n_clusters": 8},
                               {"partitioner": "cyclic"},
@@ -73,7 +73,7 @@ class TestRun:
     def test_json_artifact(self, result_and_json):
         _result, data = result_and_json
         assert data["experiment"] == "scaling"
-        assert data["backend"] == "fast"
+        assert data["backend"] == "compiled"
         assert len(data["strong"]) == 2 * 3  # partitioners x clusters
         assert len(data["weak"]) == 2 * 3
         assert "ascii_plot" in data
@@ -102,7 +102,7 @@ class TestRun:
         assert "nnz_balanced" in rendered
 
     def test_runs_via_experiment_registry(self, tmp_path):
-        result = run_experiment("scaling", backend="fast",
+        result = run_experiment("scaling", backend="compiled",
                                 out_json=str(tmp_path / "s.json"),
                                 **QUICK_KW)
         assert (tmp_path / "s.json").exists()
@@ -163,8 +163,10 @@ class TestCli:
             main(["scaling", "--parallel", "0"])  # explicit 0 rejected
         with pytest.raises(SystemExit):
             main(["scaling", "--parallel", "-2"])  # negative rejected
+        # the CLI accepts the "fast" alias and records the canonical name
         rc = main(["scaling", "--backend", "fast", "--parallel"])
         assert rc == 0
         data = json.loads((tmp_path / "scaling.json").read_text())
+        assert data["backend"] == "compiled"
         assert data["claims"]["nnz_balanced_beats_row_block"]["holds"]
         assert data["claims"]["weak_scaling_efficiency_le_1"]["holds"]

@@ -207,7 +207,7 @@ class TestCacheKeys:
         assert request_key(base) == request_key(varied)
 
     @pytest.mark.parametrize("override", [
-        {"backend": "fast"},
+        {"backend": "cycle"},
         {"variant": "ssr"},
         {"index_bits": 16},
         {"check": False},

@@ -384,18 +384,18 @@ class TestBatchClassAffinity:
     def test_queued_classes_dedupes_in_urgency_order(self):
         sched = Scheduler(clock=FakeClock())
         submit(sched, seed=1, backend="compiled")
-        submit(sched, seed=2, backend="fast")
+        submit(sched, seed=2, backend="cycle")
         submit(sched, seed=3, backend="compiled")
-        submit(sched, seed=4, backend="fast", priority=0)
+        submit(sched, seed=4, backend="cycle", priority=0)
         classes = sched.queued_classes()
-        assert [c[1] for c in classes] == ["fast", "compiled"]
+        assert [c[1] for c in classes] == ["cycle", "compiled"]
 
     def test_prefer_class_seeds_the_batch(self):
         sched = Scheduler(clock=FakeClock())
         submit(sched, seed=1, backend="compiled")  # globally most urgent
-        t_fast = submit(sched, seed=2, backend="fast")
-        batch = sched.next_batch(prefer_class=t_fast.batch_class)
-        assert [t.request["backend"] for t in batch] == ["fast"]
+        t_cycle = submit(sched, seed=2, backend="cycle")
+        batch = sched.next_batch(prefer_class=t_cycle.batch_class)
+        assert [t.request["backend"] for t in batch] == ["cycle"]
         # the passed-over compiled ticket heads the next round
         assert [t.request["backend"]
                 for t in sched.next_batch()] == ["compiled"]
@@ -403,13 +403,13 @@ class TestBatchClassAffinity:
     def test_prefer_class_with_no_queued_match_falls_back(self):
         sched = Scheduler(clock=FakeClock())
         submit(sched, seed=1, backend="compiled")
-        ghost = ("csrmv", "fast", "issr", 32)
+        ghost = ("csrmv", "cycle", "issr", 32)
         batch = sched.next_batch(prefer_class=ghost)
         assert [t.request["backend"] for t in batch] == ["compiled"]
 
     def test_affinity_does_not_override_priority_within_class(self):
         sched = Scheduler(clock=FakeClock())
-        submit(sched, seed=1, backend="fast", priority=5)
-        urgent = submit(sched, seed=2, backend="fast", priority=0)
+        submit(sched, seed=1, backend="cycle", priority=5)
+        urgent = submit(sched, seed=2, backend="cycle", priority=0)
         batch = sched.next_batch(prefer_class=urgent.batch_class)
         assert batch[0] is urgent

@@ -1,7 +1,7 @@
 """End-to-end tests of the in-process serve stack (tier-1 speed).
 
 One module-scoped :class:`~repro.serve.ServiceThread` (warm compiled +
-fast + cycle backends, fault injection enabled, isolated cache dir)
+cycle backends, fault injection enabled, isolated cache dir)
 amortizes pool warm-up across the module. Every assertion that matters
 — bit-identity, caching, coalescing, timeouts, crash recovery — runs
 against the real scheduler/pool/cache wiring; the heavier many-client
@@ -29,7 +29,7 @@ from repro.workloads import random_csr, random_dense_vector
 def serve(tmp_path_factory):
     config = ServeConfig(
         workers=2,
-        backends=("compiled", "fast", "cycle"),
+        backends=("compiled", "cycle"),
         cache_dir=str(tmp_path_factory.mktemp("serve-cache")),
         allow_fault_injection=True,
     )
@@ -61,10 +61,13 @@ def direct_csrmv(seed, backend):
 
 
 class TestBitIdentity:
+    # "fast" is the accepted alias of compiled; a distinct seed keeps
+    # its request from hitting the compiled entry in the shared cache
     @pytest.mark.parametrize("backend", ["compiled", "fast"])
     def test_served_csrmv_matches_direct_api_run(self, serve, backend):
-        response = serve.request(csrmv_payload(seed=20, backend=backend))
-        stats, y = direct_csrmv(20, backend)
+        seed = {"compiled": 20, "fast": 22}[backend]
+        response = serve.request(csrmv_payload(seed=seed, backend=backend))
+        stats, y = direct_csrmv(seed, backend)
         assert response["digest"] == result_digest("vector", np.asarray(y))
         assert response["stats"]["cycles"] == stats.cycles
         assert response["cached"] is False
@@ -77,7 +80,7 @@ class TestBitIdentity:
 
     def test_scalar_kernel_round_trip(self, serve):
         response = serve.request({
-            "kernel": "spvv", "backend": "fast",
+            "kernel": "spvv", "backend": "compiled",
             "workload": {
                 "fiber": {"gen": "random_fiber_pair", "dim": 128,
                           "nnz_a": 16, "nnz_b": 16, "match_density": 0.5,
@@ -103,6 +106,22 @@ class TestCacheFastPath:
         again = serve.request(csrmv_payload(seed=31, tenant="bob",
                                             priority=0))
         assert first["cached"] is False and again["cached"] is True
+
+    def test_fast_alias_shares_compiled_class_and_cache(self, serve):
+        """``fast`` resolves to ``compiled`` at admission: one batch
+        class, one cache entry, one digest for both spellings."""
+        from repro.serve.protocol import validate_request
+        from repro.serve.scheduler import Ticket
+
+        alias, canon = (validate_request(csrmv_payload(seed=33, backend=b))
+                        for b in ("fast", "compiled"))
+        assert (Ticket(1, alias, "k", 0.0).batch_class
+                == Ticket(2, canon, "k", 0.0).batch_class)
+        first = serve.request(csrmv_payload(seed=33, backend="fast"))
+        again = serve.request(csrmv_payload(seed=33, backend="compiled"))
+        assert first["cached"] is False
+        assert again["cached"] is True
+        assert again["digest"] == first["digest"]
 
     def test_profile_requests_bypass_the_cache(self, serve):
         serve.request(csrmv_payload(seed=32))  # populates the cache
@@ -223,7 +242,7 @@ class TestSocketEndpoint:
     def socket_serve(self, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("sock") / "serve.sock")
         config = ServeConfig(
-            workers=1, backends=("fast",),
+            workers=1, backends=("compiled",),
             cache_dir=str(tmp_path_factory.mktemp("sock-cache")),
             socket_path=path)
         thread = ServiceThread(config).start()
@@ -235,11 +254,11 @@ class TestSocketEndpoint:
 
         with SocketClient(socket_serve.config.socket_path) as client:
             assert client.ping()["op"] == "pong"
-            reply = client.request(csrmv_payload(seed=100, backend="fast"))
-            _stats, y = direct_csrmv(100, "fast")
+            reply = client.request(csrmv_payload(seed=100))
+            _stats, y = direct_csrmv(100, "compiled")
             assert reply["ok"] is True
             assert reply["digest"] == result_digest("vector", np.asarray(y))
-            again = client.request(csrmv_payload(seed=100, backend="fast"))
+            again = client.request(csrmv_payload(seed=100))
             assert again["cached"] is True
             stats = client.stats()
             assert stats["scheduler"]["submitted"] >= 1
@@ -249,7 +268,7 @@ class TestSocketEndpoint:
         from repro.telemetry import validate_snapshot
 
         with SocketClient(socket_serve.config.socket_path) as client:
-            client.request(csrmv_payload(seed=105, backend="fast"))
+            client.request(csrmv_payload(seed=105))
             exported = client.metrics()
             validate_snapshot(exported["snapshot"])
             assert "repro_serve_request_seconds" in \
@@ -268,8 +287,7 @@ class TestSocketEndpoint:
         from repro.serve import SocketClient
 
         with SocketClient(socket_serve.config.socket_path) as client:
-            ids = [client.submit(csrmv_payload(seed=110 + i,
-                                               backend="fast"))
+            ids = [client.submit(csrmv_payload(seed=110 + i))
                    for i in range(4)]
             replies = [client.wait(cid) for cid in ids]
             assert all(r["ok"] for r in replies)

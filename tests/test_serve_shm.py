@@ -185,7 +185,7 @@ class TestArena:
 @pytest.fixture(scope="module")
 def fault_serve(tmp_path_factory):
     config = ServeConfig(
-        workers=2, backends=("fast",),
+        workers=2, backends=("compiled",),
         cache_dir=str(tmp_path_factory.mktemp("shm-cache")),
         allow_fault_injection=True,
     )
@@ -195,7 +195,7 @@ def fault_serve(tmp_path_factory):
 
 
 def _operand_payload(seed, **overrides):
-    payload = {"kernel": "csrmv", "backend": "fast",
+    payload = {"kernel": "csrmv", "backend": "compiled",
                "operands": {"matrix": random_csr(64, 512, 4096, seed=seed),
                             "x": random_dense_vector(512, seed=seed + 50)}}
     payload.update(overrides)
@@ -213,7 +213,7 @@ class TestZeroCopyContract:
         assert all(isinstance(r, dict) and r["ok"] for r in responses)
         for payload, response in zip(payloads, responses):
             ops = payload["operands"]
-            _stats, y = api.run("csrmv", backend="fast", variant="issr",
+            _stats, y = api.run("csrmv", backend="compiled", variant="issr",
                                 matrix=ops["matrix"], x=ops["x"])
             assert response["digest"] == result_digest(
                 "vector", np.asarray(y))
@@ -284,7 +284,7 @@ class TestCrashMidTransfer:
         assert isinstance(results[0], WorkerCrashError)
         if isinstance(results[1], dict):  # salvaged on attempt 2
             ops = victim["operands"]
-            _stats, y = api.run("csrmv", backend="fast", variant="issr",
+            _stats, y = api.run("csrmv", backend="compiled", variant="issr",
                                 matrix=ops["matrix"], x=ops["x"])
             assert results[1]["digest"] == result_digest(
                 "vector", np.asarray(y))

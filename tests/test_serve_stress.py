@@ -38,7 +38,7 @@ pytestmark = pytest.mark.stress
 def serve(tmp_path_factory):
     config = ServeConfig(
         workers=3,
-        backends=("compiled", "fast", "cycle"),
+        backends=("compiled", "cycle"),
         cache_dir=str(tmp_path_factory.mktemp("stress-cache")),
         allow_fault_injection=True,
     )
@@ -96,9 +96,9 @@ class TestConcurrencyStress:
         direct repro.api.run of the same request."""
         kinds = [
             lambda s: csrmv_payload(s, backend="compiled"),
-            lambda s: csrmv_payload(s, backend="fast"),
+            lambda s: csrmv_payload(s, backend="cycle"),
             lambda s: csrmm_payload(s, backend="compiled"),
-            lambda s: csrmm_payload(s, backend="fast"),
+            lambda s: csrmm_payload(s, backend="cycle"),
         ]
         payloads = [kinds[i % len(kinds)](1000 + i // len(kinds))
                     for i in range(24)]
@@ -111,7 +111,7 @@ class TestConcurrencyStress:
         """16 OS threads hammering request() concurrently; results are
         deterministic per payload and every wait is bounded."""
         def one(i):
-            payload = csrmv_payload(2000 + i % 4, backend="fast",
+            payload = csrmv_payload(2000 + i % 4, backend="compiled",
                                     tenant=f"t{i % 3}")
             return i, serve.request(payload, wait_timeout=120)
 
@@ -128,7 +128,7 @@ class TestConcurrencyStress:
         assert len(by_seed) == 4
 
     def test_repeat_traffic_is_absorbed_by_the_cache(self, serve):
-        payloads = [csrmv_payload(3000, backend="fast")] * 10
+        payloads = [csrmv_payload(3000, backend="compiled")] * 10
         serve.request(payloads[0], wait_timeout=60)  # populate
         responses = serve.submit_many(payloads, wait_timeout=60)
         assert all(r["cached"] for r in responses
@@ -143,10 +143,10 @@ class TestWorkerKillStorm:
         payloads = []
         for i in range(12):
             if i % 4 == 3:
-                payloads.append(csrmv_payload(4000 + i, backend="fast",
+                payloads.append(csrmv_payload(4000 + i, backend="compiled",
                                               inject="die"))
             else:
-                payloads.append(csrmv_payload(4000 + i, backend="fast"))
+                payloads.append(csrmv_payload(4000 + i, backend="compiled"))
         results = serve.submit_many(payloads, wait_timeout=240)
         hung = [r for r in results
                 if not isinstance(r, (dict, ServeError))]
@@ -161,7 +161,7 @@ class TestWorkerKillStorm:
                 # may exhaust its retries on the second kill
                 assert isinstance(outcome, (WorkerCrashError, ServeError))
         # pool healed: full worker complement, fresh traffic flows
-        after = serve.request(csrmv_payload(4999, backend="fast"),
+        after = serve.request(csrmv_payload(4999, backend="compiled"),
                               wait_timeout=60)
         assert after["ok"]
         assert serve.stats()["pool"]["busy"] == 0
@@ -170,8 +170,8 @@ class TestWorkerKillStorm:
         """A victim batched with one poison request survives via retry
         (attempt 2 on a respawned worker)."""
         retries_before = serve.stats()["scheduler"]["retries"]
-        payloads = [csrmv_payload(5000, backend="fast", inject="die"),
-                    csrmv_payload(5001, backend="fast")]
+        payloads = [csrmv_payload(5000, backend="compiled", inject="die"),
+                    csrmv_payload(5001, backend="compiled")]
         results = serve.submit_many(payloads, wait_timeout=240)
         assert isinstance(results[0], WorkerCrashError)
         if isinstance(results[1], dict):  # salvaged on retry
@@ -194,7 +194,7 @@ class TestTimeoutStorm:
                    for r in results)
         assert any(isinstance(r, RequestTimeoutError) for r in results)
         # the storm left no debris: queue drains, new traffic flows
-        after = serve.request(csrmv_payload(6999, backend="fast"),
+        after = serve.request(csrmv_payload(6999, backend="compiled"),
                               wait_timeout=120)
         assert after["ok"]
 
@@ -203,14 +203,14 @@ class TestTimeoutStorm:
         hasty["workload"]["matrix"]["nnz"] = 2048
         hasty["workload"]["matrix"]["ncols"] = 256
         hasty["workload"]["x"]["dim"] = 256
-        patient = csrmv_payload(7001, backend="fast")
+        patient = csrmv_payload(7001, backend="compiled")
         results = serve.submit_many([hasty, patient], wait_timeout=120)
         assert isinstance(results[1], dict) and results[1]["ok"]
 
 
 class TestCacheCorruption:
     def test_corrupt_cache_entry_is_recomputed_not_crashed(self, serve):
-        payload = csrmv_payload(8000, backend="fast")
+        payload = csrmv_payload(8000, backend="compiled")
         first = serve.request(payload, wait_timeout=60)
         assert first["cached"] is False
 
@@ -226,7 +226,7 @@ class TestCacheCorruption:
         assert healed["cached"] is True  # fresh entry re-stored
 
     def test_wrong_shape_pickle_is_treated_as_miss(self, serve):
-        payload = csrmv_payload(8100, backend="fast")
+        payload = csrmv_payload(8100, backend="compiled")
         first = serve.request(payload, wait_timeout=60)
         key = request_key(validate_request(payload))
         path = pathlib.Path(serve.service.cache.path(key))
@@ -247,9 +247,9 @@ class TestDataPlaneGuards:
 
         operands = {"matrix": random_csr(24, 96, 256, seed=9000),
                     "x": random_dense_vector(96, seed=9050)}
-        payloads = [csrmv_payload(9000 + i, backend="fast")
+        payloads = [csrmv_payload(9000 + i, backend="compiled")
                     for i in range(8)]
-        payloads += [{"kernel": "csrmv", "backend": "fast",
+        payloads += [{"kernel": "csrmv", "backend": "compiled",
                       "operands": operands} for _ in range(8)]
         responses = serve.submit_many(payloads, wait_timeout=180)
         assert all(isinstance(r, dict) and r["ok"] for r in responses)
@@ -267,7 +267,7 @@ class TestDataPlaneGuards:
         histogram's high-water mark proves >= 2 were in flight at
         once (a serializing regression would flatline it at 1)."""
         payloads = [csrmv_payload(9200 + i,
-                                  backend=("fast", "compiled")[i % 2])
+                                  backend=("cycle", "compiled")[i % 2])
                     for i in range(24)]
         responses = serve.submit_many(payloads, wait_timeout=180)
         assert all(isinstance(r, dict) and r["ok"] for r in responses)

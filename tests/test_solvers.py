@@ -3,7 +3,7 @@
 The acceptance contract (ISSUE 4): CG, Jacobi, and power iteration
 converge to the SciPy-free NumPy oracles with bit-identical iterates
 across BASE/SSR/ISSR (bounded-row-degree workloads, 16-bit) and
-across the cycle/fast backends, on 1 and 4 clusters.
+across the cycle/compiled backends, on 1 and 4 clusters.
 """
 
 import numpy as np
@@ -56,7 +56,7 @@ def _run(solver, spd, stochastic, **kwargs):
 class TestConvergence:
     def test_cg_reaches_direct_solution(self, spd):
         matrix, b = spd
-        res = solve_cg(matrix, b, n_iters=100, tol=1e-10, backend="fast")
+        res = solve_cg(matrix, b, n_iters=100, tol=1e-10, backend="compiled")
         assert res.converged
         np.testing.assert_allclose(res.x, reference_solution(matrix, b),
                                    rtol=0, atol=1e-8)
@@ -67,7 +67,7 @@ class TestConvergence:
     def test_jacobi_reaches_direct_solution(self, spd):
         matrix, b = spd
         res = solve_jacobi(matrix, b, n_iters=200, tol=1e-10,
-                           backend="fast")
+                           backend="compiled")
         assert res.converged
         np.testing.assert_allclose(res.x, reference_solution(matrix, b),
                                    rtol=0, atol=1e-7)
@@ -76,7 +76,7 @@ class TestConvergence:
 
     def test_power_matches_oracle_eigenvalue(self, stochastic):
         res = solve_power(stochastic, n_iters=300, tol=1e-10,
-                          backend="fast")
+                          backend="compiled")
         assert res.converged
         _xo, lams = power_oracle(stochastic, 300, tol=1e-20)
         assert res.history["lam"][-1] == pytest.approx(lams[-1], abs=1e-8)
@@ -92,7 +92,7 @@ class TestBitIdentity:
         outs = set()
         for variant in ("base", "ssr", "issr"):
             res = _run(solver, spd, stochastic, variant=variant,
-                       backend="fast", n_clusters=n_clusters)
+                       backend="compiled", n_clusters=n_clusters)
             key = next(iter(res.history))
             outs.add((res.x.tobytes(), tuple(res.history[key])))
         assert len(outs) == 1
@@ -100,26 +100,26 @@ class TestBitIdentity:
     @pytest.mark.parametrize("solver", ["cg", "jacobi", "power"])
     @pytest.mark.parametrize("n_clusters", [1, 4])
     def test_cycle_matches_fast(self, solver, spd, stochastic, n_clusters):
-        fast = _run(solver, spd, stochastic, variant="issr",
-                    backend="fast", n_clusters=n_clusters)
+        comp = _run(solver, spd, stochastic, variant="issr",
+                    backend="compiled", n_clusters=n_clusters)
         cyc = _run(solver, spd, stochastic, variant="issr",
                    backend="cycle", n_clusters=n_clusters)
-        assert cyc.x.tobytes() == fast.x.tobytes()
-        for key in fast.history:
-            assert cyc.history[key] == fast.history[key]
+        assert cyc.x.tobytes() == comp.x.tobytes()
+        for key in comp.history:
+            assert cyc.history[key] == comp.history[key]
 
     @pytest.mark.parametrize("variant", ["base", "ssr"])
     def test_cycle_variants_match_fast_variants(self, spd, variant):
         """Scalar-variant kernels agree across backends too."""
-        fast = _run("cg", spd, None, variant=variant, backend="fast")
+        comp = _run("cg", spd, None, variant=variant, backend="compiled")
         cyc = _run("cg", spd, None, variant=variant, backend="cycle")
-        assert cyc.x.tobytes() == fast.x.tobytes()
+        assert cyc.x.tobytes() == comp.x.tobytes()
 
     def test_cluster_counts_agree_numerically(self, spd):
         """1-cluster vs 4-cluster runs differ only in dot partial
         order — same convergence, near-identical iterates."""
-        one = _run("cg", spd, None, backend="fast", n_clusters=1)
-        four = _run("cg", spd, None, backend="fast", n_clusters=4,
+        one = _run("cg", spd, None, backend="compiled", n_clusters=1)
+        four = _run("cg", spd, None, backend="compiled", n_clusters=4,
                     partitioner="nnz_balanced")
         np.testing.assert_allclose(one.x, four.x, rtol=0, atol=1e-9)
 
@@ -149,7 +149,7 @@ class TestJacobiSplit:
 class TestScaleOut:
     def test_solution_correct_on_four_clusters(self, spd):
         matrix, b = spd
-        res = solve_cg(matrix, b, n_iters=100, tol=1e-10, backend="fast",
+        res = solve_cg(matrix, b, n_iters=100, tol=1e-10, backend="compiled",
                        n_clusters=4, partitioner="nnz_balanced")
         assert res.converged
         np.testing.assert_allclose(res.x, reference_solution(matrix, b),
@@ -158,7 +158,7 @@ class TestScaleOut:
     def test_cyclic_partitioner_rejected(self, spd):
         matrix, b = spd
         with pytest.raises(ConfigError):
-            solve_cg(matrix, b, n_iters=4, backend="fast", n_clusters=4,
+            solve_cg(matrix, b, n_iters=4, backend="compiled", n_clusters=4,
                      partitioner="cyclic")
 
     def test_exchange_traffic_is_steady(self, spd):
@@ -175,12 +175,12 @@ class TestScaleOut:
         matrix = random_spd_csr(3, offdiag_per_row=1, seed=1,
                                 dominance=2.0)
         b = random_dense_vector(3, seed=2)
-        fast = solve_cg(matrix, b, index_bits=16, n_iters=3, tol=0.0,
-                        backend="fast", n_clusters=4,
+        comp = solve_cg(matrix, b, index_bits=16, n_iters=3, tol=0.0,
+                        backend="compiled", n_clusters=4,
                         partitioner="nnz_balanced")
         cyc = solve_cg(matrix, b, index_bits=16, n_iters=3, tol=0.0,
                        backend="cycle", n_clusters=4,
                        partitioner="nnz_balanced")
-        assert fast.x.tobytes() == cyc.x.tobytes()
-        assert fast.stats.dma_words_by_iteration == \
+        assert comp.x.tobytes() == cyc.x.tobytes()
+        assert comp.stats.dma_words_by_iteration == \
             cyc.stats.dma_words_by_iteration

@@ -93,9 +93,9 @@ class TestE13:
         from repro.eval.solvers import cluster_point
 
         p1 = cluster_point({"n_clusters": 1, "density": 0.003, "n": 512,
-                            "n_iters": 4, "seed": 1, "backend": "fast"})
+                            "n_iters": 4, "seed": 1, "backend": "compiled"})
         p4 = cluster_point({"n_clusters": 4, "density": 0.003, "n": 512,
-                            "n_iters": 4, "seed": 1, "backend": "fast"})
+                            "n_iters": 4, "seed": 1, "backend": "compiled"})
         assert p1["dma_words_per_iteration"] == 0
         assert p4["dma_words_per_iteration"] > 0
         assert p1["cpi"] / p4["cpi"] > 1.5

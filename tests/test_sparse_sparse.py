@@ -51,14 +51,14 @@ def test_quick_fast_sweep_writes_claims(tmp_path):
     out = tmp_path / "sparse_sparse.json"
     result = sparse_sparse.run(
         densities=(0.02, 0.35), workloads=("uniform",), nnz=96,
-        spgemm_n=24, backend="fast", crosscheck=False, out_json=str(out))
+        spgemm_n=24, backend="compiled", crosscheck=False, out_json=str(out))
     assert result.exp_id == "E12"
     payload = json.loads(out.read_text())
     claim = payload["claims"]["issr_speedup_above_threshold"]
     assert claim["threshold_density"] == sparse_sparse.DENSITY_THRESHOLD
     assert claim["holds"] is True
     # crosscheck skipped -> the backend claims are explicitly unknown
-    assert payload["claims"]["fast_cycle_bit_identical"]["holds"] is None
+    assert payload["claims"]["compiled_cycle_bit_identical"]["holds"] is None
     assert len(payload["masked_spvv"]) == 2
     assert payload["spgemm"]
 
@@ -68,8 +68,8 @@ def test_quick_crosscheck_bit_identical(tmp_path):
     """The two-backend validation points: results equal, cycles close."""
     out = tmp_path / "sparse_sparse.json"
     sparse_sparse.run(densities=(0.1,), workloads=("uniform",), nnz=96,
-                      spgemm_n=24, backend="fast", crosscheck=True,
+                      spgemm_n=24, backend="compiled", crosscheck=True,
                       out_json=str(out))
     payload = json.loads(out.read_text())
-    assert payload["claims"]["fast_cycle_bit_identical"]["holds"] is True
-    assert payload["claims"]["fast_cycle_within_tolerance"]["holds"] is True
+    assert payload["claims"]["compiled_cycle_bit_identical"]["holds"] is True
+    assert payload["claims"]["compiled_cycle_within_tolerance"]["holds"] is True

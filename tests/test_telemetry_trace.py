@@ -116,6 +116,7 @@ class TestEngineSpans:
 class TestNoPerturbation:
     """Telemetry fully on vs fully off: bit-identical behavior."""
 
+    # "fast" is the accepted alias of compiled
     @pytest.mark.parametrize("backend", ["cycle", "fast", "compiled"])
     def test_results_cycles_digests_unchanged(self, backend):
         matrix = random_csr(24, 96, 256, seed=11)
