@@ -27,7 +27,8 @@ tiles start at arbitrary sub-word offsets — exercising the ISSR's
 
 import numpy as np
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
+from repro.kernels.common import check_reference
 from repro.kernels.csrmv import build_csrmv
 from repro.sim.engine import IDLE
 from repro.sim.counters import RunStats, collect_cc_stats
@@ -397,9 +398,5 @@ def run_cluster_csrmv(matrix, x, variant="issr", index_bits=16,
     y = job.result()
     if check:
         expect = matrix.spmv(x)
-        if not np.allclose(y, expect, rtol=1e-9, atol=1e-9):
-            raise SimulationError(
-                f"cluster CsrMV {variant}/{index_bits} mismatch "
-                f"(max err {np.abs(y - expect).max()})"
-            )
+        check_reference(y, expect, f"cluster CsrMV {variant}/{index_bits}")
     return stats, y

@@ -23,6 +23,7 @@ import json
 import sys
 import time
 
+from repro import telemetry
 from repro.backends import ALIASES, BACKENDS
 from repro.eval.experiments import (
     BUDGET_AWARE,
@@ -136,29 +137,19 @@ def main(argv=None):
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="point-result cache directory "
                              "(default: .repro-cache or $REPRO_CACHE_DIR)")
-    parser.add_argument("--profile", action="store_true",
-                        help="profile the cycle engine (per-component "
-                             "tick/wake counts, fast-forward stats, "
-                             "program/point cache hit rates); writes "
-                             "profile.json. Profiling is per-process: "
-                             "combine with --parallel and only the "
-                             "parent's engines are counted")
-    parser.add_argument("--profile-out", default="profile.json",
-                        metavar="FILE",
-                        help="where --profile writes its JSON breakdown")
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="enable telemetry and write the metrics "
                              "registry snapshot (engine/DMA/stream/kernel "
                              "counters, utilization gauges) as JSON. "
-                             "Like --profile this is per-process: with "
-                             "--parallel only parent-side work (caches) "
-                             "is counted")
+                             "Per-process: with --parallel only "
+                             "parent-side work (caches) is counted")
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="enable telemetry and write a Chrome-trace "
                              "JSON timeline (load in Perfetto / "
-                             "chrome://tracing): engine run/sleep spans, "
-                             "DMA transfers, streaming-pass lanes. "
-                             "Per-process, as with --metrics-out")
+                             "chrome://tracing): per-component engine "
+                             "run/sleep spans, DMA transfers, "
+                             "streaming-pass lanes. Per-process, as "
+                             "with --metrics-out")
     parser.add_argument("--list-experiments", action="store_true",
                         help="print the experiment registry and exit "
                              "(with --json: machine-readable — id, name, "
@@ -184,10 +175,6 @@ def main(argv=None):
     if unknown:
         parser.error(f"unknown experiment ids: {unknown}")
 
-    if args.profile:
-        from repro.sim import profile
-        profile.enable()
-
     runner = None
     if args.parallel is not None or args.no_cache or args.cache_dir:
         # bare --parallel (const 0) means "use every CPU";
@@ -201,23 +188,18 @@ def main(argv=None):
                                 use_cache=not args.no_cache)
 
     t0 = time.time()
-    if set(ids) == set(EXPERIMENTS):
-        results = run_all(quick=quick, backend=args.backend, runner=runner,
-                          variant=args.variant, clusters=args.clusters,
-                          mainmem_budget=args.mainmem_budget,
-                          metrics_out=args.metrics_out,
-                          trace_out=args.trace_out)
-        times = {}
-    else:
-        results = {}
-        times = {}
-        from repro import telemetry
-
-        with telemetry.session(metrics_out=args.metrics_out,
-                               trace_out=args.trace_out,
-                               tracing=args.trace_out is not None) \
-                if (args.metrics_out or args.trace_out) \
-                else contextlib.nullcontext():
+    times = {}
+    with telemetry.session(metrics_out=args.metrics_out,
+                           trace_out=args.trace_out) \
+            if (args.metrics_out or args.trace_out) \
+            else contextlib.nullcontext():
+        if set(ids) == set(EXPERIMENTS):
+            results = run_all(quick=quick, backend=args.backend,
+                              runner=runner, variant=args.variant,
+                              clusters=args.clusters,
+                              mainmem_budget=args.mainmem_budget)
+        else:
+            results = {}
             for eid in ids:
                 te = time.time()
                 results[eid] = run_experiment(
@@ -231,21 +213,6 @@ def main(argv=None):
             print(f"  [{eid} in {times[eid]:.2f}s]")
         print()
     print(f"[{len(ids)} experiment(s) in {time.time() - t0:.1f}s]")
-
-    if args.profile:
-        from repro.sim import profile
-        breakdown = profile.report()
-        if runner is not None:
-            breakdown["point_cache"] = {"hits": runner.cache_hits,
-                                        "misses": runner.cache_misses}
-        with open(args.profile_out, "w") as fh:
-            json.dump(breakdown, fh, indent=1)
-        top = list(breakdown["ticks_by_component"].items())[:5]
-        summary = ", ".join(f"{name}:{count}" for name, count in top)
-        print(f"[profile] {breakdown['engines']} engine(s), "
-              f"{breakdown['total_ticks']} ticks, "
-              f"{breakdown['fast_forwarded_cycles']} cycles fast-forwarded; "
-              f"top ticks: {summary}; written to {args.profile_out}")
     return 0
 
 

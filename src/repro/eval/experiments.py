@@ -172,26 +172,16 @@ EXPERIMENTS = {
 
 def run_experiment(exp_id, quick=True, backend=None, runner=None,
                    variant=None, clusters=None, mainmem_budget=None,
-                   metrics_out=None, trace_out=None, **overrides):
+                   **overrides):
     """Run one experiment by id; quick mode shrinks the workloads.
 
     ``backend``/``variant``/``clusters``/``mainmem_budget`` thread
     through only to the experiments whose drivers accept them (the
     ``*_AWARE`` sets) — passing them alongside ids that fix those
     knobs is not an error, the flags simply don't apply there.
-    ``metrics_out``/``trace_out`` wrap the run in a
-    :func:`repro.telemetry.session` and write the registry snapshot /
-    Chrome-trace JSON to those paths (telemetry stays off otherwise).
+    Telemetry is the caller's: wrap the call in a
+    :func:`repro.telemetry.session` to record it.
     """
-    if metrics_out is not None or trace_out is not None:
-        from repro import telemetry
-
-        with telemetry.session(metrics_out=metrics_out,
-                               trace_out=trace_out):
-            return run_experiment(
-                exp_id, quick=quick, backend=backend, runner=runner,
-                variant=variant, clusters=clusters,
-                mainmem_budget=mainmem_budget, **overrides)
     fn = EXPERIMENTS[exp_id]
     kwargs = dict(QUICK.get(exp_id, {})) if quick else {}
     kwargs.update(overrides)
@@ -209,21 +199,8 @@ def run_experiment(exp_id, quick=True, backend=None, runner=None,
 
 
 def run_all(quick=True, backend=None, runner=None, variant=None,
-            clusters=None, mainmem_budget=None, metrics_out=None,
-            trace_out=None):
-    """Run every experiment; returns {exp_id: ExperimentResult}.
-
-    ``metrics_out``/``trace_out`` scope one telemetry session around
-    the whole suite (see :func:`run_experiment`).
-    """
-    if metrics_out is not None or trace_out is not None:
-        from repro import telemetry
-
-        with telemetry.session(metrics_out=metrics_out,
-                               trace_out=trace_out):
-            return run_all(quick=quick, backend=backend, runner=runner,
-                           variant=variant, clusters=clusters,
-                           mainmem_budget=mainmem_budget)
+            clusters=None, mainmem_budget=None):
+    """Run every experiment; returns {exp_id: ExperimentResult}."""
     results = {}
     for exp_id in EXPERIMENTS:
         if exp_id == "E9":

@@ -22,6 +22,10 @@ import subprocess
 
 import numpy as np
 
+from repro.formats.csf import CsfTensor
+from repro.formats.csr import CsrMatrix
+from repro.formats.fiber import SparseFiber
+
 #: Default cache directory (overridable via the environment).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -35,8 +39,13 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: (match density, pair distribution, check kind) and two-backend
 #: cross-check results must never collide with older entries; v4
 #: accompanies the solver/pipeline (E13) point family (solver name,
-#: cluster count, iteration budget, pipeline coordination constants).
-KEY_SCHEMA = 4
+#: cluster count, iteration budget, pipeline coordination constants);
+#: v5 keys in-process sparse operands by their index/value arrays
+#: instead of a ``repr`` that held only shape and nnz.
+KEY_SCHEMA = 5
+
+#: Sparse operand types keyed by content (see :func:`canonical_params`).
+_SPARSE_TYPES = (CsrMatrix, SparseFiber, CsfTensor)
 
 _code_version = None
 
@@ -92,9 +101,11 @@ def canonical_params(value):
     encoding: dicts are sorted, dataclasses (e.g.
     :class:`~repro.workloads.MatrixSpec`,
     :class:`~repro.multicluster.hbm.HbmConfig`) expand to their typed
-    field values, and objects whose ``repr`` embeds a memory address
-    (``... at 0x...``) fall back to a hash of their pickled state so
-    two distinct runs of the same sweep agree on the key.
+    field values, sparse operands (CSR, fiber, CSF) expand to their
+    index/value arrays, ndarrays hash their full buffer, and objects
+    whose ``repr`` embeds a memory address (``... at 0x...``) fall back
+    to a hash of their pickled state so two distinct runs of the same
+    sweep agree on the key.
     """
     if isinstance(value, dict):
         inner = ",".join(
@@ -111,6 +122,12 @@ def canonical_params(value):
                   for f in dataclasses.fields(value)}
         return (f"{type(value).__module__}.{type(value).__qualname__}"
                 + canonical_params(fields))
+    for cls in _SPARSE_TYPES:
+        if isinstance(value, cls):
+            # repr() holds only shape and nnz; the arrays go through
+            # the ndarray branch below
+            fields = {name: getattr(value, name) for name in cls.__slots__}
+            return cls.__qualname__ + canonical_params(fields)
     if isinstance(value, np.ndarray):
         # repr() truncates large arrays ('...'), which would collide;
         # hash the full buffer instead.
@@ -168,8 +185,8 @@ class PointCache:
             cache_dir = os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)
         self.cache_dir = cache_dir
         self.use_cache = use_cache
-        #: Hit/miss counters (surfaced by ``--profile`` and the serve
-        #: stats endpoint).
+        #: Hit/miss counters (surfaced by the metrics registry as
+        #: ``repro_point_cache_*`` and by the serve stats endpoint).
         self.hits = 0
         self.misses = 0
         from repro.telemetry import metrics as _metrics
@@ -250,12 +267,12 @@ class ParallelRunner:
 
     @property
     def cache_hits(self):
-        """Point-cache hits (surfaced by ``--profile``)."""
+        """Point-cache hits of this runner's cache."""
         return self.cache.hits
 
     @property
     def cache_misses(self):
-        """Point-cache misses (surfaced by ``--profile``)."""
+        """Point-cache misses of this runner's cache."""
         return self.cache.misses
 
     # -- execution -----------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.kernels.common import (
     PROGRAM_CACHE,
     STAGGER_RD_RS3,
     check_index_bits,
+    check_reference,
     emit_tree_reduction,
     emit_zero_accumulators,
 )
@@ -124,6 +125,5 @@ def run_codebook_dot(dense, codebook, codes, index_bits=16, sim=None,
     if check:
         expect = float(np.dot(np.asarray(dense),
                               np.asarray(codebook)[np.asarray(codes)]))
-        if not np.isclose(result, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(f"codebook dot mismatch: {result} vs {expect}")
+        check_reference(result, expect, "codebook dot")
     return stats, result

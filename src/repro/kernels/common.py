@@ -23,7 +23,9 @@ sums than at 2/3.
 import os
 from collections import OrderedDict
 
-from repro.errors import ConfigError
+import numpy as np
+
+from repro.errors import ConfigError, SimulationError
 from repro.isa.isa import CSR_SSR  # noqa: F401  (re-exported for kernel modules)
 
 #: Kernel variants evaluated in the paper (§III-B).
@@ -64,7 +66,8 @@ class ProgramCache:
         self.maxsize = maxsize
         self._entries = OrderedDict()
         self._pid = os.getpid()
-        #: Hit/miss counters (surfaced by ``--profile``; per process).
+        #: Hit/miss counters (per process; the metrics registry
+        #: tracks them as ``repro_program_cache_*``).
         self.hits = 0
         self.misses = 0
 
@@ -131,6 +134,26 @@ def check_variant(variant):
 def check_index_bits(index_bits):
     if index_bits not in (16, 32):
         raise ConfigError(f"unsupported index width {index_bits}")
+
+
+def check_reference(got, expect, what):
+    """Raise :class:`SimulationError` unless ``got`` matches ``expect``.
+
+    The oracle comparison of every simulated kernel against its NumPy
+    reference: elementwise ``rtol = atol = 1e-9``, except that a NaN
+    matches only a NaN at the same position, so NaN/±Inf operands
+    check like any others.
+    """
+    got = np.asarray(got, dtype=np.float64)
+    expect = np.asarray(expect, dtype=np.float64)
+    close = np.isclose(got, expect, rtol=1e-9, atol=1e-9, equal_nan=True)
+    if not close.all():
+        first = int(np.argmin(close.ravel()))
+        raise SimulationError(
+            f"{what} mismatch: {close.size - int(close.sum())} of "
+            f"{close.size} element(s) differ; element {first} is "
+            f"{float(got.ravel()[first])!r}, reference "
+            f"{float(expect.ravel()[first])!r}")
 
 
 def emit_tree_reduction(builder, base, count):

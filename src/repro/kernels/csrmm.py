@@ -26,6 +26,7 @@ from repro.kernels.common import (
     SSR,
     KernelMeta,
     check_index_bits,
+    check_reference,
     check_variant,
 )
 from repro.kernels.csrmv import _idx_load, emit_issr_row_loop, place_csr
@@ -181,9 +182,5 @@ def run_csrmm(matrix, dense, variant, index_bits=32, sim=None, check=True):
     out = np.array(sim.read_floats(cbase, matrix.nrows * k)).reshape(matrix.nrows, k)
     if check:
         expect = matrix.spmm(dense)
-        if not np.allclose(out, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(
-                f"CsrMM {variant}/{index_bits} mismatch (max err "
-                f"{np.abs(out - expect).max()})"
-            )
+        check_reference(out, expect, f"CsrMM {variant}/{index_bits}")
     return stats, out

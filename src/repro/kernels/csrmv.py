@@ -33,6 +33,7 @@ from repro.kernels.common import (
     STAGGER_RD_RS3,
     KernelMeta,
     check_index_bits,
+    check_reference,
     check_variant,
     emit_tree_reduction,
 )
@@ -261,9 +262,5 @@ def run_csrmv(matrix, x, variant, index_bits=32, sim=None, check=True):
     y = np.array(sim.read_floats(mem["y"], matrix.nrows))
     if check:
         expect = matrix.spmv(np.asarray(x, dtype=np.float64))
-        if not np.allclose(y, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(
-                f"CsrMV {variant}/{index_bits} mismatch (max err "
-                f"{np.abs(y - expect).max()})"
-            )
+        check_reference(y, expect, f"CsrMV {variant}/{index_bits}")
     return stats, y

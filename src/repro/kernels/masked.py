@@ -47,6 +47,7 @@ from repro.kernels.common import (
     SSR,
     KernelMeta,
     check_index_bits,
+    check_reference,
     check_variant,
 )
 from repro.sim.harness import SingleCC
@@ -429,10 +430,8 @@ def run_masked_spvv(fiber_a, fiber_b, variant, index_bits=32, sim=None,
     result = sim.read_floats(res, 1)[0]
     if check:
         expect = masked_spvv_reference(fiber_a, fiber_b)
-        if not np.isclose(result, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(
-                f"masked SpVV {variant}/{index_bits} mismatch: "
-                f"got {result}, want {expect}")
+        check_reference(result, expect,
+                        f"masked SpVV {variant}/{index_bits}")
     return stats, result
 
 
@@ -462,8 +461,6 @@ def run_masked_csrmv(matrix, x_fiber, variant, index_bits=32, sim=None,
         dense_x = np.zeros(matrix.ncols, dtype=np.float64)
         dense_x[np.asarray(x_fiber.indices, dtype=np.int64)] = x_fiber.values
         expect = matrix.spmv(dense_x)
-        if not np.allclose(out, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(
-                f"masked CsrMV {variant}/{index_bits} mismatch (max err "
-                f"{np.abs(out - expect).max()})")
+        check_reference(out, expect,
+                        f"masked CsrMV {variant}/{index_bits}")
     return stats, out

@@ -54,6 +54,7 @@ from repro.kernels.common import (
     SSR,
     KernelMeta,
     check_index_bits,
+    check_reference,
     check_variant,
 )
 from repro.sim.harness import SingleCC
@@ -384,8 +385,6 @@ def run_spgemm(a, b, variant, index_bits=32, sim=None, check=True):
     c = CsrMatrix(ptr, idcs, c_vals[:int(ptr[-1])], (a.nrows, b.ncols))
     if check:
         expect = spgemm_reference(a, b)
-        if not np.allclose(c.to_dense(), expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(
-                f"SpGEMM {variant}/{index_bits} mismatch (max err "
-                f"{np.abs(c.to_dense() - expect).max()})")
+        check_reference(c.to_dense(), expect,
+                        f"SpGEMM {variant}/{index_bits}")
     return stats, c

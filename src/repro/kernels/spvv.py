@@ -26,6 +26,7 @@ from repro.kernels.common import (
     STAGGER_RD_RS3,
     KernelMeta,
     check_index_bits,
+    check_reference,
     check_variant,
     emit_tree_reduction,
     emit_zero_accumulators,
@@ -158,8 +159,5 @@ def run_spvv(fiber, x, variant, index_bits=32, sim=None, check=True):
     result = sim.read_floats(res, 1)[0]
     if check:
         expect = fiber.dot_dense(np.asarray(x, dtype=np.float64))
-        if not np.isclose(result, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError(
-                f"SpVV {variant}/{index_bits} mismatch: got {result}, want {expect}"
-            )
+        check_reference(result, expect, f"SpVV {variant}/{index_bits}")
     return stats, result

@@ -18,7 +18,8 @@ from repro.core import config as cfg
 from repro.errors import FormatError
 from repro.isa.isa import CSR_SSR
 from repro.isa.program import ProgramBuilder
-from repro.kernels.common import PROGRAM_CACHE, check_index_bits
+from repro.kernels.common import (PROGRAM_CACHE, check_index_bits,
+                                  check_reference)
 from repro.sim.harness import SingleCC
 
 
@@ -88,6 +89,5 @@ def run_stencil(signal, taps, index_bits=16, sim=None, check=True):
         expect = np.zeros(n_out)
         for o, w in zip(offsets, weights):
             expect += w * sig[o:o + n_out]
-        if not np.allclose(out, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError("stencil convolution mismatch")
+        check_reference(out, expect, "stencil convolution")
     return stats, out

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.csf import CsfTensor
+from repro.kernels.common import check_reference
 from repro.kernels.csrmv import build_csrmv
 from repro.sim.harness import SingleCC
 
@@ -65,8 +66,7 @@ def run_ttv(tensor, vector, index_bits=32, sim=None, check=True):
         out[coord] = fiber_results[node]
     if check:
         expect = tensor.ttv(vector)
-        if not np.allclose(out, expect, rtol=1e-9, atol=1e-9):
-            raise AssertionError("TTV mismatch against the CSF reference")
+        check_reference(out, expect, "TTV")
     return stats, out
 
 

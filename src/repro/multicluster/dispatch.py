@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.backends import get_backend
 from repro.errors import ConfigError
-from repro.kernels.common import check_index_bits, check_variant
+from repro.kernels.common import (check_index_bits, check_reference,
+                                  check_variant)
 from repro.multicluster.hbm import HbmConfig
 from repro.multicluster.model import (
     multicluster_csrmm_fast,
@@ -95,7 +96,8 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
             n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
         if check:
             expect = matrix.to_dense() @ dense.to_dense()
-            _check(c.to_dense(), expect, kernel, variant, index_bits)
+            check_reference(c.to_dense(), expect,
+                            f"multicluster {kernel} {variant}/{index_bits}")
         return stats, c
 
     if kernel == "csrmm":
@@ -109,7 +111,8 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
             n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
         if check:
             expect = matrix.spmm(dense)
-            _check(out, expect, kernel, variant, index_bits)
+            check_reference(out, expect,
+                            f"multicluster {kernel} {variant}/{index_bits}")
         return stats, out
 
     if backend_name == "cycle":
@@ -122,16 +125,6 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
         n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
     if check:
         expect = matrix.spmv(dense)
-        _check(y, expect, kernel, variant, index_bits)
+        check_reference(y, expect,
+                        f"multicluster {kernel} {variant}/{index_bits}")
     return stats, y
-
-
-def _check(got, expect, kernel, variant, index_bits):
-    """Validate a combined result against the NumPy reference."""
-    from repro.errors import SimulationError
-
-    if not np.allclose(got, expect, rtol=1e-9, atol=1e-9):
-        raise SimulationError(
-            f"multicluster {kernel} {variant}/{index_bits} mismatch "
-            f"(max err {np.abs(got - expect).max()})"
-        )

@@ -16,7 +16,7 @@ existing single-cluster simulation.
 import numpy as np
 
 from repro.cluster.runtime import ClusterCsrmv, ClusterStats, run_cluster_csrmv
-from repro.errors import SimulationError
+from repro.kernels.common import check_reference
 from repro.mem.dma import BEAT_WORDS
 from repro.sim.counters import collect_cc_stats
 from repro.sim.engine import Engine
@@ -161,8 +161,4 @@ def _check_result(partition, x, y, variant, index_bits):
     for shard in partition.shards:
         if shard.nrows:
             expect[shard.rows] = shard.matrix.spmv(x)
-    if not np.allclose(y, expect, rtol=1e-9, atol=1e-9):
-        raise SimulationError(
-            f"multicluster CsrMV {variant}/{index_bits} mismatch "
-            f"(max err {np.abs(y - expect).max()})"
-        )
+    check_reference(y, expect, f"multicluster CsrMV {variant}/{index_bits}")

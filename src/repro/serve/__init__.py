@@ -19,8 +19,8 @@ over a local socket, or the in-process
 - **schedules** with per-tenant quotas, priorities, request timeouts
   and cancellation (:class:`~repro.serve.scheduler.Scheduler` — a
   deterministic, clock-injected core unit-testable without asyncio);
-- **streams** results, run statistics, and (on request) profiler JSON
-  back to the caller.
+- **streams** results, run statistics, and (on request) the job's
+  metrics-registry snapshot back to the caller.
 
 Results are bit-identical to a direct :func:`repro.api.run` of the
 same request: workers build the operands from the request's seeded

@@ -39,6 +39,7 @@ import time
 import warnings
 
 from repro.serve import protocol, shm
+from repro.telemetry import metrics
 
 #: Fault-injection markers a job may carry (test battery only).
 INJECT_DIE = "die"
@@ -99,7 +100,10 @@ def execute_job(backends, request, trace=False, trace_id=None):
     Returns ``(stats_dict, result, digest, profile_or_None,
     spans_or_None)``. ``result`` is the live kernel result object; the
     worker loop decides whether it leaves the process through a
-    shared-memory segment (descriptors on the pipe) or inline.
+    shared-memory segment (descriptors on the pipe) or inline. A
+    ``profile`` request runs in a fresh metrics-registry session, and
+    ``profile`` is that session's snapshot: this one job's kernel run,
+    engine totals and utilization gauges.
     """
     trace_t0 = time.time() if trace else None
     operands = protocol.build_operands(request)
@@ -110,24 +114,19 @@ def execute_job(backends, request, trace=False, trace_id=None):
         backend = backends[request["backend"]] = get_backend(
             request["backend"])
 
-    profile = None
-    if request.get("profile"):
-        from repro.sim import profile as engine_profile
-
-        engine_profile.enable(reset=True)
-        try:
-            stats, result = backend.run(
-                request["kernel"], variant=request["variant"],
-                index_bits=request["index_bits"], check=request["check"],
-                **operands)
-        finally:
-            engine_profile.disable()
-        profile = engine_profile.report()
-    else:
+    profiling = bool(request.get("profile"))
+    was_enabled = metrics.ENABLED
+    if profiling:
+        metrics.enable(reset=True)
+    try:
         stats, result = backend.run(
             request["kernel"], variant=request["variant"],
             index_bits=request["index_bits"], check=request["check"],
             **operands)
+        profile = metrics.DEFAULT.snapshot() if profiling else None
+    finally:
+        if profiling and not was_enabled:
+            metrics.disable()
     kind = protocol.result_kind(request["kernel"])
     digest = protocol.result_digest(kind, result)
     spans = None

@@ -181,14 +181,16 @@ def request_point(params):
 
 
 def cache_params(request):
-    """The semantic subset of a request that determines its result.
+    """The semantic subset of a request that determines its response.
 
-    Tenant, priority, timeout, and the profile flag never change the
-    computed ``(stats, result)`` pair, so they are excluded — two
-    tenants asking the same question share one cache entry and one
-    in-flight execution.
+    Tenant, priority, and timeout never change the computed ``(stats,
+    result)`` pair, so they are excluded — two tenants asking the same
+    question share one cache entry and one in-flight execution. A set
+    ``profile`` flag is included: a profiled response carries a
+    registry snapshot a plain one lacks, so the two must never
+    coalesce onto each other. An unset flag leaves the key as it was.
     """
-    return {
+    params = {
         "kernel": request["kernel"],
         "backend": request["backend"],
         "variant": request["variant"],
@@ -197,6 +199,9 @@ def cache_params(request):
         "workload": request["workload"],
         "operands": request["operands"],
     }
+    if request["profile"]:
+        params["profile"] = True
+    return params
 
 
 def request_key(request):

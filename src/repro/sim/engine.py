@@ -60,7 +60,7 @@ import heapq
 import os
 
 from repro.errors import ConfigError, DeadlockError
-from repro.sim import profile as _profile
+from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 
 #: Engine modes.
@@ -155,7 +155,6 @@ class Engine:
         self._step_pos = float("-inf")
         self._next_index = 0
         self._front_index = 0
-        self._profile = _profile.attach(self)
         self._tracer = _trace.attach_engine(self)
         # Bind the mode's step loop once; step() stays the public name.
         self.step = self._step_event if mode == EVENT else self._step_dense
@@ -263,8 +262,6 @@ class Engine:
                 if self._in_step and component._q_index > self._step_pos:
                     heapq.heappush(self._step_wakes,
                                    (component._q_index, component))
-            if self._profile is not None:
-                self._profile.count_wake(component)
             if self._tracer is not None:
                 self._tracer.on_wake(component)
 
@@ -348,12 +345,9 @@ class Engine:
             self._component_progress["event-wheel"] = self.cycle
             for fn, args in events:
                 fn(*args)
-        prof = self._profile
         for comp in self._components:
             self._ticking = comp
             comp.tick()
-            if prof is not None:
-                prof.count_tick(comp)
         self._ticking = None
         self.cycle += 1
 
@@ -389,7 +383,6 @@ class Engine:
                     if owner is not None and owner._q_state:
                         self.wake(owner)
                 fn(*args)
-        prof = self._profile
         # Compact only when sleepers dominate a *large* list (or new
         # components must merge in): a lazily-deleted sleeper costs one
         # flag check per cycle, so wake/sleep ping-pong never pays list
@@ -404,14 +397,12 @@ class Engine:
         self._step_pos = float("-inf")
         for comp in active:
             if step_wakes:
-                self._drain_step_wakes(comp._q_index, cycle, prof)
+                self._drain_step_wakes(comp._q_index, cycle)
             if comp._q_state:
                 continue  # lazily-deleted sleeper
             self._step_pos = comp._q_index
             self._ticking = comp
             ret = comp.tick()
-            if prof is not None:
-                prof.count_tick(comp)
             if ret is not None:
                 if ret is IDLE:
                     # sleep hysteresis (see SLEEP_HYSTERESIS)
@@ -422,8 +413,6 @@ class Engine:
                     comp._q_state = _SLEEP_IDLE
                     self._n_active -= 1
                     self._active_stale += 1
-                    if prof is not None:
-                        prof.count_sleep(comp, timed=False)
                     if tracer is not None:
                         tracer.on_sleep(comp, timed=False)
                 elif ret > cycle:
@@ -434,18 +423,16 @@ class Engine:
                                           self._wake_seq, comp))
                     self._n_active -= 1
                     self._active_stale += 1
-                    if prof is not None:
-                        prof.count_sleep(comp, timed=True)
                     if tracer is not None:
                         tracer.on_sleep(comp, timed=True)
                 # ret <= cycle: treated as ACTIVE (defensive)
         if step_wakes:
-            self._drain_step_wakes(None, cycle, prof)
+            self._drain_step_wakes(None, cycle)
         self._in_step = False
         self._ticking = None
         self.cycle = cycle + 1
 
-    def _drain_step_wakes(self, up_to_index, cycle, prof):
+    def _drain_step_wakes(self, up_to_index, cycle):
         """Tick mid-sweep woken (unlisted) components in index order.
 
         Rare path: only components compacted out of the active list and
@@ -463,8 +450,6 @@ class Engine:
             self._step_pos = comp._q_index
             self._ticking = comp
             ret = comp.tick()
-            if prof is not None:
-                prof.count_tick(comp)
             if ret is not None:
                 # same sleep handling as the main sweep, except these
                 # components are unlisted, so they never count as stale
@@ -476,8 +461,6 @@ class Engine:
                         continue
                     comp._q_state = _SLEEP_IDLE
                     self._n_active -= 1
-                    if prof is not None:
-                        prof.count_sleep(comp, timed=False)
                     if tracer is not None:
                         tracer.on_sleep(comp, timed=False)
                 elif ret > cycle:
@@ -487,8 +470,6 @@ class Engine:
                     heapq.heappush(self._wake_heap,
                                    (ret, comp._q_gen, self._wake_seq, comp))
                     self._n_active -= 1
-                    if prof is not None:
-                        prof.count_sleep(comp, timed=True)
                     if tracer is not None:
                         tracer.on_sleep(comp, timed=True)
 
@@ -551,10 +532,14 @@ class Engine:
         of simulation state or of time points registered as wake-ups
         (every converted component guarantees this; see
         docs/ARCHITECTURE.md).
+
+        With the metrics registry on, each completed call adds one run,
+        its executed steps, and its fast-forwarded cycles to the
+        ``repro_engine_*`` counters.
         """
         start = self.cycle
         fast_forward = self.mode == EVENT
-        profile = self._profile
+        skipped = 0
         while not done():
             if self.cycle - start >= max_cycles:
                 raise DeadlockError(
@@ -576,11 +561,13 @@ class Engine:
                         + self.progress_report()
                     )
                 if target > self.cycle:
-                    if profile is not None:
-                        profile.count_fast_forward(target - self.cycle)
+                    skipped += target - self.cycle
                     if self._tracer is not None:
                         self._tracer.fast_forward(self.cycle, target)
                     self.cycle = target
                     continue  # done() may hold at the jumped-to boundary
             self.step()
-        return self.cycle - start
+        elapsed = self.cycle - start
+        if _metrics.ENABLED:
+            _metrics.absorb_engine_run(self.mode, elapsed - skipped, skipped)
+        return elapsed

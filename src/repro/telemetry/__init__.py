@@ -4,11 +4,13 @@ The two halves are independent but share one switchboard:
 
 - :mod:`repro.telemetry.metrics` — the process-wide labelled metrics
   registry (counters, gauges, histograms with exact p50/p99) that
-  absorbs the scattered per-component counters, snapshots to a
-  schema-validated dict, and renders Prometheus text format;
+  absorbs the scattered component counters and the event engine's
+  run/step/fast-forward totals, snapshots to a schema-validated dict,
+  and renders Prometheus text format;
 - :mod:`repro.telemetry.trace` — the span recorder emitting
-  Perfetto-loadable Chrome-trace JSON from the event engine, the
-  streaming executor, and the serve request path.
+  Perfetto-loadable Chrome-trace JSON from the event engine (one run
+  lane per component: the per-component answer to "where do the
+  cycles go"), the streaming executor, and the serve request path.
 
 Both are **off by default** and cost at most one module-flag check per
 completed unit of work while off (the ≤ 3% contract policed by

@@ -1,8 +1,8 @@
 """The process-wide metrics registry: counters, gauges, histograms.
 
-One labelled metrics surface for the whole system, superseding the
-counters that used to live scattered across :mod:`repro.sim.profile`
-(engine tick/wake totals), :class:`repro.kernels.common.ProgramCache`,
+One labelled metrics surface for the whole system, covering the
+event engine (runs, executed steps, fast-forwarded cycles),
+:class:`repro.kernels.common.ProgramCache`,
 the :class:`repro.eval.parallel.PointCache`, :class:`repro.mem.dma.Dma`
 / :class:`repro.multicluster.hbm.HbmFabric` (words moved, stall
 cycles, fabric contention), :mod:`repro.stream` (tiles, bytes, overlap
@@ -467,9 +467,9 @@ def merged_snapshot(*registries):
 def validate_snapshot(payload, path="snapshot"):
     """Check a snapshot dict against the wire contract; returns it.
 
-    Raises :class:`TypeError` naming the first offending field, the
-    same exact-key philosophy as
-    :func:`repro.sim.profile.validate_report`.
+    Raises :class:`TypeError` naming the first offending field;
+    matching is exact-key, so missing and unexpected keys both fail
+    and producers and consumers cannot drift silently.
     """
     if not isinstance(payload, dict):
         raise TypeError(f"{path}: expected dict, got "
@@ -512,13 +512,19 @@ DEFAULT = MetricsRegistry(enabled=False)
 
 
 def enable(reset=True):
-    """Turn the process-wide registry (and absorb hooks) on."""
+    """Turn the process-wide registry (and absorb hooks) on.
+
+    A reset also re-tracks :data:`repro.kernels.common.PROGRAM_CACHE`,
+    so snapshots carry its hit counters.
+    """
     global ENABLED
     ENABLED = True
     DEFAULT.enabled = True
     if reset:
+        from repro.kernels.common import PROGRAM_CACHE
+
         DEFAULT.reset()
-        install_default_collectors(DEFAULT)
+        DEFAULT.track("program_cache", PROGRAM_CACHE)
 
 
 def disable():
@@ -528,45 +534,28 @@ def disable():
     DEFAULT.enabled = False
 
 
-def install_default_collectors(registry):
-    """Wire the registry to the process-global caches and profiler.
-
-    Registered automatically by :func:`enable`; snapshots then carry
-    the :data:`repro.kernels.common.PROGRAM_CACHE` hit counters and —
-    when :mod:`repro.sim.profile` is active — the engine tick/wake
-    totals that used to be reachable only through ``--profile``.
-    """
-    from repro.kernels.common import PROGRAM_CACHE
-
-    registry.track("program_cache", PROGRAM_CACHE)
-    registry.collect(_collect_profile)
-    return registry
-
-
-def _collect_profile(registry):
-    """Fold live :mod:`repro.sim.profile` totals into engine gauges."""
-    from repro.sim import profile
-
-    if not profile._PROFILES:
-        return
-    report = profile.report()
-    gauge = registry.gauge
-    gauge("repro_engine_instances",
-          "Engines profiled since enable()").set(report["engines"])
-    gauge("repro_engine_ticks_total",
-          "Component ticks executed").set(report["total_ticks"])
-    gauge("repro_engine_wakes_total",
-          "Wake edges delivered").set(report["total_wakes"])
-    gauge("repro_engine_fast_forwarded_cycles_total",
-          "Cycles skipped by quiescence fast-forward").set(
-              report["fast_forwarded_cycles"])
-
-
 # -- hot-path absorb hooks ---------------------------------------------------
 #
 # Components with per-cycle counters call these on *completion edges*
 # only, behind a single `metrics.ENABLED` check at the call site, so
 # the disabled path costs one module-attribute load.
+
+def absorb_engine_run(mode, steps, skipped):
+    """Fold one completed :meth:`repro.sim.engine.Engine.run` call.
+
+    ``steps`` counts executed cycles (each ticks the active set) and
+    ``skipped`` the cycles quiescence fast-forward jumped over; their
+    sum is the call's elapsed simulated time.
+    """
+    counter = DEFAULT.counter
+    counter("repro_engine_runs_total",
+            "Engine.run calls completed").inc(1, mode=mode)
+    counter("repro_engine_steps_total",
+            "Engine cycles executed (stepped)").inc(steps, mode=mode)
+    counter("repro_engine_fast_forwarded_cycles_total",
+            "Engine cycles skipped by quiescence fast-forward").inc(
+                skipped, mode=mode)
+
 
 def absorb_dma_transfer(dma, transfer):
     """Fold one completed DMA transfer into the registry.

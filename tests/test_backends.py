@@ -22,6 +22,7 @@ from repro.backends import (
 )
 from repro.errors import ConfigError, DeadlockError
 from repro.formats.csf import CsfTensor
+from repro.formats.csr import CsrMatrix
 from repro.kernels.common import PROGRAM_CACHE, ProgramCache
 from repro.sim.engine import Engine
 from repro.workloads import (
@@ -124,6 +125,61 @@ class TestCsrmmParity:
         with pytest.raises(ValueError):
             comp.run("csrmm", variant="issr", index_bits=16, matrix=matrix,
                      dense=random_dense_matrix(16, 3, seed=1))
+
+
+#: IEEE-754 values the oracle check must accept on every backend.
+SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 5e-324)
+
+
+def salted(values, seed):
+    """A copy of ``values`` with :data:`SPECIALS` at seeded positions."""
+    out = np.array(values, dtype=np.float64)
+    where = np.random.default_rng(seed).choice(
+        out.size, size=len(SPECIALS), replace=False)
+    out.flat[where] = SPECIALS
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf etc.
+class TestNonFiniteOperands:
+    """``check=True`` cycle runs return compiled's bytes on IEEE specials.
+
+    NaN results must match the reference's NaN at the same position;
+    every other element keeps the usual ``1e-9`` tolerance.
+    """
+
+    @pytest.mark.parametrize("variant,bits", ALL_KERNELS)
+    def test_csrmv(self, backends, variant, bits):
+        base = random_csr(16, 64, 48, seed=11)
+        matrix = CsrMatrix(base.ptr, base.idcs, salted(base.vals, 12),
+                           base.shape)
+        x = salted(random_dense_vector(64, seed=13), 14)
+        results = [b.run("csrmv", variant=variant, index_bits=bits,
+                         matrix=matrix, x=x)[1] for b in backends]
+        assert np.isnan(results[0]).any() and np.isfinite(results[0]).any()
+        assert results[0].tobytes() == results[1].tobytes()
+
+    @pytest.mark.parametrize("variant,bits", ALL_KERNELS)
+    def test_csrmm(self, backends, variant, bits):
+        base = random_csr(10, 64, 40, seed=15)
+        matrix = CsrMatrix(base.ptr, base.idcs, salted(base.vals, 16),
+                           base.shape)
+        dense = salted(random_dense_matrix(64, 4, seed=17), 18)
+        results = [b.run("csrmm", variant=variant, index_bits=bits,
+                         matrix=matrix, dense=dense)[1] for b in backends]
+        assert np.isnan(results[0]).any() and np.isfinite(results[0]).any()
+        assert results[0].tobytes() == results[1].tobytes()
+
+    @pytest.mark.parametrize("variant", ["base", "ssr", "issr"])
+    @pytest.mark.parametrize("special", SPECIALS)
+    def test_spvv(self, backends, variant, special):
+        fiber = random_sparse_vector(64, 12, seed=19)
+        fiber.values[3] = special
+        x = random_dense_vector(64, seed=20)
+        results = [b.run("spvv", variant=variant, fiber=fiber, x=x)[1]
+                   for b in backends]
+        assert (np.float64(results[0]).tobytes()
+                == np.float64(results[1]).tobytes())
 
 
 class TestTtvParity:

@@ -1,9 +1,8 @@
-"""Unit tests for the quiescence protocol, fast-forward, and profiler."""
+"""Unit tests for the quiescence protocol, fast-forward, and run metrics."""
 
 import pytest
 
 from repro.errors import ConfigError, DeadlockError
-from repro.sim import profile
 from repro.sim.engine import (
     DENSE,
     EVENT,
@@ -220,26 +219,50 @@ class TestWatchdogSteps:
             eng.run(lambda: False, max_cycles=50)
 
 
-class TestProfiler:
-    def test_profiler_counts_ticks_wakes_and_fast_forwards(self):
-        profile.enable()
-        try:
-            eng = Engine(mode=EVENT)
-            rec = Recorder(eng, name="rec")
-            rec.plan = [300]
-            eng.add(rec)
-            eng.run(lambda: len(rec.ticks) >= 2)
-            report = profile.report()
-        finally:
-            profile.disable()
-        assert report["engines"] == 1
-        assert report["ticks_by_component"]["rec"] == 2
-        assert report["timed_sleeps_by_component"]["rec"] == 1
-        assert report["fast_forwarded_cycles"] >= 250
-        assert "program_cache" in report
+class TestEngineMetrics:
+    @staticmethod
+    def _sleepy_run(mode):
+        """Tick at 0, ask to sleep until 300, and run to the next tick."""
+        eng = Engine(mode=mode)
+        rec = Recorder(eng, name="rec")
+        rec.plan = [300]
+        eng.add(rec)
+        return eng.run(lambda: len(rec.ticks) >= 2)
 
-    def test_profiler_off_by_default(self):
-        assert Engine()._profile is None
+    def test_run_records_runs_steps_and_fast_forwards(self):
+        from repro.telemetry import metrics, trace
+
+        metrics.enable()
+        trace.start()
+        assert self._sleepy_run(EVENT) == 301
+        assert self._sleepy_run(DENSE) == 2  # dense never sleeps
+        events = trace.stop().to_chrome()["traceEvents"]
+        counter = metrics.DEFAULT.get
+        runs = counter("repro_engine_runs_total")
+        steps = counter("repro_engine_steps_total")
+        skipped = counter("repro_engine_fast_forwarded_cycles_total")
+        assert runs.value(mode=EVENT) == runs.value(mode=DENSE) == 1
+        # event mode steps the two ticking cycles and jumps the rest
+        assert steps.value(mode=EVENT) == 2
+        assert skipped.value(mode=EVENT) == 299
+        assert steps.value(mode=DENSE) == 2
+        assert skipped.value(mode=DENSE) == 0
+        # the trace shows the same jump as one fast-forward window
+        windows = [e for e in events if e.get("name") == "fast-forward"]
+        assert [w["args"]["cycles"] for w in windows] == [299]
+
+    def test_run_records_once_per_call_and_only_when_enabled(
+            self, monkeypatch):
+        from repro.telemetry import metrics
+
+        calls = []
+        monkeypatch.setattr(metrics, "absorb_engine_run",
+                            lambda *args: calls.append(args))
+        self._sleepy_run(EVENT)
+        assert calls == []
+        metrics.enable()
+        self._sleepy_run(EVENT)
+        assert calls == [(EVENT, 2, 299)]
 
 
 class TestCacheCounters:

@@ -3,11 +3,12 @@
 The on-disk cache is shared by the batch sweeps
 (:class:`~repro.eval.parallel.ParallelRunner`) and the serve layer,
 so a wrong key is served to *everyone*. These tests pin the KEY_SCHEMA
-v4 guarantees: two distinct parameter sets never share a key (the
+v5 guarantees: two distinct parameter sets never share a key (the
 collision grid sweeps the axes that historically mattered — backend,
-variant, cluster count, partitioner, HBM config), encoding is
-insensitive to dict order but sensitive to every value, and corrupt
-entries degrade to misses, never to wrong results or crashes.
+variant, cluster count, partitioner, HBM config — and sparse operands
+key on their content, not their shape), encoding is insensitive to
+dict order but sensitive to every value, and corrupt entries degrade
+to misses, never to wrong results or crashes.
 """
 
 import itertools
@@ -90,6 +91,32 @@ class TestCanonicalParams:
             a.astype(np.float32))
         assert canonical_params(a) != canonical_params(a.reshape(2, 4))
 
+    def test_sparse_operands_key_on_content(self):
+        """Same shape and nnz, different content: different encodings
+        (their reprs hold only shape and nnz)."""
+        from repro.formats import CsfTensor, SparseFiber
+        from repro.workloads import random_csr
+
+        one, two = (random_csr(8, 32, 64, seed=s) for s in (1, 2))
+        assert repr(one) == repr(two)
+        assert canonical_params(one) != canonical_params(two)
+        assert canonical_params(one) == canonical_params(
+            random_csr(8, 32, 64, seed=1))
+        fiber = SparseFiber([1, 5], [2.0, 3.0], dim=8)
+        assert canonical_params(fiber) != canonical_params(
+            SparseFiber([1, 6], [2.0, 3.0], dim=8))
+        assert canonical_params(fiber) == canonical_params(
+            SparseFiber([1, 5], [2.0, 3.0], dim=8))
+
+        def tensor(value):
+            return CsfTensor((2, 4), [[0, 1, 2]], [[0, 1], [3, 2]],
+                             [1.0, value])
+
+        assert canonical_params(tensor(2.0)) != canonical_params(
+            tensor(-2.0))
+        assert canonical_params(tensor(2.0)) == canonical_params(
+            tensor(2.0))
+
     def test_address_reprs_fall_back_to_pickled_hash(self):
         x = canonical_params(Opaque(1))
         assert " at 0x" not in x  # address-free: stable across runs
@@ -169,6 +196,20 @@ class TestPointKey:
         assert same == request_key(payload(tenant="b", priority=9))
         assert same != request_key(payload(backend="cycle"))
         assert len(same) == 64  # a point_key, same keyspace
+
+    def test_in_process_operands_key_on_content(self):
+        from repro.serve.protocol import request_key, validate_request
+        from repro.workloads import random_csr, random_dense_vector
+
+        x = random_dense_vector(32, seed=3)
+
+        def key(seed):
+            return request_key(validate_request({
+                "kernel": "csrmv", "operands": {
+                    "matrix": random_csr(8, 32, 64, seed=seed), "x": x}}))
+
+        assert key(1) != key(2)
+        assert key(1) == key(1)
 
 
 class TestPointCacheStore:

@@ -202,9 +202,16 @@ class TestCacheKeys:
     def test_key_ignores_tenant_priority_timeout_profile(self):
         base = validate_request(csrmv_payload())
         varied = validate_request(csrmv_payload(
-            tenant="other", priority=0, timeout=5.0, profile=True))
+            tenant="other", priority=0, timeout=5.0, profile=False))
         assert cache_params(base) == cache_params(varied)
         assert request_key(base) == request_key(varied)
+
+    def test_key_tracks_a_set_profile_flag(self):
+        """A profiled response carries a snapshot a plain one lacks,
+        so the two never share a dedupe identity."""
+        base = validate_request(csrmv_payload())
+        profiled = validate_request(csrmv_payload(profile=True))
+        assert request_key(base) != request_key(profiled)
 
     @pytest.mark.parametrize("override", [
         {"backend": "cycle"},

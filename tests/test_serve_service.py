@@ -21,7 +21,8 @@ from repro.errors import (
 )
 from repro.serve import ServeConfig, ServiceThread, TenantQuota
 from repro.serve.protocol import result_digest
-from repro.sim.profile import validate_report
+from repro.sim.engine import DEFAULT_MODE
+from repro.telemetry import validate_snapshot
 from repro.workloads import random_csr, random_dense_vector
 
 
@@ -71,6 +72,22 @@ class TestBitIdentity:
         assert response["digest"] == result_digest("vector", np.asarray(y))
         assert response["stats"]["cycles"] == stats.cycles
         assert response["cached"] is False
+
+    def test_in_process_operands_of_one_shape_keep_their_results(
+            self, serve):
+        """Two matrices of equal shape and nnz are two questions: the
+        second is not answered from the first one's cache entry."""
+        x = random_dense_vector(32, seed=9)
+        for seed in (1, 2):
+            matrix = random_csr(8, 32, 64, seed=seed)
+            response = serve.request({
+                "kernel": "csrmv", "backend": "compiled",
+                "operands": {"matrix": matrix, "x": x}})
+            _stats, y = api.run("csrmv", backend="compiled",
+                                variant="issr", matrix=matrix, x=x)
+            assert response["cached"] is False
+            assert response["digest"] == result_digest("vector",
+                                                       np.asarray(y))
 
     def test_served_result_array_is_bit_exact(self, serve):
         response = serve.request(csrmv_payload(seed=21))
@@ -196,17 +213,49 @@ class TestFaultInjection:
             service.submit_nowait(csrmv_payload(seed=72, inject="die"))
 
 
+def series_value(snapshot, name, **labels):
+    """The value of one counter/gauge series in a snapshot (None: absent)."""
+    for entry in snapshot["metrics"].get(name, {}).get("series", ()):
+        if entry["labels"] == labels:
+            return entry["value"]
+    return None
+
+
 class TestProfilePayload:
     def test_cycle_profile_validates_and_counts_ticks(self, serve):
         response = serve.request(csrmv_payload(seed=80, backend="cycle",
                                                profile=True))
-        report = validate_report(response["profile"])
-        assert report["engines"] >= 1
-        assert report["total_ticks"] > 0
+        snapshot = validate_snapshot(response["profile"])
+        # a fresh worker-side session: exactly this one kernel run
+        assert series_value(snapshot, "repro_kernel_runs_total",
+                            kernel="csrmv", backend="cycle") == 1
+        assert series_value(snapshot, "repro_engine_runs_total",
+                            mode=DEFAULT_MODE) >= 1
+        assert series_value(snapshot, "repro_engine_steps_total",
+                            mode=DEFAULT_MODE) > 0
 
     def test_profile_none_when_not_requested(self, serve):
         response = serve.request(csrmv_payload(seed=81))
         assert response["profile"] is None
+
+    @pytest.mark.parametrize("profiled_first", [False, True])
+    def test_profile_and_plain_twins_never_coalesce(self, serve,
+                                                    profiled_first):
+        """Identical requests differing only in ``profile`` each get
+        the payload they asked for, whichever is admitted first."""
+        seed = 82 + profiled_first
+        pair = [csrmv_payload(seed=seed),
+                csrmv_payload(seed=seed, profile=True)]
+        if profiled_first:
+            pair.reverse()
+        responses = serve.submit_many(pair)
+        if profiled_first:
+            responses.reverse()
+        plain, profiled = responses
+        assert plain["profile"] is None
+        validate_snapshot(profiled["profile"])
+        assert not plain["coalesced"] and not profiled["coalesced"]
+        assert plain["digest"] == profiled["digest"]
 
 
 class TestValidationAtTheDoor:

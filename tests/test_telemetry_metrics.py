@@ -229,21 +229,22 @@ class TestProcessSwitch:
         snap = DEFAULT.snapshot()["metrics"]
         assert "repro_program_cache_hits_total" in snap
 
-    def test_profile_totals_fold_into_engine_gauges(self):
-        from repro.isa import ProgramBuilder
-        from repro.sim import SingleCC, profile
+    def test_engine_totals_land_in_the_snapshot_without_a_flag(self):
+        """One cycle dispatch: engine totals beside its FPU utilization."""
+        from repro import api
+        from repro.workloads import random_csr, random_dense_vector
 
-        profile.enable()
-        try:
-            metrics.enable()
-            b = ProgramBuilder()
-            b.nop()
-            b.halt()
-            SingleCC().run(b.build())
-            snap = DEFAULT.snapshot()["metrics"]
-            assert snap["repro_engine_instances"]["series"][0][
-                "value"] >= 1
-            assert snap["repro_engine_ticks_total"]["series"][0][
-                "value"] > 0
-        finally:
-            profile.disable()
+        metrics.enable()
+        api.run("csrmv", backend="cycle", variant="issr",
+                matrix=random_csr(8, 64, 64, seed=3),
+                x=random_dense_vector(64, seed=4))
+        snap = validate_snapshot(DEFAULT.snapshot())["metrics"]
+
+        def value(name):
+            (entry,) = snap[name]["series"]
+            return entry["value"]
+
+        assert value("repro_engine_runs_total") >= 1
+        assert value("repro_engine_steps_total") > 0
+        assert value("repro_kernel_runs_total") == 1
+        assert value("repro_fpu_utilization") > 0

@@ -171,6 +171,22 @@ class TestSession:
         doc = json.loads(trace_out.read_text())
         assert doc["traceEvents"]
 
+    def test_eval_cli_writes_both_exports(self, tmp_path):
+        from repro.eval.__main__ import main
+
+        metrics_out = tmp_path / "metrics.json"
+        trace_out = tmp_path / "trace.json"
+        assert main(["E2", "--backend", "compiled",
+                     "--metrics-out", str(metrics_out),
+                     "--trace-out", str(trace_out)]) == 0
+        assert not telemetry.enabled()
+        snapshot = telemetry.validate_snapshot(
+            json.loads(metrics_out.read_text()))
+        (runs,) = snapshot["metrics"]["repro_kernel_runs_total"]["series"]
+        assert runs["labels"] == {"kernel": "csrmv", "backend": "compiled"}
+        assert runs["value"] > 0
+        assert "traceEvents" in json.loads(trace_out.read_text())
+
     def test_nested_sessions_share_one_recorder(self, tmp_path):
         with telemetry.session(tracing=True) as outer:
             with telemetry.session(tracing=True) as inner:
