@@ -99,7 +99,12 @@ class CompiledBackend(Backend):
 
     def _exec_csrmm(self, matrix, dense, variant, index_bits=32,
                     check=True):
-        """Lower the CsrMM program; run one fused pass per column."""
+        """Lower the CsrMM program; reduce all k columns in one pass.
+
+        The kernel iterates columns outer, but each column's rows replay
+        independently, so the closure takes the (nnz, k) products with
+        a trailing column axis and reproduces every column's order.
+        """
         from repro.kernels.csrmm import build_csrmm
 
         kernel = self._lower(build_csrmm, "csrmm", variant, index_bits)
@@ -107,12 +112,13 @@ class CompiledBackend(Backend):
         k = dense.shape[1]
         if k & (k - 1):
             raise ValueError(f"dense column count {k} must be a power of two")
-        gathered = dense[matrix.idcs]          # (nnz, k)
+        products = dense[matrix.idcs]          # (nnz, k)
+        np.multiply(matrix.vals[:, None], products, out=products)
         reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
-        out = np.empty((matrix.nrows, k), dtype=np.float64)
-        for c in range(k):                     # kernel iterates columns outer
-            products = matrix.vals * gathered[:, c]
-            out[:, c] = reducer(products, matrix.ptr, matrix.nrows)
+        # uniform ISSR rows come back as a strided view of their
+        # accumulators; callers get a contiguous (nrows, k) array
+        out = np.ascontiguousarray(
+            reducer(products, matrix.ptr, matrix.nrows))
         stats = csrmm_stats(matrix.row_lengths(), k, kernel.variant,
                             kernel.index_bits)
         return stats, out

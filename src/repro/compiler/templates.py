@@ -27,6 +27,7 @@ from repro.compiler.structure import recover_structure
 from repro.compiler.vectorize import (
     accumulate_rows,
     chain_rows,
+    settle_nan_rows,
     staggered_rows,
 )
 from repro.errors import LoweringError
@@ -113,7 +114,9 @@ class CompiledKernel:
         """Fused per-row reduction closure for one CSR shape class.
 
         ``closure(products, ptr, nrows)`` reduces the per-element
-        products into row results in this program's exact FP order.
+        products into row results in this program's exact FP order;
+        a trailing column axis on ``products`` (CsrMM's k columns)
+        carries through to the result.
         """
         fn = self._closures.get(shape_class)
         if fn is None:
@@ -130,8 +133,8 @@ def csr_shape_class(ptr):
     """The shape class of a CSR row partition.
 
     ``("uniform", L)`` when every row holds exactly ``L`` nonzeros —
-    the row loop specializes to straight vector passes with no
-    length-grouping scan; ``("general",)`` otherwise.
+    the row loop specializes to straight vector passes with no length
+    sort; ``("general",)`` otherwise (the length-sorted stepper).
     """
     lengths = np.diff(ptr)
     if len(lengths) and lengths.min() == lengths.max():
@@ -152,7 +155,7 @@ def _emit_row_reducer(kernel, shape_class):
     n_acc = kernel.n_acc
     if length == 0:
         def empty(products, ptr, nrows):
-            return np.zeros(nrows, dtype=np.float64)
+            return np.zeros((nrows,) + products.shape[1:], dtype=np.float64)
 
         return empty
     if variant in (BASE, SSR) or length < n_acc:
@@ -160,13 +163,15 @@ def _emit_row_reducer(kernel, shape_class):
 
         def uniform_chain(products, ptr, nrows):
             starts = np.asarray(ptr[:-1], dtype=np.int64)
-            return chain_rows(products, starts, length, from_zero)
+            out = chain_rows(products, starts, length, from_zero)
+            return settle_nan_rows(out, products, ptr, variant, index_bits)
 
         return uniform_chain
 
     def uniform_staggered(products, ptr, nrows):
         starts = np.asarray(ptr[:-1], dtype=np.int64)
-        return staggered_rows(products, starts, length, n_acc)
+        out = staggered_rows(products, starts, length, n_acc)
+        return settle_nan_rows(out, products, ptr, variant, index_bits)
 
     return uniform_staggered
 

@@ -15,8 +15,13 @@ orders differ per variant (§III-B, Listing 1):
   (product ``n_acc + i`` lands on accumulator ``i % n_acc``), then
   combine with the same balanced fadd tree the kernel emits.
 
-Rows are processed grouped by nonzero count, so the work is a small
-number of NumPy passes regardless of the matrix size.
+Ragged rows replay in one length-sorted ("jagged-diagonal") pass,
+so the work is one vector update per row position and the element
+work equals the nonzero count, however skewed the row lengths are.
+A trailing column axis on the products (CsrMM's k columns) rides the
+same pass. The last few rows' tails, and rows holding a NaN product,
+finish in Python floats instead, which also pins the NaN payload
+(:func:`settle_nan_rows`).
 """
 
 import numpy as np
@@ -27,7 +32,8 @@ from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
 def tree_reduce(acc):
     """The kernel's balanced fadd tree over accumulator columns.
 
-    ``acc`` has shape (rows, n_acc); reduces into column 0 with the
+    ``acc`` has shape (rows, n_acc) or (rows, n_acc, k), a trailing
+    axis holding independent columns; reduces into column 0 with the
     exact pairing of ``emit_tree_reduction``.
     """
     count = acc.shape[1]
@@ -67,112 +73,171 @@ def staggered_rows(products, starts, length, n_acc):
     return tree_reduce(acc)
 
 
-def _chain_rows_ragged(padded, lengths, from_zero):
-    """Masked left-to-right chains over one padded row block.
+#: Live rows below which a position's products come from one up-front
+#: gather into step order instead of a gather per position.
+_NARROW_ROWS = 64
 
-    ``padded`` holds each row's products left-justified; positions at
-    or past the row's length are junk and are frozen out with
-    ``np.where``, so every row sees exactly its own accumulation
-    chain — the same per-row op order as :func:`chain_rows`, without
-    one Python-level pass per distinct row length.
-    """
-    acc = padded[:, 0] + 0.0 if from_zero else padded[:, 0].copy()
-    # Positions below the shortest row need no mask: every row is
-    # still accumulating there, so the where (and its bool temp) is
-    # pure overhead for the dense prefix.
-    min_len = int(lengths.min())
-    for j in range(1, min_len):
-        acc = padded[:, j] + acc
-    for j in range(max(min_len, 1), padded.shape[1]):
-        acc = np.where(j < lengths, padded[:, j] + acc, acc)
-    return acc
-
-
-def _staggered_rows_ragged(padded, lengths, n_acc):
-    """Masked ISSR long-row order over one padded row block.
-
-    Every row in the block has ``length >= n_acc``; shorter and longer
-    rows share the block, with each row's staggered FREP cut off at
-    its own length (junk updates are masked away before they land).
-    """
-    acc = padded[:, :n_acc].copy()
-    total = padded.shape[1] - n_acc
-    # Unmasked dense prefix: below the shortest row's length every
-    # row's FREP is still running, so no freeze-out is needed.
-    live = min(int(lengths.min()) - n_acc, total)
-    for i in range(live):
-        k = i % n_acc
-        acc[:, k] = padded[:, n_acc + i] + acc[:, k]
-    for i in range(max(live, 0), total):
-        k = i % n_acc
-        acc[:, k] = np.where(n_acc + i < lengths,
-                             padded[:, n_acc + i] + acc[:, k], acc[:, k])
-    return tree_reduce(acc)
-
-
-#: Padded-block memory cap: fall back to per-length grouping when the
-#: dense (rows x max_length) product table would exceed this multiple
-#: of the actual nonzero count (degenerately skewed rows).
-_PAD_WASTE_FACTOR = 8
+#: Live rows at or below which the remaining row tails finish in Python
+#: floats: a NumPy call per position costs more than a few scalar adds.
+_TAIL_ROWS = 4
 
 
 def accumulate_rows(products, ptr, variant, index_bits):
     """Per-row reduction of ``products`` in the kernel's exact order.
 
-    Rows are reduced together in one padded masked pass bounded by the
-    longest row — O(max row length) vectorized steps total, instead of
-    one Python pass per distinct row length — with bit-identical
-    per-row accumulation order. Degenerately skewed matrices (one huge
-    row amid many short ones) fall back to the per-length grouping so
-    the padded table cannot blow up memory.
+    ``products`` is (nnz,) or (nnz, k): a trailing axis replays k
+    independent columns in the same pass, and the result is (nrows,)
+    or (nrows, k). Rows are sorted longest first, so the rows still
+    accumulating at position ``j`` are a prefix ``c`` of that order
+    and each position is one in-place ``np.add(p, acc[:c])``: the
+    element work equals nnz however skewed the row lengths are.
+    Positions with many live rows gather straight from CSR order, the
+    suffix with fewer than ``_NARROW_ROWS`` is gathered once in step
+    order, and the last ``_TAIL_ROWS`` rows finish in Python floats
+    (:func:`_chain_lanes`, which also replays NaN rows). Extra memory
+    stays O(nrows + narrow nnz).
     """
-    lengths = np.diff(ptr)
-    nrows = len(lengths)
-    y = np.zeros(nrows, dtype=np.float64)
-    if nrows == 0:
-        return y
-    starts_all = np.asarray(ptr[:-1], dtype=np.int64)
+    lengths = np.diff(np.asarray(ptr, dtype=np.int64))
+    out = np.zeros((len(lengths),) + products.shape[1:], dtype=np.float64)
+    n_live = int(np.count_nonzero(lengths))
+    if n_live == 0:
+        return out
+    order = np.argsort(-lengths)[:n_live]
+    sorted_len = lengths[order]
+    starts = np.asarray(ptr[:-1], dtype=np.int64)[order]
+    max_len = int(sorted_len[0])
+    # live[j]: rows holding more than j products (a prefix of the order)
+    live = n_live - np.cumsum(np.bincount(sorted_len))[:max_len]
+    counts = live.tolist()
+    n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
+    n_long = int(np.count_nonzero(sorted_len >= n_acc))
+    acc = np.zeros((n_acc, n_live) + products.shape[1:], dtype=np.float64)
+    index = np.empty(n_live, dtype=np.int64)
+    step = np.empty((n_live,) + products.shape[1:], dtype=np.float64)
+
+    def gather(j):
+        """Products at position ``j`` of the live prefix (CSR order)."""
+        c = counts[j]
+        np.add(starts[:c], j, out=index[:c])
+        # every index is in range; mode="raise" would buffer ``out``
+        return np.take(products, index[:c], axis=0, out=step[:c],
+                       mode="clip")
+
+    first = 0
+    if variant == ISSR:
+        # Unrolled init: long rows load accumulator j with product j;
+        # short rows (fewer than n_acc products) chain from product 0.
+        for j in range(min(n_acc, max_len)):
+            p = gather(j)
+            if j == 0:
+                acc[0, :len(p)] = p
+                continue
+            acc[j, :n_long] = p[:n_long]
+            chain = acc[0, n_long:len(p)]
+            np.add(p[n_long:], chain, out=chain)
+        first = n_acc
+    # ``live`` never grows: wide positions, the narrow suffix, the tail.
+    narrow = max(first, int(np.searchsorted(-live, -_NARROW_ROWS, "right")))
+    tail = max(first, int(np.searchsorted(-live, -_TAIL_ROWS, "left")))
+    for j in range(first, narrow):
+        a = acc[j % n_acc, :counts[j]]
+        np.add(gather(j), a, out=a)
+    if narrow < tail:
+        steps = live[narrow:tail]
+        bounds = np.cumsum(steps)
+        rank = np.arange(bounds[-1]) - np.repeat(bounds - steps, steps)
+        rank = starts[rank] + np.repeat(np.arange(narrow, tail), steps)
+        gathered = np.take(products, rank, axis=0)
+        lo = 0
+        for j, hi in zip(range(narrow, tail), bounds.tolist()):
+            a = acc[j % n_acc, :hi - lo]
+            np.add(gathered[lo:hi], a, out=a)
+            lo = hi
+    for r in range(counts[tail] if tail < max_len else 0):
+        seg = products[starts[r] + tail:starts[r] + sorted_len[r]]
+        seg = seg.reshape(len(seg), -1)
+        nan = np.isnan(seg).any(axis=0)  # settle_nan_rows replays these
+        lanes = acc[:, r].reshape(n_acc, -1)  # a view: writes land
+        for col, rest in enumerate(seg.T.tolist()):
+            if not nan[col]:
+                lanes[:, col] = _chain_lanes(rest, lanes[:, col].tolist(),
+                                             tail)
+    if n_acc > 1:
+        tree_reduce(np.moveaxis(acc[:, :n_long], 0, 1))
+    out[order] = acc[0]
+    return settle_nan_rows(out, products, ptr, variant, index_bits)
+
+
+def _fadd(x, y):
+    """``x + y`` with the replay's NaN rule: ``x``'s NaN wins."""
+    return x + x if x != x else x + y
+
+
+def _chain_lanes(rest, accs, j):
+    """Chain a row's products at positions ``j`` and up onto ``accs``.
+
+    ``rest`` and ``accs`` are lists of Python floats. Product ``i`` of
+    the row lands on accumulator ``i % len(accs)``, so each accumulator
+    chains a strided slice of ``rest`` as ``p + a``. Under the NaN rule
+    a NaN product replaces the accumulator whatever NaN it held, and
+    only a later NaN product changes it again, so an accumulator that
+    ends NaN ends as its last NaN product, if it met one.
+    """
+    n = len(accs)
+    for q in range(n):
+        lane = rest[(q - j) % n::n]
+        a = accs[q]
+        for p in lane:
+            a = p + a
+        if a != a:
+            a = next((p + p for p in reversed(lane) if p != p), a)
+        accs[q] = a
+    return accs
+
+
+def _replay_row(row, n_acc):
+    """One row's reduction in Python floats (``n_acc`` 0: BASE/SSR)."""
+    if not row:
+        return 0.0
+    if n_acc == 0:  # cleared accumulator, then MACs
+        return _chain_lanes(row, [0.0], 0)[0]
+    if len(row) < n_acc:  # short row: fmul, then a chain
+        return _chain_lanes(row[1:], [row[0]], 1)[0]
+    accs = _chain_lanes(row[n_acc:], row[:n_acc], n_acc)
+    stride = 1  # the kernel's balanced fadd tree
+    while stride < n_acc:
+        for i in range(0, n_acc - stride, 2 * stride):
+            accs[i] = _fadd(accs[i], accs[i + stride])
+        stride *= 2
+    return accs[0]
+
+
+def settle_nan_rows(out, products, ptr, variant, index_bits):
+    """Re-derive every row that holds a NaN product; returns ``out``.
+
+    IEEE-754 leaves open which payload ``NaN + NaN`` keeps. The replay
+    pins one rule: the left operand's (the product's) payload wins,
+    which is what this CPython build's specialized float add does.
+    NumPy promises no rule: on x86 its vector lanes keep the first
+    operand's and its scalar remainder loops the second's, so a
+    vectorized row's payload would depend on where the row fell in the
+    array. Only a row with a NaN product can meet two different NaNs
+    (``inf - inf`` always yields the same one), so those rows, and only
+    those, are replayed in Python floats with the rule applied.
+    """
+    nan = np.isnan(products)
+    if not nan.any():
+        return out
+    target = out
+    if products.ndim == 1:  # a unit column axis, as views
+        products, nan, target = products[:, None], nan[:, None], out[:, None]
     n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 0
-    max_len = int(lengths.max())
-    if max_len == 0:
-        return y
-    if nrows * max_len > max(_PAD_WASTE_FACTOR * len(products), 4096):
-        return _accumulate_rows_grouped(products, lengths, starts_all, y,
-                                        variant, n_acc)
-    cols = starts_all[:, None] + np.arange(max_len)
-    np.clip(cols, 0, len(products) - 1, out=cols)  # junk lanes, masked off
-    padded = products[cols]
-    if variant in (BASE, SSR):
-        live = np.nonzero(lengths > 0)[0]
-        y[live] = _chain_rows_ragged(padded[live], lengths[live],
-                                     from_zero=True)
-        return y
-    short = np.nonzero((lengths > 0) & (lengths < n_acc))[0]
-    if len(short):
-        y[short] = _chain_rows_ragged(padded[short], lengths[short],
-                                      from_zero=False)
-    long = np.nonzero(lengths >= n_acc)[0]
-    if len(long):
-        y[long] = _staggered_rows_ragged(padded[long], lengths[long], n_acc)
-    return y
-
-
-def _accumulate_rows_grouped(products, lengths, starts_all, y, variant,
-                             n_acc):
-    """Per-distinct-length grouping (the skew-safe fallback path)."""
-    for length in np.unique(lengths):
-        length = int(length)
-        if length == 0:
-            continue
-        rows = np.nonzero(lengths == length)[0]
-        starts = starts_all[rows]
-        if variant in (BASE, SSR):
-            y[rows] = chain_rows(products, starts, length, from_zero=True)
-        elif length < n_acc:
-            y[rows] = chain_rows(products, starts, length, from_zero=False)
-        else:
-            y[rows] = staggered_rows(products, starts, length, n_acc)
-    return y
+    where, cols = np.nonzero(nan)
+    rows = np.searchsorted(ptr, where, side="right") - 1
+    for r, col in set(zip(rows.tolist(), cols.tolist())):
+        target[r, col] = _replay_row(
+            products[ptr[r]:ptr[r + 1], col].tolist(), n_acc)
+    return out
 
 
 def masked_products(a_idcs, a_vals, b_idcs, b_vals):

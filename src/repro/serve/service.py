@@ -383,7 +383,12 @@ class Service:
         batching hint. Death handling lives entirely in the per-worker
         receiver: a failed send leaves the record pending, the
         receiver's recv fails on the same dead pipe, and one path
-        reclaims/respawns/requeues.
+        reclaims/respawns/requeues. So a worker that died while idle
+        stays eligible: the batch it gets is how its death is found.
+        Only a worker whose pipe the death handler has closed is
+        skipped: while its respawn is awaited, a batch sent to it would
+        land in ``_pending`` after the handler's snapshot and wait on
+        the replacement forever; the respawn sets ``_work_event`` again.
         """
         depth = max(1, self.config.pipeline_depth)
         while self._running:
@@ -391,7 +396,7 @@ class Service:
             self._work_event.clear()
             while self._running and self.scheduler.has_work():
                 eligible = [w for w in self.pool.workers
-                            if w.inflight < depth]
+                            if w.inflight < depth and not w.conn.closed]
                 if not eligible:
                     break
                 eligible.sort(key=lambda w: (w.inflight, w.index))
@@ -571,6 +576,10 @@ class Service:
     async def _handle_worker_death(self, index):
         """Reclaim, respawn, and retry after worker ``index`` died."""
         worker = self.pool.workers[index]
+        # Close the pipe before the first await: the dispatch loop skips
+        # closed pipes, so no batch can reach this worker and miss the
+        # snapshot below while the respawn is awaited.
+        worker.conn.close()
         records = list(self._pending[index])
         self._pending[index].clear()
         for record in records:

@@ -119,6 +119,20 @@ class TestCsrmmParity:
         assert_cycles_close(s_comp.cycles, s_cyc.cycles)
         assert s_comp.fpu_mac_ops == s_cyc.fpu_mac_ops
 
+    @pytest.mark.parametrize("variant,bits", ALL_KERNELS)
+    def test_uniform_rows(self, backends, variant, bits):
+        """The uniform closures' (nrows, k) result comes back contiguous."""
+        rng = np.random.default_rng(9)
+        idcs = np.concatenate([np.sort(rng.choice(64, 12, replace=False))
+                               for _ in range(16)])
+        matrix = CsrMatrix(np.arange(0, 17 * 12, 12), idcs,
+                           rng.standard_normal(len(idcs)), (16, 64))
+        dense = random_dense_matrix(64, 4, seed=10)
+        results = [b.run("csrmm", variant=variant, index_bits=bits,
+                         matrix=matrix, dense=dense)[1] for b in backends]
+        assert results[1].flags.c_contiguous
+        assert results[0].tobytes() == results[1].tobytes()
+
     def test_non_power_of_two_rejected(self, backends):
         _, comp = backends
         matrix = random_csr(4, 16, 8, seed=1)
@@ -180,6 +194,78 @@ class TestNonFiniteOperands:
                    for b in backends]
         assert (np.float64(results[0]).tobytes()
                 == np.float64(results[1]).tobytes())
+
+
+with np.errstate(invalid="ignore"):
+    #: ``inf - inf``: a NaN whose payload differs from ``np.nan``'s.
+    DEFAULT_NAN = np.float64(np.inf) - np.float64(np.inf)
+
+#: Specials that can meet in one row without two NaN payloads: NaN
+#: with the finite specials, or the infinities (whose ``inf - inf``
+#: makes :data:`DEFAULT_NAN`) with :data:`DEFAULT_NAN` itself.
+ONE_PAYLOAD_GROUPS = ((np.nan, -0.0, 5e-324),
+                      (DEFAULT_NAN, np.inf, -np.inf, -0.0))
+
+
+def skewed_salted_matrix(seed):
+    """One 200-nnz row among short ones; every row past 0 is salted.
+
+    Each row draws its specials from one of
+    :data:`ONE_PAYLOAD_GROUPS` and the dense operand stays finite, so
+    no row meets two different NaN payloads. Which payload
+    ``NaN + NaN`` keeps is not pinned by IEEE-754, and the cycle
+    engine's FPU inherits whatever its interpreter's float add does
+    (see ROADMAP), so the test measures the reduction order alone.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(0, 7, size=24)
+    lengths[5] = 200
+    ncols = 256
+    idcs = np.concatenate([np.sort(rng.choice(ncols, n, replace=False))
+                           for n in lengths])
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    vals = rng.standard_normal(len(idcs))
+    for row, length in enumerate(lengths[1:].tolist(), start=1):
+        group = np.array(ONE_PAYLOAD_GROUPS[rng.integers(2)])
+        count = min(length, 12 if length > 8 else 2)
+        where = ptr[row] + rng.choice(length, size=count, replace=False)
+        vals[where] = rng.choice(group, size=count)
+    return CsrMatrix(ptr, idcs, vals, (len(lengths), ncols))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf etc.
+class TestSkewedReplayParity:
+    """Cycle and compiled agree byte for byte on a skewed, salted matrix."""
+
+    SERIES = [("base", 32), ("ssr", 32), ("issr", 32), ("issr", 16)]
+
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_csrmv(self, backends, variant, bits):
+        matrix = skewed_salted_matrix(21)
+        x = random_dense_vector(matrix.ncols, seed=22)
+        results = [b.run("csrmv", variant=variant, index_bits=bits,
+                         matrix=matrix, x=x)[1] for b in backends]
+        assert np.isnan(results[0]).any()
+        assert results[0].tobytes() == results[1].tobytes()
+
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_csrmm(self, backends, variant, bits):
+        matrix = skewed_salted_matrix(23)
+        dense = random_dense_matrix(matrix.ncols, 4, seed=24)
+        results = [b.run("csrmm", variant=variant, index_bits=bits,
+                         matrix=matrix, dense=dense)[1] for b in backends]
+        assert results[1].shape == (matrix.nrows, 4)
+        assert np.isnan(results[0]).any()
+        assert results[0].tobytes() == results[1].tobytes()
+
+    def test_all_empty_csrmm_returns_k_columns(self, backends):
+        matrix = CsrMatrix(np.zeros(6, dtype=np.int64), [], [], (5, 16))
+        dense = random_dense_matrix(16, 4, seed=25)
+        _stats, out = backends[1].run("csrmm", variant="issr",
+                                      index_bits=16, matrix=matrix,
+                                      dense=dense)
+        assert out.shape == (5, 4)
+        assert out.tobytes() == np.zeros((5, 4)).tobytes()
 
 
 class TestTtvParity:

@@ -213,6 +213,163 @@ class TestFaultInjection:
             service.submit_nowait(csrmv_payload(seed=72, inject="die"))
 
 
+class _StubPipe:
+    """A pipe end that is only open or closed."""
+
+    def __init__(self, closed=False):
+        self.closed = closed
+
+    def close(self):
+        self.closed = True
+
+
+class _StubProcess:
+    """A worker process that has either exited or keeps running."""
+
+    pid = 0
+
+    def __init__(self, running):
+        self.running = running
+
+    def is_alive(self):
+        return self.running
+
+
+class _StubScheduler:
+    """Hands out prepared batches, one per ``next_batch`` call."""
+
+    def __init__(self, batches):
+        self.batches = list(batches)
+
+    def has_work(self):
+        return bool(self.batches)
+
+    def queued_classes(self):
+        return []
+
+    def next_batch(self, prefer_class=None):
+        return self.batches.pop(0) if self.batches else []
+
+
+def stub_worker(index, inflight=0, running=True, pipe_closed=False):
+    """A pool slot with a fixed load, process state and pipe state."""
+    from repro.serve.pool import Worker
+
+    worker = Worker(index, _StubProcess(running), _StubPipe(pipe_closed))
+    worker.inflight = inflight
+    return worker
+
+
+def dispatch_once(tmp_path, workers, batches):
+    """Run one round of ``Service._dispatch_loop``; returns the sends."""
+    import asyncio
+
+    from repro.serve.service import Service
+
+    service = Service(ServeConfig(workers=len(workers),
+                                  cache_dir=str(tmp_path), use_cache=False))
+    service.pool.workers = workers
+    service.scheduler = _StubScheduler(batches)
+    sent = []
+
+    def record(worker, batch):
+        sent.append((worker.index, batch))
+        worker.inflight += 1
+
+    service._dispatch_batch = record
+
+    async def one_round():
+        service._work_event = asyncio.Event()
+        service._running = True
+        task = asyncio.get_running_loop().create_task(
+            service._dispatch_loop())
+        service._work_event.set()
+        for _ in range(5):
+            await asyncio.sleep(0)
+        service._running = False
+        service._work_event.set()
+        await task
+
+    try:
+        asyncio.run(one_round())
+    finally:
+        service._recv_executor.shutdown(wait=False)
+    return sent, service.scheduler
+
+
+class TestDispatchEligibility:
+    """Only a worker whose pipe the death handler closed gets no batch.
+
+    During its respawn a batch sent to it would be appended to its
+    pending queue after the handler's snapshot and then wait on the
+    replacement forever. A worker that died while idle keeps its open
+    pipe and stays eligible: the batch it gets is how the service
+    finds the death and respawns it.
+    """
+
+    def test_worker_with_a_closed_pipe_is_skipped(self, tmp_path):
+        workers = [stub_worker(0, pipe_closed=True),
+                   stub_worker(1, inflight=1)]
+        sent, _ = dispatch_once(tmp_path, workers, [["batch"]])
+        assert sent == [(1, ["batch"])]
+
+    def test_no_batch_leaves_while_the_only_pipe_is_closed(self, tmp_path):
+        workers = [stub_worker(0, pipe_closed=True)]
+        sent, scheduler = dispatch_once(tmp_path, workers, [["batch"]])
+        assert sent == []
+        assert scheduler.has_work()
+
+    def test_exited_worker_with_an_open_pipe_gets_the_batch(self, tmp_path):
+        workers = [stub_worker(0, running=False),
+                   stub_worker(1, inflight=1)]
+        sent, _ = dispatch_once(tmp_path, workers, [["batch"]])
+        assert sent == [(0, ["batch"])]
+
+    def test_pipe_stays_closed_for_the_whole_respawn(self, tmp_path):
+        """Its process may still poll alive; its pipe is closed first."""
+        import asyncio
+
+        from repro.serve.service import Service
+
+        service = Service(ServeConfig(workers=1, cache_dir=str(tmp_path),
+                                      use_cache=False))
+        service.pool.workers = [stub_worker(0)]
+        seen = []
+        service.pool.respawn = lambda worker: seen.append(worker.conn.closed)
+
+        async def die():
+            service._loop = asyncio.get_running_loop()
+            service._work_event = asyncio.Event()
+            await service._handle_worker_death(0)
+
+        try:
+            asyncio.run(die())
+        finally:
+            service._recv_executor.shutdown(wait=False)
+        assert seen == [True]
+
+    def test_idle_worker_killed_from_outside_is_respawned(self, tmp_path):
+        """The lone worker dies idle and is reaped; a request still runs."""
+        import os
+        import signal
+
+        config = ServeConfig(workers=1, backends=("compiled",),
+                             cache_dir=str(tmp_path), use_cache=False)
+        thread = ServiceThread(config).start()
+        try:
+            process = thread.service.pool.workers[0].process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+            assert not process.is_alive()
+            response = thread.request(csrmv_payload(seed=73),
+                                      wait_timeout=30)
+            assert response["ok"]
+            assert response["attempts"] == 2
+            assert thread.stats()["pool"]["respawns"] == 1
+        finally:
+            thread.stop()
+
+
 def series_value(snapshot, name, **labels):
     """The value of one counter/gauge series in a snapshot (None: absent)."""
     for entry in snapshot["metrics"].get(name, {}).get("series", ()):
