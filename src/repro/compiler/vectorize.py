@@ -27,6 +27,7 @@ finish in Python floats instead, which also pins the NaN payload
 import numpy as np
 
 from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
+from repro.snitch.fpu import fadd
 
 
 def tree_reduce(acc):
@@ -168,11 +169,6 @@ def accumulate_rows(products, ptr, variant, index_bits):
     return settle_nan_rows(out, products, ptr, variant, index_bits)
 
 
-def _fadd(x, y):
-    """``x + y`` with the replay's NaN rule: ``x``'s NaN wins."""
-    return x + x if x != x else x + y
-
-
 def _chain_lanes(rest, accs, j):
     """Chain a row's products at positions ``j`` and up onto ``accs``.
 
@@ -207,7 +203,7 @@ def _replay_row(row, n_acc):
     stride = 1  # the kernel's balanced fadd tree
     while stride < n_acc:
         for i in range(0, n_acc - stride, 2 * stride):
-            accs[i] = _fadd(accs[i], accs[i + stride])
+            accs[i] = fadd(accs[i], accs[i + stride])
         stride *= 2
     return accs[0]
 
@@ -216,8 +212,8 @@ def settle_nan_rows(out, products, ptr, variant, index_bits):
     """Re-derive every row that holds a NaN product; returns ``out``.
 
     IEEE-754 leaves open which payload ``NaN + NaN`` keeps. The replay
-    pins one rule: the left operand's (the product's) payload wins,
-    which is what this CPython build's specialized float add does.
+    pins the FPU's rule (:func:`repro.snitch.fpu.fadd`): the left
+    operand's (the product's) payload wins.
     NumPy promises no rule: on x86 its vector lanes keep the first
     operand's and its scalar remainder loops the second's, so a
     vectorized row's payload would depend on where the row fell in the

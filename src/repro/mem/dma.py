@@ -120,6 +120,13 @@ class Dma:
     in per-bank arbitration with the core ports (see
     :meth:`repro.mem.tcdm.Tcdm.dma_submit`); words that lose retry on
     following cycles, so a congested beat completes partially.
+
+    A beat word is the list ``[bank, src_words, src, dst_words, dst,
+    done]``: its TCDM bank, the source and destination storage windows
+    (:meth:`~repro.mem.memory.WordMemory.window`, range-checked once
+    per beat) with the word's index in each, and whether it has moved.
+    Only this class reads or writes one: the TCDM sees a word only as
+    the value it hands back to :meth:`_grant`.
     """
 
     _q_state = 0
@@ -171,20 +178,22 @@ class Dma:
                                        rows, src_stride, dst_stride, on_done))
 
     def tick(self):
-        all_ops = []
+        words = {}  # bank -> word; OUT's word wins a bank both want
         progressed = False
         for direction in (IN, OUT):
             queue = self._queues[direction]
             beat = self._beat[direction]
-            # Harvest last cycle's beat; advance the transfer when done.
-            if beat is not None and all(op[2] for op in beat):
-                self._advance(direction)
-                beat = None
+            if beat is not None:
+                # Harvest last cycle's grants; advance the transfer once
+                # the whole beat has moved.
+                ops = [word for word in beat if not word[5]]
+                if not ops:
+                    self._advance(direction)
+                    beat = None
             if beat is None and queue:
-                beat = self._build_beat(queue[0], direction)
+                ops = beat = self._build_beat(queue[0], direction)
                 self._beat[direction] = beat
             if beat is not None:
-                ops = [op for op in beat if not op[2]]
                 progressed = True
                 if ops and self.fabric is not None:
                     # claim each direction separately so a narrowed
@@ -193,9 +202,10 @@ class Dma:
                     granted = self.fabric.claim(self, len(ops), direction)
                     self.fabric_stall_words += len(ops) - granted
                     ops = ops[:granted]
-                all_ops.extend(ops)
-        if all_ops:
-            self.tcdm.dma_submit(all_ops)
+                for word in ops:
+                    words[word[0]] = word
+        if words:
+            self.tcdm.dma_submit(words, self._grant)
         if not progressed:
             return IDLE  # both channels drained; submit() wakes us
         self.busy_cycles += 1
@@ -203,30 +213,27 @@ class Dma:
         return None
 
     def _build_beat(self, xfer, direction):
-        """Decompose one cycle's worth of ``xfer`` into word-level ops."""
+        """Decompose one cycle's worth of ``xfer`` into beat words."""
         count = min(BEAT_WORDS, xfer.row_words - xfer._word)
-        src_base = xfer.src + xfer._row * xfer.src_stride + xfer._word * 8
-        dst_base = xfer.dst + xfer._row * xfer.dst_stride + xfer._word * 8
-        ops = []
-        for k in range(count):
-            src = src_base + 8 * k
-            dst = dst_base + 8 * k
-            if direction == IN:
-                tcdm_addr = dst
-                mover = self._make_mover(self.mainmem.storage, src,
-                                         self.tcdm.storage, dst)
-            else:
-                tcdm_addr = src
-                mover = self._make_mover(self.tcdm.storage, src,
-                                         self.mainmem.storage, dst)
-            ops.append([tcdm_addr, mover, False])
-        return ops
+        src = xfer.src + xfer._row * xfer.src_stride + xfer._word * 8
+        dst = xfer.dst + xfer._row * xfer.dst_stride + xfer._word * 8
+        tcdm, main = self.tcdm.storage, self.mainmem.storage
+        if direction == IN:
+            src_mem, dst_mem, tcdm_addr = main, tcdm, dst
+        else:
+            src_mem, dst_mem, tcdm_addr = tcdm, main, src
+        src_words, s = src_mem.window(src, count)
+        dst_words, d = dst_mem.window(dst, count)
+        bank_of = self.tcdm.bank_of
+        return [[bank_of(tcdm_addr + 8 * k), src_words, s + k, dst_words,
+                 d + k, False] for k in range(count)]
 
-    def _make_mover(self, src_mem, src, dst_mem, dst):
-        def move():
-            dst_mem.store(dst, 8, src_mem.load(src, 8))
-            self.words_moved += 1
-        return move
+    def _grant(self, word):
+        """The TCDM granted ``word``'s bank: move it."""
+        _bank, src_words, s, dst_words, d, _done = word
+        dst_words[d] = src_words[s]
+        word[5] = True
+        self.words_moved += 1
 
     def _advance(self, direction):
         """The current beat completed: step the transfer descriptor."""

@@ -8,8 +8,9 @@ that the DMA engine enforces (8 words per cycle per direction).
 
 from repro.mem.memory import WordMemory
 
-#: Default main memory capacity for experiments (words are lazy Python
-#: objects, so this costs little until touched).
+#: Default main memory capacity for experiments. Storage grows as words
+#: are allocated or stored (see :mod:`repro.mem.memory`), so the
+#: declared size is only the bound: it costs nothing until touched.
 DEFAULT_SIZE = 64 * 1024 * 1024
 
 

@@ -66,9 +66,15 @@ class Port:
 
     def request(self, addr, size, is_write, value=None, sink=None, tag=None, signed=False):
         """Place a request; the port must be idle. Wakes the server."""
+        self.forward(MemRequest(addr, size, is_write, value, sink, tag, signed))
+
+    def forward(self, req):
+        """Place an existing :class:`MemRequest` (an arbiter passing a
+        slot's request downstream); the port must be idle. Wakes the
+        server."""
         if self.req is not None:
             raise SimulationError(f"port {self.name}: request while busy")
-        self.req = MemRequest(addr, size, is_write, value, sink, tag, signed)
+        self.req = req
         server = self.server
         if server is not None and server._q_state:
             self.engine.wake(server)
@@ -129,9 +135,7 @@ class SharedPort:
                 i = (self._rr + k) % n
                 slot = self.slots[i]
                 if slot.req is not None:
-                    req = slot.take()
-                    self.port.request(req.addr, req.size, req.is_write,
-                                      req.value, req.sink, req.tag, req.signed)
+                    self.port.forward(slot.take())
                     self._rr = (i + 1) % n
                     break
         pending = False

@@ -40,18 +40,17 @@ class Tcdm:
         self.latency = latency
         self.name = name
         self.ports = []
-        self._port_index = {}
         self._rr = {}
         self.conflict_cycles = 0
         self.dma_beats = 0
-        self._dma_ops = []        # word-level DMA ops submitted this cycle
+        self._dma_words = None    # bank -> DMA word submitted this cycle
+        self._dma_grant = None    # the DMA's callback moving a won word
         self._dma_last_won = {}   # bank -> DMA won last contested cycle
 
     def new_port(self, name):
         port = Port(f"{self.name}.{name}")
         port.engine = self.engine
         port.server = self
-        self._port_index[id(port)] = len(self.ports)
         self.ports.append(port)
         self._rr = {}  # reset arbitration state on topology change
         return port
@@ -61,73 +60,87 @@ class Tcdm:
 
     # -- DMA wide access ------------------------------------------------
 
-    def dma_submit(self, ops):
-        """Submit word-level DMA operations for this cycle's arbitration.
+    def dma_submit(self, words, grant):
+        """Submit this cycle's DMA words for per-bank arbitration.
 
-        Each op is a mutable triple ``[addr, move_fn, done]``; ops whose
-        bank wins arbitration have ``move_fn()`` executed and ``done``
-        set. DMA and core ports alternate on contested banks — the DMA
-        is a peer in round-robin arbitration, not a preemptor.
+        ``words`` maps a bank to the DMA's word for it (opaque here);
+        a word whose bank wins is handed to ``grant(word)``, which
+        moves it. DMA and core ports alternate on contested banks — the
+        DMA is a peer in round-robin arbitration, not a preemptor.
         """
-        self._dma_ops = ops
+        self._dma_words = words
+        self._dma_grant = grant
         self.dma_beats += 1
         self.engine.wake(self)
 
     # -- arbitration ----------------------------------------------------
 
     def tick(self):
-        dma_ops = self._dma_ops
-        self._dma_ops = []
-        pending = {}
-        for port in self.ports:
-            if port.req is not None:
-                pending.setdefault(self.bank_of(port.req.addr), []).append(port)
-        if not pending and not dma_ops:
-            return IDLE
-
-        dma_by_bank = {}
-        for op in dma_ops:
-            dma_by_bank[self.bank_of(op[0])] = op
-
-        grant_cycle = self.engine.cycle
-        for bank in set(pending) | set(dma_by_bank):
-            ports = pending.get(bank)
-            dma_op = dma_by_bank.get(bank)
-            if dma_op is not None and ports:
-                if self._dma_last_won.get(bank):
-                    self._dma_last_won[bank] = False
-                    self.conflict_cycles += 1  # the DMA word waits
-                    dma_op = None
+        mask = self.n_banks - 1
+        pending = {}  # bank -> [(port index, port)], in port order
+        for i, port in enumerate(self.ports):
+            req = port.req
+            if req is not None:
+                bank = (req.addr >> 3) & mask
+                group = pending.get(bank)
+                if group is None:
+                    pending[bank] = [(i, port)]
                 else:
-                    self._dma_last_won[bank] = True
-                    self.conflict_cycles += len(ports)
-                    ports = None
-            if dma_op is not None:
-                dma_op[1]()
-                dma_op[2] = True
-                continue
-            winner = self._arbitrate(bank, ports)
+                    group.append((i, port))
+        dma_words = self._dma_words
+        if dma_words is None:
+            if not pending:
+                return IDLE
+            banks = set(pending)
+        else:
+            self._dma_words = None
+            banks = set(pending) | set(dma_words)
+
+        engine = self.engine
+        storage = self.storage
+        due = engine.cycle + self.latency
+        # Banks are granted in the iteration order of this set (as
+        # built above): it fixes the event-wheel order of same-cycle
+        # responses, and which of a DMA word's main-memory read and
+        # write comes first when a cycle's IN and OUT words alias.
+        for bank in banks:
+            group = pending.get(bank)
+            if dma_words is not None:
+                word = dma_words.get(bank)
+                if word is not None:
+                    if not group:
+                        self._dma_grant(word)
+                        continue
+                    if self._dma_last_won.get(bank):
+                        self._dma_last_won[bank] = False
+                        self.conflict_cycles += 1  # the DMA word waits
+                    else:
+                        self._dma_last_won[bank] = True
+                        self.conflict_cycles += len(group)
+                        self._dma_grant(word)
+                        continue
+            if len(group) == 1:
+                winner = group[0][1]
+            else:
+                winner = self._arbitrate(bank, group)
+                self.conflict_cycles += len(group) - 1
             req = winner.take()
             if req.is_write:
-                self.storage.store(req.addr, req.size, req.value)
+                storage.store(req.addr, req.size, req.value)
                 if req.sink is not None:
-                    self.engine.at(grant_cycle + self.latency, req.sink, req.tag, None)
+                    engine.at(due, req.sink, req.tag, None)
             else:
-                value = self.storage.load(req.addr, req.size, req.signed)
-                self.engine.at(grant_cycle + self.latency, req.sink, req.tag, value)
-            self.conflict_cycles += len(ports) - 1
+                engine.at(due, req.sink, req.tag,
+                          storage.load(req.addr, req.size, req.signed))
 
-    def _arbitrate(self, bank, ports):
-        """Round-robin pick among ports contending for ``bank``."""
-        if len(ports) == 1:
-            return ports[0]
+    def _arbitrate(self, bank, group):
+        """Round-robin pick among ``(port index, port)`` pairs contending
+        for ``bank``, listed in port order."""
         last = self._rr.get(bank, -1)
-        index = self._port_index
-        order = sorted(ports, key=lambda p: index[id(p)])
-        winner = order[0]
-        for port in order:
-            if index[id(port)] > last:
-                winner = port
+        index, winner = group[0]
+        for i, port in group:
+            if i > last:
+                index, winner = i, port
                 break
-        self._rr[bank] = index[id(winner)]
+        self._rr[bank] = index
         return winner

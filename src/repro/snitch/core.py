@@ -13,6 +13,8 @@ assumes no taken-branch bubble); ``mul``/``div`` write back after
 ``MUL_LATENCY``/``DIV_LATENCY``.
 """
 
+import operator
+
 from repro.errors import SimulationError
 from repro.sim.engine import IDLE
 from repro.isa.isa import (
@@ -23,7 +25,9 @@ from repro.isa.isa import (
     CSR_SSR,
     DIV_LATENCY,
     FP_FROM_INT_OPS,
+    FP_LOAD_OPS,
     FP_OPS,
+    FP_STORE_OPS,
     FP_TO_INT_OPS,
     LOAD_OPS,
     LOAD_UNSIGNED,
@@ -62,7 +66,7 @@ class SnitchCore:
         # quiescence state
         self._q_state = 0
         self._q_gen = 0
-        self._block = None            # why the last _execute failed
+        self._block = None            # why the last op handler stalled
         self._stall_backfill = None   # (sleep cycle, raw?) of current nap
         self.observer = None          # component woken when we halt
         # statistics
@@ -149,15 +153,19 @@ class SnitchCore:
             self.stall_fetch += 1
             self.stall_cycles += 1
             return None
-        if self.pc >= len(self.program.instrs):
+        instrs = self.program.instrs
+        if self.pc >= len(instrs):
             raise SimulationError(f"{self.name}: PC {self.pc} fell off the program")
         if self.icache is not None and not self.icache.fetch(self.pc):
             self.stall_fetch += 1
             self.stall_cycles += 1
             return None
-        ins = self.program.instrs[self.pc]
+        ins = instrs[self.pc]
         self._block = None
-        if not self._execute(ins):
+        handler = _HANDLERS.get(ins.op)
+        if handler is None:
+            raise SimulationError(f"{self.name}: cannot execute op {ins.op!r}")
+        if not handler(self, ins):
             self.stall_cycles += 1
             return self._sleep_on_block(cycle)
         return None
@@ -167,7 +175,7 @@ class SnitchCore:
 
         Only stalls whose every future poll is an identical no-op until
         a wake edge fires are eligible (RAW waits, FPU-drain waits);
-        ``_execute`` leaves ``_block`` None for the others (LSU/queue/
+        the op handlers leave ``_block`` None for the others (LSU/queue/
         config back-pressure), which keep polling. Short waits — a
         load's two-cycle latency, a near writeback — keep polling too:
         below ~4 cycles the sleep/wake round-trip costs more than the
@@ -193,193 +201,209 @@ class SnitchCore:
         self._stall_backfill = (cycle, True)
         return block
 
-    def _execute(self, ins):
-        op = ins.op
-        regs = self.regs
+    # -- one handler per op class (dispatched through _HANDLERS) -----------
+    #
+    # A handler executes ``ins`` and returns True, or returns False to
+    # stall and retry it next cycle.
 
-        if op in ALU_IMM_OPS:
-            if not self._src_ready(ins.rs1):
-                return False
-            value = _alu(op[:-1] if op != "sltiu" else "sltu", regs[ins.rs1], ins.imm)
-            if ins.rd:
-                regs[ins.rd] = value
-            self._retire()
-            return True
-
-        if op in ALU_OPS:
-            if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
-                return False
-            value = _alu(op, regs[ins.rs1], regs[ins.rs2])
-            if ins.rd:
-                regs[ins.rd] = value
-            self._retire()
-            return True
-
-        if op in LOAD_OPS:
-            if not self._src_ready(ins.rs1):
-                return False
-            if not self.lsu_slot.idle:
-                self.stall_lsu += 1
-                return False
-            addr = regs[ins.rs1] + ins.imm
-            size = LOAD_OPS[op]
-            signed = size < 8 and op not in LOAD_UNSIGNED
-            if ins.rd:
-                self._ready[ins.rd] = _WAIT_MEM
-            self._outstanding_loads += 1
-            self.lsu_slot.request(addr, size, False, sink=self._on_load,
-                                  tag=ins.rd, signed=signed)
-            self._retire()
-            return True
-
-        if op in STORE_OPS:
-            if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
-                return False
-            if not self.lsu_slot.idle:
-                self.stall_lsu += 1
-                return False
-            addr = regs[ins.rs1] + ins.imm
-            self.lsu_slot.request(addr, STORE_OPS[op], True, value=regs[ins.rs2])
-            self._retire()
-            return True
-
-        if op in BRANCH_OPS:
-            if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
-                return False
-            taken = _branch(op, regs[ins.rs1], regs[ins.rs2])
-            if taken and self.branch_penalty:
-                self._fetch_stall_until = self.engine.cycle + 1 + self.branch_penalty
-            self._retire(ins.imm if taken else self.pc + 1)
-            return True
-
-        if op in FP_OPS:
-            return self._offload_fp(ins)
-
-        if op == "frep":
-            if not self._src_ready(ins.rs1):
-                return False
-            if not self.fpu.can_accept:
-                self.stall_fpu_queue += 1
-                return False
-            st_count, st_mask = ins.aux
-            self.fpu.offload_frep(regs[ins.rs1], ins.imm, st_count, st_mask)
-            self._retire()
-            return True
-
-        if op == "li":
-            if ins.rd:
-                regs[ins.rd] = ins.imm
-            self._retire()
-            return True
-
-        if op == "nop":
-            self._retire()
-            return True
-
-        if op in MULDIV_OPS:
-            if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
-                return False
-            value = _muldiv(op, regs[ins.rs1], regs[ins.rs2])
-            latency = MUL_LATENCY if op.startswith("mul") else DIV_LATENCY
-            if ins.rd:
-                regs[ins.rd] = value
-                self._ready[ins.rd] = self.engine.cycle + latency
-            self._retire()
-            return True
-
-        if op == "scfgw":
-            if not self._src_ready(ins.rs1):
-                return False
-            if not self.streamer.cfg_write(ins.imm, regs[ins.rs1]):
-                self.stall_cfg += 1
-                return False
-            self._retire()
-            return True
-
-        if op == "scfgr":
-            if ins.rd:
-                regs[ins.rd] = self.streamer.cfg_read(ins.imm)
-            self._retire()
-            return True
-
-        if op in ("csrsi", "csrci"):
-            if ins.imm == CSR_SSR and self.streamer is not None:
-                if ins.rs1 & 1:
-                    self.streamer.enabled = op == "csrsi"
-            self._retire()
-            return True
-
-        if op == "csrr":
-            if ins.imm == CSR_CYCLE:
-                value = self.engine.cycle
-            elif ins.imm == CSR_SSR:
-                value = 1 if (self.streamer and self.streamer.enabled) else 0
-            else:
-                raise SimulationError(f"{self.name}: read of unknown CSR 0x{ins.imm:x}")
-            if ins.rd:
-                regs[ins.rd] = value
-            self._retire()
-            return True
-
-        if op == "jal":
-            if ins.rd:
-                regs[ins.rd] = self.pc + 1
-            if self.branch_penalty:
-                self._fetch_stall_until = self.engine.cycle + 1 + self.branch_penalty
-            self._retire(ins.imm)
-            return True
-
-        if op == "jalr":
-            if not self._src_ready(ins.rs1):
-                return False
-            target = regs[ins.rs1] + ins.imm
-            if ins.rd:
-                regs[ins.rd] = self.pc + 1
-            if self.branch_penalty:
-                self._fetch_stall_until = self.engine.cycle + 1 + self.branch_penalty
-            self._retire(target)
-            return True
-
-        if op == "fence_fpu":
-            if not self._fpu_drained():
-                self._mark_drain_block()
-                return False
-            self._retire()
-            return True
-
-        if op == "halt":
-            if not self._fpu_drained() or self._outstanding_loads:
-                self._mark_drain_block()
-                return False
-            self.halted = True
-            if self.observer is not None:
-                self.engine.wake(self.observer)  # e.g. the cluster runtime
-            self._retire(self.pc)
-            return True
-
-        raise SimulationError(f"{self.name}: cannot execute op {op!r}")
-
-    def _offload_fp(self, ins):
-        if not self.fpu.can_accept:
-            self.stall_fpu_queue += 1
+    def _exec_alu_imm(self, ins):
+        if not self._src_ready(ins.rs1):
             return False
-        op = ins.op
-        addr = None
-        int_value = None
-        if op in ("fld", "fsd"):
-            if not self._src_ready(ins.rs1):
-                return False
-            addr = self.regs[ins.rs1] + ins.imm
-        elif op in FP_FROM_INT_OPS:
-            if not self._src_ready(ins.rs1):
-                return False
-            int_value = self.regs[ins.rs1]
-        elif op in FP_TO_INT_OPS and ins.rd:
+        value = _ALU[ins.op](self.regs[ins.rs1], ins.imm)
+        if ins.rd:
+            self.regs[ins.rd] = value
+        self._retire()
+        return True
+
+    def _exec_alu(self, ins):
+        if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
+            return False
+        value = _ALU[ins.op](self.regs[ins.rs1], self.regs[ins.rs2])
+        if ins.rd:
+            self.regs[ins.rd] = value
+        self._retire()
+        return True
+
+    def _exec_load(self, ins):
+        if not self._src_ready(ins.rs1):
+            return False
+        if not self.lsu_slot.idle:
+            self.stall_lsu += 1
+            return False
+        addr = self.regs[ins.rs1] + ins.imm
+        size = LOAD_OPS[ins.op]
+        signed = size < 8 and ins.op not in LOAD_UNSIGNED
+        if ins.rd:
+            self._ready[ins.rd] = _WAIT_MEM
+        self._outstanding_loads += 1
+        self.lsu_slot.request(addr, size, False, sink=self._on_load,
+                              tag=ins.rd, signed=signed)
+        self._retire()
+        return True
+
+    def _exec_store(self, ins):
+        if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
+            return False
+        if not self.lsu_slot.idle:
+            self.stall_lsu += 1
+            return False
+        addr = self.regs[ins.rs1] + ins.imm
+        self.lsu_slot.request(addr, STORE_OPS[ins.op], True,
+                              value=self.regs[ins.rs2])
+        self._retire()
+        return True
+
+    def _exec_branch(self, ins):
+        if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
+            return False
+        taken = _BRANCH[ins.op](self.regs[ins.rs1], self.regs[ins.rs2])
+        if taken and self.branch_penalty:
+            self._fetch_stall_until = self.engine.cycle + 1 + self.branch_penalty
+        self._retire(ins.imm if taken else self.pc + 1)
+        return True
+
+    def _exec_muldiv(self, ins):
+        if not self._src_ready(ins.rs1) or not self._src_ready(ins.rs2):
+            return False
+        fn, latency = _MULDIV[ins.op]
+        value = fn(self.regs[ins.rs1], self.regs[ins.rs2])
+        if ins.rd:
+            self.regs[ins.rd] = value
+            self._ready[ins.rd] = self.engine.cycle + latency
+        self._retire()
+        return True
+
+    def _fpu_full(self):
+        """Offload back-pressure: the FPU queue has no free slot."""
+        if self.fpu.can_accept:
+            return False
+        self.stall_fpu_queue += 1
+        return True
+
+    def _exec_fp(self, ins):
+        """Offload an FP-domain op: nothing to resolve core-side."""
+        if self._fpu_full():
+            return False
+        self.fpu.offload(ins)
+        self._retire()
+        return True
+
+    def _exec_fp_mem(self, ins):
+        """Offload ``fld``/``fsd`` with its address resolved."""
+        if self._fpu_full() or not self._src_ready(ins.rs1):
+            return False
+        self.fpu.offload(ins, addr=self.regs[ins.rs1] + ins.imm)
+        self._retire()
+        return True
+
+    def _exec_fp_from_int(self, ins):
+        """Offload an int -> FP move/convert with its operand captured."""
+        if self._fpu_full() or not self._src_ready(ins.rs1):
+            return False
+        self.fpu.offload(ins, int_value=self.regs[ins.rs1])
+        self._retire()
+        return True
+
+    def _exec_fp_to_int(self, ins):
+        """Offload an FP -> int op; its integer destination goes busy."""
+        if self._fpu_full():
+            return False
+        if ins.rd:
             # the FPU writes this integer register later; mark it busy
             # now so younger core instructions cannot read a stale value
             self._ready[ins.rd] = _WAIT_MEM
-        self.fpu.offload(ins, addr=addr, int_value=int_value)
+        self.fpu.offload(ins)
         self._retire()
+        return True
+
+    def _exec_frep(self, ins):
+        if not self._src_ready(ins.rs1):
+            return False
+        if self._fpu_full():
+            return False
+        st_count, st_mask = ins.aux
+        self.fpu.offload_frep(self.regs[ins.rs1], ins.imm, st_count, st_mask)
+        self._retire()
+        return True
+
+    def _exec_li(self, ins):
+        if ins.rd:
+            self.regs[ins.rd] = ins.imm
+        self._retire()
+        return True
+
+    def _exec_nop(self, ins):
+        self._retire()
+        return True
+
+    def _exec_scfgw(self, ins):
+        if not self._src_ready(ins.rs1):
+            return False
+        if not self.streamer.cfg_write(ins.imm, self.regs[ins.rs1]):
+            self.stall_cfg += 1
+            return False
+        self._retire()
+        return True
+
+    def _exec_scfgr(self, ins):
+        if ins.rd:
+            self.regs[ins.rd] = self.streamer.cfg_read(ins.imm)
+        self._retire()
+        return True
+
+    def _exec_csr_set_clear(self, ins):
+        if ins.imm == CSR_SSR and self.streamer is not None:
+            if ins.rs1 & 1:
+                self.streamer.enabled = ins.op == "csrsi"
+        self._retire()
+        return True
+
+    def _exec_csrr(self, ins):
+        if ins.imm == CSR_CYCLE:
+            value = self.engine.cycle
+        elif ins.imm == CSR_SSR:
+            value = 1 if (self.streamer and self.streamer.enabled) else 0
+        else:
+            raise SimulationError(f"{self.name}: read of unknown CSR 0x{ins.imm:x}")
+        if ins.rd:
+            self.regs[ins.rd] = value
+        self._retire()
+        return True
+
+    def _exec_jal(self, ins):
+        if ins.rd:
+            self.regs[ins.rd] = self.pc + 1
+        if self.branch_penalty:
+            self._fetch_stall_until = self.engine.cycle + 1 + self.branch_penalty
+        self._retire(ins.imm)
+        return True
+
+    def _exec_jalr(self, ins):
+        if not self._src_ready(ins.rs1):
+            return False
+        target = self.regs[ins.rs1] + ins.imm
+        if ins.rd:
+            self.regs[ins.rd] = self.pc + 1
+        if self.branch_penalty:
+            self._fetch_stall_until = self.engine.cycle + 1 + self.branch_penalty
+        self._retire(target)
+        return True
+
+    def _exec_fence_fpu(self, ins):
+        if not self._fpu_drained():
+            self._mark_drain_block()
+            return False
+        self._retire()
+        return True
+
+    def _exec_halt(self, ins):
+        if not self._fpu_drained() or self._outstanding_loads:
+            self._mark_drain_block()
+            return False
+        self.halted = True
+        if self.observer is not None:
+            self.engine.wake(self.observer)  # e.g. the cluster runtime
+        self._retire(self.pc)
         return True
 
     def _fpu_drained(self):
@@ -414,59 +438,102 @@ class SnitchCore:
         self.stall_cfg = 0
 
 
-def _alu(op, a, b):
-    if op == "add" or op == "addi":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "and" or op == "andi":
-        return a & b
-    if op == "or" or op == "ori":
-        return a | b
-    if op == "xor" or op == "xori":
-        return a ^ b
-    if op == "sll" or op == "slli":
-        return a << b
-    if op == "srl" or op == "srli":
-        return (a % (1 << 64)) >> b
-    if op == "sra" or op == "srai":
-        return a >> b
-    if op == "slt" or op == "slti":
-        return 1 if a < b else 0
-    if op == "sltu":
-        return 1 if (a % (1 << 64)) < (b % (1 << 64)) else 0
-    if op == "min":
-        return min(a, b)
-    if op == "max":
-        return max(a, b)
-    raise SimulationError(f"unknown ALU op {op!r}")
+_U64 = 1 << 64
 
 
-def _branch(op, a, b):
-    if op == "beq":
-        return a == b
-    if op == "bne":
-        return a != b
-    if op == "blt":
-        return a < b
-    if op == "bge":
-        return a >= b
-    if op == "bltu":
-        return (a % (1 << 64)) < (b % (1 << 64))
-    return (a % (1 << 64)) >= (b % (1 << 64))  # bgeu
+def _srl(a, b):
+    return (a % _U64) >> b
 
 
-def _muldiv(op, a, b):
-    if op == "mul":
-        return a * b
-    if op == "mulh":
-        return (a * b) >> 64
-    if op in ("div", "divu"):
-        if b == 0:
-            return -1
-        return int(a / b) if op == "div" else (a % (1 << 64)) // (b % (1 << 64))
-    if b == 0:
-        return a
-    if op == "rem":
-        return a - b * int(a / b)
-    return (a % (1 << 64)) % (b % (1 << 64))  # remu
+def _slt(a, b):
+    return 1 if a < b else 0
+
+
+def _sltu(a, b):
+    return 1 if (a % _U64) < (b % _U64) else 0
+
+
+def _div(a, b):
+    return -1 if b == 0 else int(a / b)
+
+
+def _divu(a, b):
+    return -1 if b == 0 else (a % _U64) // (b % _U64)
+
+
+def _rem(a, b):
+    return a if b == 0 else a - b * int(a / b)
+
+
+def _remu(a, b):
+    return a if b == 0 else (a % _U64) % (b % _U64)
+
+
+#: ALU op (register and immediate forms) -> operation.
+_ALU = {
+    "add": operator.add, "addi": operator.add,
+    "sub": operator.sub,
+    "and": operator.and_, "andi": operator.and_,
+    "or": operator.or_, "ori": operator.or_,
+    "xor": operator.xor, "xori": operator.xor,
+    "sll": operator.lshift, "slli": operator.lshift,
+    "srl": _srl, "srli": _srl,
+    "sra": operator.rshift, "srai": operator.rshift,
+    "slt": _slt, "slti": _slt,
+    "sltu": _sltu, "sltiu": _sltu,
+    "min": min, "max": max,
+}
+
+#: Branch op -> taken predicate.
+_BRANCH = {
+    "beq": operator.eq, "bne": operator.ne,
+    "blt": operator.lt, "bge": operator.ge,
+    "bltu": lambda a, b: (a % _U64) < (b % _U64),
+    "bgeu": lambda a, b: (a % _U64) >= (b % _U64),
+}
+
+#: Multiply/divide op -> (operation, writeback latency).
+_MULDIV = {
+    "mul": (operator.mul, MUL_LATENCY),
+    "mulh": (lambda a, b: (a * b) >> 64, MUL_LATENCY),
+    "div": (_div, DIV_LATENCY), "divu": (_divu, DIV_LATENCY),
+    "rem": (_rem, DIV_LATENCY), "remu": (_remu, DIV_LATENCY),
+}
+
+
+def _by_class(*groups):
+    """``{op: handler}`` from ``(ops, handler)`` groups; a later group
+    overrides an earlier one (``FP_OPS`` holds the FP subclasses)."""
+    table = {}
+    for ops, handler in groups:
+        for op in ops:
+            table[op] = handler
+    return table
+
+
+#: op -> handler of its class, built once at import: the core
+#: dispatches through one lookup instead of testing the op against
+#: each class in turn.
+_HANDLERS = _by_class(
+    (ALU_IMM_OPS, SnitchCore._exec_alu_imm),
+    (ALU_OPS, SnitchCore._exec_alu),
+    (LOAD_OPS, SnitchCore._exec_load),
+    (STORE_OPS, SnitchCore._exec_store),
+    (BRANCH_OPS, SnitchCore._exec_branch),
+    (MULDIV_OPS, SnitchCore._exec_muldiv),
+    (FP_OPS, SnitchCore._exec_fp),
+    (FP_LOAD_OPS | FP_STORE_OPS, SnitchCore._exec_fp_mem),
+    (FP_FROM_INT_OPS, SnitchCore._exec_fp_from_int),
+    (FP_TO_INT_OPS, SnitchCore._exec_fp_to_int),
+    (("frep",), SnitchCore._exec_frep),
+    (("li",), SnitchCore._exec_li),
+    (("nop",), SnitchCore._exec_nop),
+    (("scfgw",), SnitchCore._exec_scfgw),
+    (("scfgr",), SnitchCore._exec_scfgr),
+    (("csrsi", "csrci"), SnitchCore._exec_csr_set_clear),
+    (("csrr",), SnitchCore._exec_csrr),
+    (("jal",), SnitchCore._exec_jal),
+    (("jalr",), SnitchCore._exec_jalr),
+    (("fence_fpu",), SnitchCore._exec_fence_fpu),
+    (("halt",), SnitchCore._exec_halt),
+)

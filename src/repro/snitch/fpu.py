@@ -16,16 +16,13 @@ back-pressure reaches the FPU.
 """
 
 import math
+import operator
 
 from repro.errors import SimulationError
 from repro.sim.engine import IDLE
 from repro.isa.isa import (
-    FP_FMA_OPS,
-    FP_FROM_INT_OPS,
-    FP_LONG_OPS,
+    FP_COMPUTE_OPS,
     FP_MAC_OPS,
-    FP_SHORT_OPS,
-    FP_TO_INT_OPS,
     FPU_LATENCY,
     FPU_LONG_LATENCY,
     FPU_MOVE_LATENCY,
@@ -39,6 +36,70 @@ _WAIT_MEM = -1
 #: Stall-cause markers for the quiescence protocol.
 _STREAM = "stream"
 _LSU = "lsu"
+#: The lane map of an instruction offloaded with the streamer off.
+_NO_LANES = {}
+
+
+def fadd(x, y):
+    """``x + y`` where, if the sum is NaN, the left operand's NaN wins.
+
+    IEEE-754 leaves open which payload ``NaN + NaN`` keeps, and CPython
+    answers differently before and after it specializes an add site.
+    Pinning the left operand's (for ``fmadd.d``, the product's) makes a
+    cycle result independent of the interpreter, and matches the
+    compiled backend's replay (:mod:`repro.compiler.vectorize`).
+    """
+    return x + x if x != x else x + y
+
+
+def _compare_int(cmp):
+    return lambda a, b: int(cmp(a, b))
+
+
+#: Decode kinds (the first field of an :data:`FP_TABLE` entry).
+LOAD, STORE, FROM_INT, TO_INT, ARITH = range(5)
+
+#: op -> (kind, source count, operation, latency); ``operation`` maps
+#: the source values (the integer operand for ``FROM_INT``) to the
+#: result.
+_DECODE = {
+    "fld": (LOAD, 0, None, 0),
+    "fsd": (STORE, 1, None, 0),
+    "fcvt.d.w": (FROM_INT, 0, float, FPU_SHORT_LATENCY),
+    "fcvt.d.wu": (FROM_INT, 0, float, FPU_SHORT_LATENCY),
+    "fmv.d.x": (FROM_INT, 0, float, FPU_SHORT_LATENCY),
+    "fcvt.w.d": (TO_INT, 1, int, FPU_SHORT_LATENCY),
+    "fcvt.wu.d": (TO_INT, 1, int, FPU_SHORT_LATENCY),
+    "fmv.x.d": (TO_INT, 1, lambda a: a, FPU_SHORT_LATENCY),  # value-preserving
+    "feq.d": (TO_INT, 2, _compare_int(operator.eq), FPU_SHORT_LATENCY),
+    "flt.d": (TO_INT, 2, _compare_int(operator.lt), FPU_SHORT_LATENCY),
+    "fle.d": (TO_INT, 2, _compare_int(operator.le), FPU_SHORT_LATENCY),
+    "fmadd.d": (ARITH, 3, lambda a, b, c: fadd(a * b, c), FPU_LATENCY),
+    "fmsub.d": (ARITH, 3, lambda a, b, c: a * b - c, FPU_LATENCY),
+    "fnmadd.d": (ARITH, 3, lambda a, b, c: -(a * b) - c, FPU_LATENCY),
+    "fnmsub.d": (ARITH, 3, lambda a, b, c: -(a * b) + c, FPU_LATENCY),
+    "fadd.d": (ARITH, 2, fadd, FPU_LATENCY),
+    "fsub.d": (ARITH, 2, operator.sub, FPU_LATENCY),
+    "fmul.d": (ARITH, 2, operator.mul, FPU_LATENCY),
+    "fdiv.d": (ARITH, 2, operator.truediv, FPU_LONG_LATENCY),
+    "fsqrt.d": (ARITH, 1, math.sqrt, FPU_LONG_LATENCY),
+    "fmin.d": (ARITH, 2, min, FPU_SHORT_LATENCY),
+    "fmax.d": (ARITH, 2, max, FPU_SHORT_LATENCY),
+    "fsgnj.d": (ARITH, 2, lambda a, b: math.copysign(abs(a), b),
+                FPU_MOVE_LATENCY),
+    "fsgnjn.d": (ARITH, 2, lambda a, b: math.copysign(abs(a), -b),
+                 FPU_MOVE_LATENCY),
+    "fsgnjx.d": (ARITH, 2,
+                 lambda a, b: abs(a) * (-1.0 if (a < 0) != (b < 0) else 1.0),
+                 FPU_MOVE_LATENCY),
+    "fmv.d": (ARITH, 1, lambda a: a, FPU_MOVE_LATENCY),
+}
+#: op -> (kind, source count, operation, latency, compute?, mac?),
+#: built once at import: the FPU issues through one lookup instead of
+#: testing the op against each class. ``compute`` ops count toward the
+#: FPU utilization, ``mac`` ops toward the multiply-accumulate count.
+FP_TABLE = {op: entry + (op in FP_COMPUTE_OPS, op in FP_MAC_OPS)
+            for op, entry in _DECODE.items()}
 
 
 
@@ -67,6 +128,9 @@ class FpuSubsystem:
         self.streamer = streamer
         self.name = name
         self.queue = Fifo(queue_depth, name=f"{name}.queue")
+        # The stream-register switch, resolved once: FP reg -> lane.
+        self._lanes = {} if streamer is None else {
+            reg: streamer.lanes[lane] for reg, lane in streamer.reg_map.items()}
         self.fregs = [0.0] * 32
         self._ready = {}          # fp reg -> ready cycle or _WAIT_MEM
         self._loop = None
@@ -157,7 +221,7 @@ class FpuSubsystem:
         if self._issue(instr, addr, int_value, streamed, stagger):
             self._advance()
             self.engine.note_progress()
-            if not self.queue and self._loop is None and self.core is not None:
+            if self._loop is None and not self.queue and self.core is not None:
                 # queue drained by this issue: a core napping on a
                 # fence/halt must re-evaluate (and re-nap until
                 # _busy_until if only writeback time remains)
@@ -221,51 +285,35 @@ class FpuSubsystem:
 
     # -- issue logic ---------------------------------------------------------
 
-    def _stagger(self, reg, bit, mask, offset):
-        return reg + offset if (mask >> bit) & 1 else reg
-
-    def _lane(self, reg, streamed):
-        if not streamed or self.streamer is None:
-            return None
-        lane_idx = self.streamer.reg_map.get(reg)
-        return None if lane_idx is None else self.streamer.lanes[lane_idx]
-
-    def _src_ready(self, reg, streamed):
-        lane = self._lane(reg, streamed)
-        if lane is not None:
-            if not lane.can_pop:
-                self.stall_stream += 1
-                self._block = _STREAM
+    def _sources_ready(self, regs, lanes):
+        """True if every source can be read this cycle; else counts the
+        first blocking source's stall and returns False."""
+        for reg in regs:
+            lane = lanes.get(reg)
+            if lane is not None:
+                if not lane.can_pop:
+                    self.stall_stream += 1
+                    self._block = _STREAM
+                    return False
+                continue
+            ready = self._ready.get(reg, 0)
+            if ready == _WAIT_MEM:
+                self.stall_raw += 1
+                self._block = _WAIT_MEM
                 return False
-            return True
-        ready = self._ready.get(reg, 0)
-        if ready == _WAIT_MEM:
-            self.stall_raw += 1
-            self._block = _WAIT_MEM
-            return False
-        if ready > self.engine.cycle:
-            self.stall_raw += 1
-            self._block = ready
-            return False
-        return True
-
-    def _read_src(self, reg, streamed):
-        lane = self._lane(reg, streamed)
-        if lane is not None:
-            return lane.pop()
-        return self.fregs[reg]
-
-    def _dst_ready(self, reg, streamed):
-        lane = self._lane(reg, streamed)
-        if lane is not None:
-            if not lane.can_push:
-                self.stall_stream += 1
-                self._block = _STREAM
+            if ready > self.engine.cycle:
+                self.stall_raw += 1
+                self._block = ready
                 return False
         return True
 
-    def _write_dst(self, reg, value, latency, streamed):
-        lane = self._lane(reg, streamed)
+    def _read_sources(self, regs, lanes):
+        """Source values, in order; a stream register pops its lane."""
+        fregs = self.fregs
+        return [fregs[reg] if (lane := lanes.get(reg)) is None else lane.pop()
+                for reg in regs]
+
+    def _write_dst(self, reg, value, latency, lane):
         if lane is not None:
             lane.push(value)
             return
@@ -280,94 +328,71 @@ class FpuSubsystem:
 
     def _issue(self, instr, addr, int_value, streamed, stagger):
         """Try to issue one micro-op; returns False to retry next cycle."""
-        op = instr.op
-        mask = 0
-        st_count = 0
-        if self._loop is not None and self._loop.st_mask:
+        kind, n_src, operation, latency, compute, mac = FP_TABLE[instr.op]
+        rd, rs1, rs2, rs3 = instr.rd, instr.rs1, instr.rs2, instr.rs3
+        if stagger:
+            # FREP register staggering: mask bit i offsets operand
+            # field i (rd, rs1, rs2, rs3)
             mask = self._loop.st_mask
+            if mask & 1:
+                rd += stagger
+            if mask & 2:
+                rs1 += stagger
+            if mask & 4:
+                rs2 += stagger
+            if mask & 8:
+                rs3 += stagger
+        lanes = self._lanes if streamed else _NO_LANES
 
-        rd = self._stagger(instr.rd, 0, mask, stagger)
-        rs1 = self._stagger(instr.rs1, 1, mask, stagger)
-        rs2 = self._stagger(instr.rs2, 2, mask, stagger)
-        rs3 = self._stagger(instr.rs3, 3, mask, stagger)
-        del st_count
-
-        if op == "fld":
+        if kind == LOAD or kind == STORE:
             if not self.lsu_slot.idle:
                 self.stall_lsu += 1
                 self._block = _LSU
                 return False
-            self._ready[rd] = _WAIT_MEM
-            self._outstanding += 1
-            self.lsu_slot.request(addr, 8, False, sink=self._on_load, tag=rd)
-            self.issued_ops += 1
-            return True
-
-        if op == "fsd":
-            if not self.lsu_slot.idle:
-                self.stall_lsu += 1
-                self._block = _LSU
-                return False
-            if not self._src_ready(rs2, streamed):
-                return False
-            value = self._read_src(rs2, streamed)
-            self.lsu_slot.request(addr, 8, True, value=value)
-            self.issued_ops += 1
-            return True
-
-        if op in FP_FROM_INT_OPS:
-            # int operand value was captured at offload time
-            if not self._dst_ready(rd, streamed):
-                return False
-            value = float(int_value)
-            self._write_dst(rd, value, FPU_SHORT_LATENCY, streamed)
-            self._finish_arith(op, FPU_SHORT_LATENCY)
-            return True
-
-        if op in FP_TO_INT_OPS:
-            if not self._src_ready(rs1, streamed):
-                return False
-            if op in ("feq.d", "flt.d", "fle.d") and not self._src_ready(rs2, streamed):
-                return False
-            a = self._read_src(rs1, streamed)
-            if op == "fcvt.w.d" or op == "fcvt.wu.d":
-                result = int(a)
-            elif op == "fmv.x.d":
-                result = a  # raw move modelled as value-preserving
+            if kind == LOAD:
+                self._ready[rd] = _WAIT_MEM
+                self._outstanding += 1
+                self.lsu_slot.request(addr, 8, False, sink=self._on_load, tag=rd)
             else:
-                b = self._read_src(rs2, streamed)
-                result = int(_compare(op, a, b))
-            done = self.engine.cycle + FPU_SHORT_LATENCY
+                if not self._sources_ready((rs2,), lanes):
+                    return False
+                self.lsu_slot.request(addr, 8, True,
+                                      value=self._read_sources((rs2,), lanes)[0])
+            self.issued_ops += 1
+            return True
+
+        srcs = (rs1, rs2, rs3)[:n_src]
+        if not self._sources_ready(srcs, lanes):
+            return False
+        if kind == TO_INT:
+            result = operation(*self._read_sources(srcs, lanes))
             self._outstanding += 1
-            self.engine.at(done, self._complete_to_int, instr.rd, result)
+            self.engine.at(self.engine.cycle + latency, self._complete_to_int,
+                           instr.rd, result)
             self.core.int_result_pending(instr.rd)
             self.issued_ops += 1
             return True
 
-        # pure FP-domain arithmetic / moves
-        n_src = _source_count(op)
-        srcs = (rs1, rs2, rs3)[:n_src]
-        for reg in srcs:
-            if not self._src_ready(reg, streamed):
-                return False
-        if not self._dst_ready(rd, streamed):
+        dst_lane = lanes.get(rd)
+        if dst_lane is not None and not dst_lane.can_push:
+            self.stall_stream += 1
+            self._block = _STREAM
             return False
-        values = [self._read_src(r, streamed) for r in srcs]
-        result, latency = _execute(op, values, int_value)
-        self._write_dst(rd, result, latency, streamed)
-        self._finish_arith(op, latency)
-        return True
-
-    def _finish_arith(self, op, latency):
+        if kind == FROM_INT:  # int operand captured at offload time
+            result = operation(int_value)
+        else:
+            result = operation(*self._read_sources(srcs, lanes))
+        self._write_dst(rd, result, latency, dst_lane)
         self.issued_ops += 1
-        if op in FP_FMA_OPS or op in FP_SHORT_OPS or op in FP_LONG_OPS:
+        if compute:
             self.compute_ops += 1
             self.busy_cycles += 1
-        if op in FP_MAC_OPS:
+        if mac:
             self.mac_ops += 1
             if self.first_mac_cycle is None:
                 self.first_mac_cycle = self.engine.cycle
             self.last_mac_cycle = self.engine.cycle
+        return True
 
     def _on_load(self, rd, value):
         if not isinstance(value, float):
@@ -396,57 +421,3 @@ class FpuSubsystem:
         self.busy_cycles = 0
         self.first_mac_cycle = None
         self.last_mac_cycle = None
-
-
-def _source_count(op):
-    if op in FP_MAC_OPS:
-        return 3
-    if op in ("fmv.d", "fsqrt.d"):
-        return 1
-    return 2  # fadd/fsub/fmul/fdiv/fmin/fmax/fsgnj*
-
-
-def _execute(op, values, int_value):
-    """Compute the result and latency of an FP-domain operation."""
-    if op == "fmadd.d":
-        return values[0] * values[1] + values[2], FPU_LATENCY
-    if op == "fmsub.d":
-        return values[0] * values[1] - values[2], FPU_LATENCY
-    if op == "fnmadd.d":
-        return -(values[0] * values[1]) - values[2], FPU_LATENCY
-    if op == "fnmsub.d":
-        return -(values[0] * values[1]) + values[2], FPU_LATENCY
-    if op == "fadd.d":
-        return values[0] + values[1], FPU_LATENCY
-    if op == "fsub.d":
-        return values[0] - values[1], FPU_LATENCY
-    if op == "fmul.d":
-        return values[0] * values[1], FPU_LATENCY
-    if op == "fdiv.d":
-        return values[0] / values[1], FPU_LONG_LATENCY
-    if op == "fsqrt.d":
-        return math.sqrt(values[0]), FPU_LONG_LATENCY
-    if op == "fmin.d":
-        return min(values[0], values[1]), FPU_SHORT_LATENCY
-    if op == "fmax.d":
-        return max(values[0], values[1]), FPU_SHORT_LATENCY
-    if op == "fsgnj.d":
-        return math.copysign(abs(values[0]), values[1]), FPU_MOVE_LATENCY
-    if op == "fsgnjn.d":
-        return math.copysign(abs(values[0]), -values[1]), FPU_MOVE_LATENCY
-    if op == "fsgnjx.d":
-        sign = -1.0 if (values[0] < 0) != (values[1] < 0) else 1.0
-        return abs(values[0]) * sign, FPU_MOVE_LATENCY
-    if op == "fmv.d":
-        return values[0], FPU_MOVE_LATENCY
-    raise SimulationError(f"unknown FP op {op!r}")
-
-
-def _compare(op, a, b):
-    if op == "feq.d":
-        return a == b
-    if op == "flt.d":
-        return a < b
-    if op == "fle.d":
-        return a <= b
-    raise SimulationError(f"unknown FP compare {op!r}")

@@ -8,10 +8,13 @@ tolerance (``repro.backends.CYCLE_TOLERANCE`` relative +
 """
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.backends import (
     BACKENDS,
     CompiledBackend,
@@ -231,6 +234,55 @@ def skewed_salted_matrix(seed):
         where = ptr[row] + rng.choice(length, size=count, replace=False)
         vals[where] = rng.choice(group, size=count)
     return CsrMatrix(ptr, idcs, vals, (len(lengths), ncols))
+
+
+#: Rows on which two NaN payloads meet: in a chain (the first row, and
+#: products 1 and 9 of the last, which share an accumulator), and in
+#: the ISSR kernels' fadd tree (the middle row's two leading products
+#: land on different accumulators).
+TWO_PAYLOAD_ROWS = (
+    (np.nan, DEFAULT_NAN, 1.0),
+    (DEFAULT_NAN, np.nan, 1.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0),
+    (1.0, np.nan, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, DEFAULT_NAN),
+)
+
+
+class TestTwoNanPayloads:
+    """Cycle and compiled agree byte for byte where two NaN payloads meet.
+
+    Both pin one rule: the left operand's NaN wins an ``fadd.d`` and the
+    product's wins an ``fmadd.d``. Each run starts a fresh interpreter,
+    whose first float adds run unspecialized and keep the *right*
+    operand's NaN, so a rule left to the interpreter shows up here.
+    """
+
+    @pytest.mark.parametrize("variant,bits", [("base", 32), ("ssr", 32),
+                                              ("issr", 32), ("issr", 16)])
+    def test_csrmv_on_a_cold_interpreter(self, variant, bits):
+        vals = np.concatenate([np.array(r) for r in TWO_PAYLOAD_ROWS])
+        ptr = np.cumsum([0] + [len(r) for r in TWO_PAYLOAD_ROWS])
+        code = (
+            "import numpy as np\n"
+            "from repro import api\n"
+            "from repro.formats.csr import CsrMatrix\n"
+            "vals = np.frombuffer(bytes.fromhex("
+            f"{vals.tobytes().hex()!r}))\n"
+            f"ptr = np.array({ptr.tolist()})\n"
+            "idcs = np.concatenate([np.arange(n) for n in np.diff(ptr)])\n"
+            "matrix = CsrMatrix(ptr, idcs, vals, (len(ptr) - 1, 16))\n"
+            "for backend in ('cycle', 'compiled'):\n"
+            f"    _s, y = api.run('csrmv', backend=backend, variant={variant!r},"
+            f" index_bits={bits}, matrix=matrix, x=np.ones(16))\n"
+            "    print(y.tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        got = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        cycle, compiled = got.stdout.split()
+        assert np.isnan(np.frombuffer(bytes.fromhex(compiled))).all()
+        assert cycle == compiled
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf etc.

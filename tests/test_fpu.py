@@ -3,8 +3,9 @@
 import pytest
 
 from repro.isa import ProgramBuilder
-from repro.isa.isa import CSR_CYCLE
+from repro.isa.isa import CSR_CYCLE, FP_OPS
 from repro.sim import SingleCC
+from repro.snitch.fpu import FP_TABLE
 
 
 def run(build, fargs=None, args=None):
@@ -13,6 +14,11 @@ def run(build, fargs=None, args=None):
     build(b, sim)
     stats, _ = sim.run(b.build(), args=args or {}, fargs=fargs or {})
     return sim, stats
+
+
+def test_decode_table_covers_every_offloaded_op():
+    """Every op the core offloads to the FPU has a decode entry."""
+    assert set(FP_TABLE) == FP_OPS
 
 
 class TestArithmetic:

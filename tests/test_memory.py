@@ -1,10 +1,14 @@
 """Unit tests for the memory subsystem: storage, ports, TCDM, DMA."""
 
+import tracemalloc
+
 import pytest
 
+from repro.cluster.cluster import SnitchCluster
 from repro.errors import ConfigError, MemoryAccessError, SimulationError
 from repro.mem import Dma, IdealMemory, MainMemory, Port, SharedPort, Tcdm, WordMemory
 from repro.sim.engine import Engine
+from repro.sim.harness import SingleCC
 
 
 class TestWordMemory:
@@ -86,6 +90,62 @@ class TestWordMemory:
     def test_odd_size_rejected(self):
         with pytest.raises(MemoryAccessError):
             WordMemory(12)
+
+    @pytest.mark.parametrize("access", [
+        lambda m: m.read_words(48, 4),
+        lambda m: m.read_floats(48, 4),
+        lambda m: m.write_words(48, [5, 6, 7, 8]),
+        lambda m: m.write_floats(48, [5.0, 6.0, 7.0, 8.0]),
+    ], ids=["read_words", "read_floats", "write_words", "write_floats"])
+    def test_bulk_access_past_the_end(self, access):
+        """The whole range is checked up front: no short read, no
+        partial write, the same error as a single-word access."""
+        m = WordMemory(64)
+        m.write_floats(48, [1.0, 2.0])
+        with pytest.raises(MemoryAccessError, match="out of range"):
+            access(m)
+        assert m.read_floats(48, 2) == [1.0, 2.0]
+
+    def test_bulk_access_checks_alignment(self):
+        m = WordMemory(64)
+        with pytest.raises(MemoryAccessError, match="misaligned"):
+            m.read_words(4, 1)
+
+    def test_untouched_words_read_as_zero(self):
+        """Words grow on touch; the declared size stays the bound."""
+        size = 1 << 20
+        m = WordMemory(size)
+        assert m.load(8 * 1000, 8) == 0
+        assert m.load(8 * 1000 + 2, 2) == 0
+        assert m.read_words(8 * 2000, 3) == [0, 0, 0]
+        m.store(size - 8, 8, 2.5)
+        assert m.load(size - 8, 8) == 2.5
+        assert m.load(size - 16, 8) == 0
+        with pytest.raises(MemoryAccessError):
+            m.load(size, 8)
+        with pytest.raises(MemoryAccessError):
+            m.store(size, 4, 1)
+
+
+class TestConstructionFootprint:
+    """Declared memory costs nothing until a word is touched."""
+
+    @staticmethod
+    def _peak_bytes(build):
+        tracemalloc.start()
+        try:
+            built = build()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del built
+        return peak
+
+    def test_single_cc(self):
+        assert self._peak_bytes(SingleCC) < 1 << 20
+
+    def test_cluster_with_its_own_main_memory(self):
+        assert self._peak_bytes(SnitchCluster) < 1 << 20
 
 
 class TestIdealMemory:
@@ -239,6 +299,18 @@ class TestDma:
         eng.add(dma)
         eng.add(t)
         return eng, t, mm, dma
+
+    @pytest.mark.parametrize("copy", [
+        lambda dma: dma.copy_in(4096 - 16, 0, 4),
+        lambda dma: dma.copy_out(0, 4096 - 16, 4),
+        lambda dma: dma.copy_in(0, 4096 - 16, 4),
+    ], ids=["main-source", "main-destination", "tcdm-destination"])
+    def test_transfer_past_the_end_rejected(self, copy):
+        eng, t, mm, dma = self._setup()
+        copy(dma)
+        with pytest.raises(MemoryAccessError, match="out of range"):
+            for _ in range(4):
+                eng.step()
 
     def test_copy_in(self):
         eng, t, mm, dma = self._setup()
