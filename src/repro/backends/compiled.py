@@ -112,7 +112,7 @@ class CompiledBackend(Backend):
         k = dense.shape[1]
         if k & (k - 1):
             raise ValueError(f"dense column count {k} must be a power of two")
-        products = dense[matrix.idcs]          # (nnz, k)
+        products = np.take(dense, matrix.idcs, axis=0)  # (nnz, k)
         np.multiply(matrix.vals[:, None], products, out=products)
         reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
         # uniform ISSR rows come back as a strided view of their

@@ -16,17 +16,18 @@ orders differ per variant (§III-B, Listing 1):
   combine with the same balanced fadd tree the kernel emits.
 
 Ragged rows replay in one length-sorted ("jagged-diagonal") pass,
-so the work is one vector update per row position and the element
-work equals the nonzero count, however skewed the row lengths are.
-A trailing column axis on the products (CsrMM's k columns) rides the
-same pass. The last few rows' tails, and rows holding a NaN product,
-finish in Python floats instead, which also pins the NaN payload
+one vector update per row position while many rows are live. The
+rows still live then finish with one ``np.add.accumulate`` per group
+of rows with as many products left (:func:`finish_rows`), of which a
+whole SpVV fiber is the one-row case. A trailing column axis on the
+products (CsrMM's k columns) rides the same pass. Rows holding a NaN
+product are replayed in Python floats, which pins the NaN payload
 (:func:`settle_nan_rows`).
 """
 
 import numpy as np
 
-from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
+from repro.kernels.common import ISSR, N_ACCUMULATORS
 from repro.snitch.fpu import fadd
 
 
@@ -74,15 +75,6 @@ def staggered_rows(products, starts, length, n_acc):
     return tree_reduce(acc)
 
 
-#: Live rows below which a position's products come from one up-front
-#: gather into step order instead of a gather per position.
-_NARROW_ROWS = 64
-
-#: Live rows at or below which the remaining row tails finish in Python
-#: floats: a NumPy call per position costs more than a few scalar adds.
-_TAIL_ROWS = 4
-
-
 def accumulate_rows(products, ptr, variant, index_bits):
     """Per-row reduction of ``products`` in the kernel's exact order.
 
@@ -92,11 +84,10 @@ def accumulate_rows(products, ptr, variant, index_bits):
     accumulating at position ``j`` are a prefix ``c`` of that order
     and each position is one in-place ``np.add(p, acc[:c])``: the
     element work equals nnz however skewed the row lengths are.
-    Positions with many live rows gather straight from CSR order, the
-    suffix with fewer than ``_NARROW_ROWS`` is gathered once in step
-    order, and the last ``_TAIL_ROWS`` rows finish in Python floats
-    (:func:`_chain_lanes`, which also replays NaN rows). Extra memory
-    stays O(nrows + narrow nnz).
+    The stepper runs while many rows are live; once the chains
+    :func:`finish_rows` would accumulate are no more than the positions
+    left, that finishes every live row. Extra memory stays O(nrows +
+    finished nnz).
     """
     lengths = np.diff(np.asarray(ptr, dtype=np.int64))
     out = np.zeros((len(lengths),) + products.shape[1:], dtype=np.float64)
@@ -113,15 +104,13 @@ def accumulate_rows(products, ptr, variant, index_bits):
     n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
     n_long = int(np.count_nonzero(sorted_len >= n_acc))
     acc = np.zeros((n_acc, n_live) + products.shape[1:], dtype=np.float64)
-    index = np.empty(n_live, dtype=np.int64)
     step = np.empty((n_live,) + products.shape[1:], dtype=np.float64)
 
     def gather(j):
         """Products at position ``j`` of the live prefix (CSR order)."""
         c = counts[j]
-        np.add(starts[:c], j, out=index[:c])
         # every index is in range; mode="raise" would buffer ``out``
-        return np.take(products, index[:c], axis=0, out=step[:c],
+        return np.take(products[j:], starts[:c], axis=0, out=step[:c],
                        mode="clip")
 
     first = 0
@@ -137,36 +126,79 @@ def accumulate_rows(products, ptr, variant, index_bits):
             chain = acc[0, n_long:len(p)]
             np.add(p[n_long:], chain, out=chain)
         first = n_acc
-    # ``live`` never grows: wide positions, the narrow suffix, the tail.
-    narrow = max(first, int(np.searchsorted(-live, -_NARROW_ROWS, "right")))
-    tail = max(first, int(np.searchsorted(-live, -_TAIL_ROWS, "left")))
-    for j in range(first, narrow):
+    # The stepper pays NumPy's per-call overhead at every position; the
+    # finisher's accumulate pays an inner-loop call per chain, n_acc per
+    # live row and column. Switch at the first position (past the init)
+    # where the chains are no more than the positions left.
+    per_row = n_acc * (products.size // len(products))
+    chains = np.append(live[first:], 0) * per_row
+    switch = first + int(np.argmax(chains <= np.arange(len(chains))[::-1]))
+    for j in range(first, switch):
         a = acc[j % n_acc, :counts[j]]
         np.add(gather(j), a, out=a)
-    if narrow < tail:
-        steps = live[narrow:tail]
-        bounds = np.cumsum(steps)
-        rank = np.arange(bounds[-1]) - np.repeat(bounds - steps, steps)
-        rank = starts[rank] + np.repeat(np.arange(narrow, tail), steps)
-        gathered = np.take(products, rank, axis=0)
-        lo = 0
-        for j, hi in zip(range(narrow, tail), bounds.tolist()):
-            a = acc[j % n_acc, :hi - lo]
-            np.add(gathered[lo:hi], a, out=a)
-            lo = hi
-    for r in range(counts[tail] if tail < max_len else 0):
-        seg = products[starts[r] + tail:starts[r] + sorted_len[r]]
-        seg = seg.reshape(len(seg), -1)
-        nan = np.isnan(seg).any(axis=0)  # settle_nan_rows replays these
-        lanes = acc[:, r].reshape(n_acc, -1)  # a view: writes land
-        for col, rest in enumerate(seg.T.tolist()):
-            if not nan[col]:
-                lanes[:, col] = _chain_lanes(rest, lanes[:, col].tolist(),
-                                             tail)
+    if switch < max_len:
+        c = counts[switch]
+        finish_rows(products, starts[:c], sorted_len[:c], acc[:, :c], switch)
     if n_acc > 1:
         tree_reduce(np.moveaxis(acc[:, :n_long], 0, 1))
     out[order] = acc[0]
     return settle_nan_rows(out, products, ptr, variant, index_bits)
+
+
+def finish_rows(products, starts, lengths, lanes, position):
+    """Chain each row's products from ``position`` on onto its lanes.
+
+    Row ``i`` holds ``lengths[i]`` products from ``products[starts[i]]``
+    on; ``lengths`` is nonincreasing and above ``position``. ``lanes``
+    is (n_acc, rows) or (n_acc, rows, k) and is updated in place:
+    product ``j`` of a row lands on lane ``j % n_acc`` as ``a + p``.
+    Each row is laid out as ``depth`` chunks of ``n_acc`` slots: chunk
+    0 holds its lanes at the row's current lane offset, each further
+    chunk the next ``n_acc`` products, and -0.0, which leaves every sum
+    unchanged, pads a short last chunk. Rows of equal depth form one
+    ``(rows, depth, n_acc[, k])`` block, so one ``np.add.accumulate``
+    over the chunk axis, whose order NumPy defines, chains the whole
+    group.
+    """
+    n_acc = lanes.shape[0]
+    cols = products.shape[1:]
+    depth = (lengths - (position + 1)) // n_acc + 2
+    tops = np.cumsum(depth)
+    heads = tops - depth
+    # slot u of a row gathers its product at position + u - n_acc;
+    # chunk 0 and the pads gather anything in range, then are set
+    index = np.repeat(starts + position - n_acc * (heads + 1), n_acc * depth)
+    index += np.arange(n_acc * int(tops[-1]))
+    slots = np.take(products, index, axis=0, mode="clip")
+    if n_acc > 1:
+        pads = n_acc * (depth - 1) - (lengths - position)
+        last = np.cumsum(pads)
+        slots[np.repeat(n_acc * tops - last, pads)
+              + np.arange(int(last[-1]))] = -0.0
+    rows = slots.reshape((int(tops[-1]), n_acc) + cols)
+    # lane t of a row's chunks holds accumulator (position + t) % n_acc
+    roll = (np.arange(n_acc) + position) % n_acc
+    rows[heads] = np.swapaxes(lanes[roll], 0, 1)
+    cut = (np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist()
+    depths, ends = depth.tolist(), tops.tolist()
+    for lo, hi in zip([0] + cut, cut + [len(depths)]):
+        block = rows[ends[lo] - depths[lo]:ends[hi - 1]]
+        block = block.reshape((hi - lo, depths[lo], n_acc) + cols)
+        np.add.accumulate(block, axis=1, out=block)
+    lanes[roll] = np.swapaxes(rows[tops - 1], 0, 1)
+    return lanes
+
+
+def fold_lanes(products, lanes):
+    """Chain a fiber's ``products`` onto ``lanes`` (n_acc, 1) in place.
+
+    The one-row case of :func:`finish_rows`: product ``i`` lands on
+    lane ``i % n_acc``. Returns ``lanes``.
+    """
+    if len(products):
+        finish_rows(products, np.zeros(1, dtype=np.int64),
+                    np.array([len(products)]), lanes, 0)
+    return lanes
 
 
 def _chain_lanes(rest, accs, j):
@@ -299,17 +331,12 @@ def spgemm_numeric(a, b, ptr, idcs):
 
 
 def spvv_value(products, variant, index_bits):
-    """Whole-fiber reduction in the SpVV kernel's order."""
-    nnz = len(products)
-    if variant in (BASE, SSR):
-        acc = 0.0
-        for p in products:
-            acc = p + acc
-        return float(acc)
-    n_acc = N_ACCUMULATORS[index_bits]
-    acc = np.zeros((1, n_acc), dtype=np.float64)
-    # chunked round-robin: element i lands on accumulator i % n_acc
-    for c in range(0, nnz, n_acc):
-        chunk = products[c:c + n_acc]
-        acc[0, :len(chunk)] = chunk + acc[0, :len(chunk)]
-    return float(tree_reduce(acc)[0])
+    """Whole-fiber reduction in the SpVV kernel's order.
+
+    Every variant clears its accumulators, ISSR's ``n_acc`` of them,
+    lands product ``i`` on accumulator ``i % n_acc`` and ends with the
+    fadd tree: :func:`fold_lanes` onto zeroed lanes.
+    """
+    n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
+    lanes = fold_lanes(products, np.zeros((n_acc, 1), dtype=np.float64))
+    return float(tree_reduce(lanes.T)[0])

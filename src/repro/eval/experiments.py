@@ -37,6 +37,8 @@ QUICK = {
                     clusters=(1, 2, 4)),
     "outofcore": dict(nrows=6000, n_iters=2, window_rows=512),
 }
+#: E9 runs E3 underneath, at E3's scale in either mode.
+QUICK["E9"] = QUICK["E3"]
 
 #: Experiments that execute kernels and honor ``backend=``.
 BACKEND_AWARE = frozenset({"E1", "E2", "E3", "E4", "E8", "E9", "E10",
@@ -136,9 +138,13 @@ def experiment_registry():
 
 
 def _run_related_from_e3(e3_result=None, **kwargs):
-    """E9 needs the whole-run cluster utilization measured by E3."""
+    """E9 needs the whole-run cluster utilization measured by E3.
+
+    Without ``e3_result``, runs E3 with ``kwargs``; through
+    :func:`run_experiment` those carry the mode's E3 scale and the
+    backend.
+    """
     if e3_result is None:
-        kwargs = {**QUICK["E3"], **kwargs}
         e3_result = fig4c.run(**kwargs)
     return static_models.run_related(
         e3_result.measured["whole-run utilization"]

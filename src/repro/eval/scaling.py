@@ -43,7 +43,9 @@ from repro.workloads import get_spec, random_csr, random_dense_vector
 
 #: Cluster counts swept by default (compiled backend).
 DEFAULT_CLUSTERS = (1, 2, 4, 8, 16, 32)
-#: Cycle-backend fallback sweep (cycle-stepping 32 clusters is hours).
+#: Cycle-backend default sweep, short so the whole sweep stays quick.
+#: The event engine steps one full-scale point at 8-32 clusters in
+#: about 3-4 s, so ``clusters=`` can extend it.
 CYCLE_CLUSTERS = (1, 2, 4)
 #: Partitioners compared.
 DEFAULT_PARTITIONERS = ("row_block", "nnz_balanced", "cyclic")

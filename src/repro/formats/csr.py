@@ -33,10 +33,13 @@ class CsrMatrix:
             raise FormatError(f"CSR idcs/vals length mismatch: {len(idcs)} vs {len(vals)}")
         if len(idcs) and (idcs.min() < 0 or idcs.max() >= ncols):
             raise FormatError("CSR column index out of range")
-        for r in range(nrows):
-            row = idcs[ptr[r]:ptr[r + 1]]
-            if len(row) > 1 and not np.all(np.diff(row) > 0):
-                raise FormatError(f"CSR row {r} columns not strictly increasing")
+        # a column pair that does not increase is legal only across a
+        # row start
+        bad = np.diff(idcs) <= 0
+        bad[ptr[(ptr > 0) & (ptr < len(idcs))] - 1] = False
+        if bad.any():
+            r = int(np.searchsorted(ptr, np.argmax(bad), side="right")) - 1
+            raise FormatError(f"CSR row {r} columns not strictly increasing")
         self.ptr = ptr
         self.idcs = idcs
         self.vals = vals

@@ -6,8 +6,8 @@ selected backend on one tile at a time, and composes the full result:
 - :func:`stream_csrmv` — tiles are independent row blocks, so the
   composed ``y`` is **bit-identical** to the resident backend;
 - :func:`stream_spvv` — the fiber streams in accumulator-aligned
-  chunks and the fold carries the exact resident accumulator state
-  (scalar chain for BASE/SSR, the ``n_acc`` round-robin lanes + final
+  chunks and each chunk folds onto the resident accumulator lanes
+  (one lane for BASE/SSR, the ``n_acc`` round-robin lanes + final
   tree for ISSR), so the dot is bit-identical too;
 - :func:`stream_power_iteration` — repeated streaming CsrMV passes;
   the :class:`~repro.mem.dma.TransferLedger` shows every tile crossing
@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.errors import ConfigError, FormatError
 from repro.kernels.common import (
-    BASE,
+    ISSR,
     N_ACCUMULATORS,
-    SSR,
     check_index_bits,
     check_variant,
 )
@@ -191,11 +190,11 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     cached matrix). The fold replays the resident
     :func:`repro.compiler.vectorize.spvv_value` operation-for-
     operation: chunk bounds are multiples of the ISSR accumulator
-    count, and the scalar/lane accumulator state carries across
-    chunks, so the result is bit-identical to the resident backend.
+    count, and the accumulator lanes carry across chunks, so the
+    result is bit-identical to the resident backend.
     """
     from repro.backends.model import spvv_stats
-    from repro.compiler.vectorize import tree_reduce
+    from repro.compiler.vectorize import fold_lanes, tree_reduce
 
     check_variant(variant)
     check_index_bits(index_bits)
@@ -208,20 +207,13 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
                           f"{len(indices)} vs {nnz}")
     n_acc = N_ACCUMULATORS[index_bits]
     chunks = _spvv_chunks(nnz, chunk_nnz, n_acc) if nnz else []
-    acc_scalar = 0.0
-    acc = np.zeros((1, n_acc), dtype=np.float64)
+    lanes = np.zeros((n_acc if variant == ISSR else 1, 1), dtype=np.float64)
     compute, dma = [], []
     stats = StreamStats()
     for i, (c0, c1) in enumerate(chunks):
         idx = np.asarray(indices[c0:c1], dtype=np.int64)
-        products = np.asarray(values[c0:c1], dtype=np.float64) * x[idx]
-        if variant in (BASE, SSR):
-            for p in products:
-                acc_scalar = p + acc_scalar
-        else:
-            for c in range(0, len(products), n_acc):
-                chunk = products[c:c + n_acc]
-                acc[0, :len(chunk)] = chunk + acc[0, :len(chunk)]
+        fold_lanes(np.asarray(values[c0:c1], dtype=np.float64) * x[idx],
+                   lanes)
         words = 2 * (c1 - c0)  # value + index words
         if ledger is not None:
             ledger.record(pass_id, ("chunk", i), words, IN)
@@ -229,10 +221,7 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
         compute.append(int(kstats.cycles))
         dma.append(transfer_cycles(words))
         stats.bytes_in += words * 8
-    if variant in (BASE, SSR):
-        result = float(acc_scalar)
-    else:
-        result = float(tree_reduce(acc)[0])
+    result = float(tree_reduce(lanes.T)[0])
     stats.tiles = len(chunks)
     stats.tile_bounds = list(chunks)
     stats.compute_cycles = sum(compute)

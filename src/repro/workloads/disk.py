@@ -35,12 +35,13 @@ def _block_rng(seed, r0):
 def _dedupe_sorted(row_ids, cols, ncols, n_block_rows):
     """Per-row sorted+unique triples from (local row, col) pairs.
 
-    One vectorized ``np.unique`` over the fused key gives row-major
-    order with strictly increasing columns per row — the CSR contract
-    — regardless of block size.
+    One ``np.sort`` over the fused key, keeping each run's first
+    entry, gives row-major order with strictly increasing columns per
+    row — the CSR contract — regardless of block size. (``np.unique``
+    gives the same keys, but may take a slower hashing path.)
     """
-    key = row_ids.astype(np.int64) * ncols + cols
-    key = np.unique(key)
+    key = np.sort(row_ids.astype(np.int64) * ncols + cols)
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     rows = key // ncols
     cols = key % ncols
     lengths = np.bincount(rows, minlength=n_block_rows).astype(np.int64)

@@ -26,8 +26,9 @@ from repro.compiler import (
     lower,
     recover_structure,
 )
+from repro.compiler import vectorize
 from repro.compiler.templates import csr_shape_class
-from repro.compiler.vectorize import accumulate_rows
+from repro.compiler.vectorize import accumulate_rows, spvv_value
 from repro.isa.introspect import fingerprint, normalize_program
 from repro.isa.program import ProgramBuilder
 from repro.kernels.common import PROGRAM_CACHE
@@ -36,6 +37,7 @@ from repro.kernels.csrmm import build_csrmm
 from repro.kernels.masked import build_masked_csrmv, build_masked_spvv
 from repro.kernels.spgemm import build_spgemm
 from repro.kernels.spvv import build_spvv
+from repro.stream import stream_spvv
 
 ALL_VARIANTS = [("base", 32), ("base", 16), ("ssr", 32), ("ssr", 16),
                 ("issr", 32), ("issr", 16)]
@@ -242,8 +244,20 @@ class TestShapeClasses:
             is kernel.row_reducer(("general",))
 
 
-def battery_lengths(shape, rng):
-    """Row lengths for one named shape of the exact-order battery."""
+#: The position where :data:`FINISHER_SHAPES`' ``off_stride`` rows
+#: finish: past ISSR's init, and a multiple of neither 4 nor 8.
+OFF_STRIDE = 11
+
+#: Shapes whose rows reach the finisher (``vectorize.finish_rows``).
+FINISHER_SHAPES = ["geometric_tail", "narrow_equal", "off_stride"]
+
+
+def battery_lengths(shape, rng, per_row=1):
+    """Row lengths for one named shape of the exact-order battery.
+
+    ``per_row`` is the accumulate chains a finished row costs (its
+    accumulators times its columns); only ``off_stride`` depends on it.
+    """
     if shape == "no_rows":
         return np.zeros(0, dtype=np.int64)
     if shape == "all_empty":
@@ -256,11 +270,44 @@ def battery_lengths(shape, rng):
         return np.minimum(rng.zipf(1.6, size=300), 400)
     if shape == "straddle_n_acc":  # both sides of 4 and of 8
         return rng.integers(0, 13, size=150)
+    if shape == "geometric_tail":  # >= 64 short rows, long rows to 3000
+        tail = (3000 * 0.6 ** np.arange(10)).astype(np.int64)
+        return np.concatenate((rng.integers(0, 12, size=80), tail))
+    if shape == "narrow_equal":  # finished rows that share a length
+        return np.concatenate((rng.integers(0, 7, size=70), np.full(5, 500),
+                               np.full(4, 97), [1200], np.full(3, 31)))
+    if shape == "off_stride":
+        # Blockers hold enough chains to keep the stepper going up to
+        # OFF_STRIDE. From there, 25 rows finish, their remaining lengths
+        # straddling multiples of 4 and 8, two rows each; one long row
+        # leaves enough positions for their chains.
+        rest = np.repeat([3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33], 2)
+        longest = max(33, (len(rest) + 1) * per_row)
+        blockers = max(0, (OFF_STRIDE + longest) // per_row - len(rest))
+        lengths = np.concatenate((OFF_STRIDE + rest, [OFF_STRIDE + longest],
+                                  np.full(blockers, OFF_STRIDE),
+                                  rng.integers(0, OFF_STRIDE, size=20)))
+        return rng.permutation(lengths)
     # python_tail: >64 live rows (wide), then 34 (narrow), then the four
-    # longest finish in Python floats from position 41, which is off the
-    # accumulator stride
+    # longest from position 41, which is off the accumulator stride
     return np.concatenate(([200, 150, 131, 90], np.full(30, 41),
                            np.full(66, 10)))
+
+
+def reference_fiber(products, variant, bits):
+    """SpVV's order in Python floats: ``n_acc`` lanes (one for BASE/SSR)
+    cleared, product ``i`` chained onto lane ``i % n_acc``, then the
+    fadd tree."""
+    n_acc = {16: 8, 32: 4}[bits] if variant == "issr" else 1
+    lanes = [0.0] * n_acc
+    for i, p in enumerate(products):
+        lanes[i % n_acc] = fadd(p, lanes[i % n_acc])
+    stride = 1
+    while stride < n_acc:
+        for i in range(0, n_acc - stride, 2 * stride):
+            lanes[i] = fadd(lanes[i], lanes[i + stride])
+        stride *= 2
+    return lanes[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic
@@ -287,6 +334,60 @@ class TestExactOrderBattery:
         want = reference_rows(products, ptr, variant, bits)
         assert got.shape == want.shape == (len(lengths),) + products.shape[1:]
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 4, 8])
+    @pytest.mark.parametrize("shape", FINISHER_SHAPES)
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_finisher_matches_the_scalar_reference(self, monkeypatch,
+                                                   variant, bits, shape, k):
+        """Shapes whose long rows the finisher completes, off the
+        accumulator stride for ``off_stride``."""
+        positions = []
+        finish = vectorize.finish_rows
+
+        def finish_rows(products, starts, lengths, lanes, position):
+            positions.append(position)
+            return finish(products, starts, lengths, lanes, position)
+
+        monkeypatch.setattr(vectorize, "finish_rows", finish_rows)
+        rng = stable_rng(variant, bits, shape, k)
+        per_row = ({16: 8, 32: 4}[bits] if variant == "issr" else 1) * (k or 1)
+        lengths = battery_lengths(shape, rng, per_row)
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        products = salted_products(rng, int(ptr[-1]), k)
+        got = accumulate_rows(products, ptr, variant, bits)
+        want = reference_rows(products, ptr, variant, bits)
+        assert positions and (shape != "off_stride"
+                              or positions == [OFF_STRIDE])
+        assert got.shape == want.shape == (len(lengths),) + products.shape[1:]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_zero_columns_give_zero_columns(self, variant, bits):
+        """CsrMM with a zero-column dense operand: ragged rows that
+        reach the finisher return (nrows, 0)."""
+        ptr = np.array([0, 3, 10, 11, 40])
+        got = accumulate_rows(np.zeros((40, 0)), ptr, variant, bits)
+        assert got.shape == (4, 0)
+
+    @pytest.mark.parametrize("nnz", [0, 1, 3, 4, 5, 7, 8, 9, 33, 3001])
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_one_row_fibers_match_the_scalar_reference(self, variant, bits,
+                                                       nnz):
+        """``spvv_value`` and ``stream_spvv`` (in chunks of 16) are the
+        finisher's one-row case. Salted without NaN operands: SpVV pins
+        no NaN payload rule, and ``inf - inf`` makes only one NaN."""
+        rng = stable_rng(variant, bits, nnz)
+        products = rng.standard_normal(nnz)
+        salt = rng.random(nnz) < 0.04
+        products[salt] = rng.choice(np.array(SPECIALS[2:]), int(salt.sum()))
+        want = np.float64(reference_fiber(products.tolist(), variant, bits))
+        got = np.float64(spvv_value(products, variant, bits))
+        _stats, streamed = stream_spvv(np.arange(nnz), products, np.ones(nnz),
+                                       chunk_nnz=16, variant=variant,
+                                       index_bits=bits)
+        assert got.tobytes() == want.tobytes()
+        assert np.float64(streamed).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("variant,bits", SERIES)
     def test_nan_payload_follows_the_product(self, variant, bits):

@@ -63,6 +63,27 @@ class TestCsrConstruction:
         with pytest.raises(FormatError):
             CsrMatrix([0, 2], [1, 0], [1.0, 2.0], (1, 3))
 
+    @pytest.mark.parametrize("ptr,idcs,row", [
+        ([0, 2, 5], [0, 3, 1, 1, 4], 1),  # a repeated column
+        ([0, 3, 5], [0, 2, 1, 0, 1], 0),  # a decreasing pair
+        ([0, 0, 2, 2, 4, 4], [1, 5, 3, 2], 3),  # empty rows around it
+        ([0, 3], [0, 2, 2], 0),  # one row
+    ])
+    def test_column_order_names_the_first_bad_row(self, ptr, idcs, row):
+        with pytest.raises(FormatError,
+                           match=f"CSR row {row} columns not strictly"):
+            CsrMatrix(ptr, idcs, np.ones(len(idcs)), (len(ptr) - 1, 6))
+
+    @pytest.mark.parametrize("ptr,idcs", [
+        ([0, 3, 5], [1, 4, 5, 0, 2]),  # columns drop across a row start
+        ([0, 0, 2, 2, 3, 3], [3, 5, 0]),  # ... and across empty rows
+        ([0, 0, 0], []),  # no nonzeros
+        ([0, 1], [4]),  # one row, one nonzero
+    ])
+    def test_column_order_accepts_legal_rows(self, ptr, idcs):
+        m = CsrMatrix(ptr, idcs, np.ones(len(idcs)), (len(ptr) - 1, 6))
+        assert m.nnz == len(idcs)
+
     def test_from_coo_sums_duplicates(self):
         m = CsrMatrix.from_coo([0, 0], [1, 1], [2.0, 3.0], (1, 3))
         assert m.nnz == 1

@@ -1,5 +1,7 @@
 """Tests for the experiment drivers and report rendering."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.eval import EXPERIMENTS, run_experiment
@@ -58,6 +60,22 @@ class TestDrivers:
         from repro.eval.experiments import _run_related_from_e3
         rr = _run_related_from_e3(r)
         assert rr.measured["vs Xeon Phi CVR"] > 10
+
+    @pytest.mark.parametrize("quick", [True, False])
+    def test_e9_runs_e3_in_the_requested_mode(self, monkeypatch, quick):
+        """E9's underlying E3 run gets the mode's scale and the backend."""
+        from repro.eval import experiments, fig4c
+
+        seen = []
+
+        def fake_e3(**kwargs):
+            seen.append(kwargs)
+            return SimpleNamespace(measured={"whole-run utilization": 0.49})
+
+        monkeypatch.setattr(fig4c, "run", fake_e3)
+        run_experiment("E9", quick=quick, backend="compiled")
+        scale = experiments.QUICK["E3"] if quick else {}
+        assert seen == [{**scale, "backend": "compiled"}]
 
     def test_e4_energy(self):
         from repro.workloads import get_spec

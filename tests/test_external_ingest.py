@@ -452,6 +452,15 @@ class TestDiskGenerators:
         m = open_csr_cache(path, verify=True)
         assert m.nrows == 700
 
+    def test_webgraph_bytes_are_pinned(self, tmp_path):
+        """A multi-block webgraph cache hashes as it always has: the
+        generator's per-block dedupe changes nothing on disk."""
+        path = tmp_path / "w.csrbin"
+        webgraph_cache(str(path), 5000, seed=3, block_rows=1024)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9643c9627aac93d3b9c01754a2f1b2ea"
+            "14786763010605c24c4d937e139f32c1")
+
 
 class TestFetchSuitesparse:
     def _tarball(self, tmp_path, matrix):
