@@ -31,14 +31,18 @@ from repro.telemetry import metrics as _metrics
 
 
 def _index_array(operand):
-    """The index array a kernel packs from ``operand`` (or None)."""
+    """``(indices, bound)`` a kernel packs from ``operand``.
+
+    Each format's constructor guarantees every index is below
+    ``bound``; an operand without indices gives ``(None, 0)``.
+    """
     if isinstance(operand, CsrMatrix):
-        return operand.idcs
+        return operand.idcs, operand.ncols
     if isinstance(operand, SparseFiber):
-        return operand.indices
+        return operand.indices, operand.dim
     if isinstance(operand, CsfTensor):
-        return operand.idcs[-1]
-    return None
+        return operand.idcs[-1], operand.shape[-1]
+    return None, 0
 
 
 def check_index_width(spec, operands, index_bits):
@@ -47,12 +51,13 @@ def check_index_width(spec, operands, index_bits):
     Every index the kernel streams through the ISSR must fit in
     ``index_bits`` (the paper's 16/32-bit axis) — the same check, with
     the same message, that :func:`repro.utils.bits.pack_indices`
-    applies when the cycle backend packs the operands.
+    applies when the cycle backend packs the operands. Only an operand
+    whose index bound exceeds the width is scanned.
     """
     limit = 1 << index_bits
     for name in spec.operands:
-        idcs = _index_array(operands[name])
-        if idcs is not None and len(idcs) and idcs.max() >= limit:
+        idcs, bound = _index_array(operands[name])
+        if bound > limit and len(idcs) and idcs.max() >= limit:
             first = int(idcs[(idcs >= limit).argmax()])
             raise FormatError(
                 f"index {first} does not fit in {index_bits} bits")

@@ -36,15 +36,9 @@ from repro.backends.model import (
     spvv_stats,
 )
 from repro.compiler.templates import csr_shape_class, lower
-from repro.compiler.vectorize import (
-    chain_from_zero,
-    masked_products,
-    spgemm_numeric,
-    spvv_value,
-)
-from repro.core.intersect import merge_profile
+from repro.compiler.vectorize import masked_rows, spgemm_numeric, spvv_value
+from repro.core.intersect import MergeProfile
 from repro.errors import ConfigError, FormatError, LoweringError
-from repro.formats.builder import spgemm_pattern
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
 from repro.kernels.ttv import _nonleaf_coords
@@ -112,11 +106,16 @@ class CompiledBackend(Backend):
         k = dense.shape[1]
         if k & (k - 1):
             raise ValueError(f"dense column count {k} must be a power of two")
-        products = np.take(dense, matrix.idcs, axis=0)  # (nnz, k)
-        np.multiply(matrix.vals[:, None], products, out=products)
+        if kernel.n_acc:  # ISSR's stepper gathers whole (k,) rows
+            products = np.take(dense, matrix.idcs, axis=0)
+            np.multiply(matrix.vals[:, None], products, out=products)
+        else:  # cleared rows: one contiguous bincount per column
+            products = np.take(dense.T, matrix.idcs, axis=1)
+            np.multiply(matrix.vals, products, out=products)
+            products = products.T
         reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
-        # uniform ISSR rows come back as a strided view of their
-        # accumulators; callers get a contiguous (nrows, k) array
+        # uniform ISSR rows and cleared rows come back as strided views;
+        # callers get a contiguous (nrows, k) array
         out = np.ascontiguousarray(
             reducer(products, matrix.ptr, matrix.nrows))
         stats = csrmm_stats(matrix.row_lengths(), k, kernel.variant,
@@ -157,34 +156,23 @@ class CompiledBackend(Backend):
 
         kernel = self._lower(build_masked_spvv, "masked_spvv", variant,
                              index_bits)
-        products = masked_products(fiber_a.indices, fiber_a.values,
-                                   fiber_b.indices, fiber_b.values)
-        result = chain_from_zero(products)
-        profile = merge_profile(fiber_a.indices, fiber_b.indices)
+        y, profile = masked_rows([0, fiber_a.nnz], fiber_a.indices,
+                                 fiber_a.values, fiber_b.indices,
+                                 fiber_b.values)
+        profile = MergeProfile(*(int(field[0]) for field in profile))
         stats = masked_spvv_stats(profile, fiber_a.nnz, fiber_b.nnz,
                                   kernel.variant, kernel.index_bits)
-        return stats, result
+        return stats, float(y[0])
 
     def _exec_masked_csrmv(self, matrix, x_fiber, variant, index_bits=32,
                            check=True):
-        """Lower the masked CsrMV program; replay the per-row merges."""
+        """Lower the masked CsrMV program; replay every row's merge."""
         from repro.kernels.masked import build_masked_csrmv
 
         kernel = self._lower(build_masked_csrmv, "masked_csrmv", variant,
                              index_bits)
-        y = np.zeros(matrix.nrows, dtype=np.float64)
-        profiles = []
-        if x_fiber.nnz:
-            for r in range(matrix.nrows):
-                lo, hi = int(matrix.ptr[r]), int(matrix.ptr[r + 1])
-                if hi == lo:
-                    continue
-                products = masked_products(
-                    matrix.idcs[lo:hi], matrix.vals[lo:hi],
-                    x_fiber.indices, x_fiber.values)
-                y[r] = chain_from_zero(products)
-                profiles.append(merge_profile(matrix.idcs[lo:hi],
-                                              x_fiber.indices))
+        y, profiles = masked_rows(matrix.ptr, matrix.idcs, matrix.vals,
+                                  x_fiber.indices, x_fiber.values)
         stats = masked_csrmv_stats(profiles, matrix.row_lengths(),
                                    x_fiber.nnz, kernel.variant,
                                    kernel.index_bits)
@@ -199,8 +187,7 @@ class CompiledBackend(Backend):
         if a.ncols != b.nrows:
             raise FormatError(
                 f"spgemm shape mismatch: {a.shape} @ {b.shape}")
-        ptr, idcs = pattern if pattern is not None else spgemm_pattern(a, b)
-        vals, counters = spgemm_numeric(a, b, ptr, idcs)
+        ptr, idcs, vals, counters = spgemm_numeric(a, b, pattern)
         c = CsrMatrix(ptr, idcs, vals, (a.nrows, b.ncols))
         stats = spgemm_stats(counters["n_pattern"], counters["n_skip"],
                              int(ptr[-1]), counters["n_a"], counters["n_k"],

@@ -178,11 +178,16 @@ def _issr_row_classes(lengths, n_acc):
 
 
 def csrmv_cycles(lengths, variant, index_bits):
-    """Predicted single-CC CsrMV cycles for the given row structure."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    nnz = int(lengths.sum())
-    fixed = _FIXED[variant] + (_LAUNCH[variant] if nnz else 0)
-    return fixed + int(row_cycles(lengths, variant, index_bits).sum())
+    """Predicted single-CC CsrMV cycles for the given row structure.
+
+    Rows of one length cost the same, so each distinct length is priced
+    once (:func:`row_cycles`) and weighted by its row count.
+    """
+    counts = np.bincount(np.asarray(lengths, dtype=np.int64))
+    present = np.nonzero(counts > 0)[0]
+    fixed = _FIXED[variant] + (_LAUNCH[variant] if len(counts) > 1 else 0)
+    return fixed + int(counts[present]
+                       @ row_cycles(present, variant, index_bits))
 
 
 def csrmv_stats(lengths, variant, index_bits):
@@ -389,9 +394,10 @@ def masked_spvv_stats(profile, na, nb, variant, index_bits):
 def masked_csrmv_cycles(profiles, row_lengths, nnz_x, variant, index_bits):
     """Predicted masked-CsrMV cycles.
 
-    ``profiles`` holds one :class:`~repro.core.intersect.MergeProfile`
-    per *nonempty* row (in row order); ``row_lengths`` the per-row
-    nonzero counts of the matrix.
+    ``profiles`` is a :class:`~repro.core.intersect.MergeProfile` of
+    per-row arrays (:func:`~repro.core.intersect.merge_rows`; an empty
+    row's entries are zero); ``row_lengths`` the per-row nonzero
+    counts of the matrix.
     """
     row_lengths = np.asarray(row_lengths, dtype=np.int64)
     nrows = len(row_lengths)
@@ -403,19 +409,20 @@ def masked_csrmv_cycles(profiles, row_lengths, nnz_x, variant, index_bits):
     n_empty = int(np.count_nonzero(row_lengths == 0))
     fixed, per_row, per_empty = _MASKED_MV_ROW[variant]
     cycles = fixed + per_empty * n_empty + per_row * (nrows - n_empty)
-    for p in profiles:
-        if variant == ISSR:
-            cycles += p.steps
-            if p.matches:
-                cycles += max(p.steps, _CHAIN_LATENCY * p.matches) \
-                    - _MASKED_MV_STREAM_OVERLAP
-        else:
-            adv, match = _MERGE_STEP[variant]
-            cycles += adv * (p.steps - p.matches) + match * p.matches
+    steps, matches = profiles.steps, profiles.matches
+    # every term is a whole number of cycles, so the sums are exact
+    if variant == ISSR:
+        streamed = matches > 0
+        cycles += int(steps.sum()) + int(np.maximum(
+            steps[streamed], _CHAIN_LATENCY * matches[streamed]).sum()) \
+            - _MASKED_MV_STREAM_OVERLAP * int(np.count_nonzero(streamed))
+    else:
+        adv, match = _MERGE_STEP[variant]
+        cycles += adv * int((steps - matches).sum()) \
+            + match * int(matches.sum())
     if variant == SSR:
         # exposed stream drains: A values never consumed by the merge
-        consumed = sum(p.consumed_a for p in profiles)
-        cycles += int(row_lengths.sum()) - consumed
+        cycles += int(row_lengths.sum()) - int(profiles.consumed_a.sum())
     return int(math.ceil(cycles))
 
 
@@ -424,9 +431,9 @@ def masked_csrmv_stats(profiles, row_lengths, nnz_x, variant, index_bits):
     row_lengths = np.asarray(row_lengths, dtype=np.int64)
     stats = RunStats(cycles=masked_csrmv_cycles(profiles, row_lengths,
                                                 nnz_x, variant, index_bits))
-    m = sum(p.matches for p in profiles)
-    ca = sum(p.consumed_a for p in profiles)
-    cb = sum(p.consumed_b for p in profiles)
+    m = int(profiles.matches.sum())
+    ca = int(profiles.consumed_a.sum())
+    cb = int(profiles.consumed_b.sum())
     stats.fpu_mac_ops = m
     stats.fpu_compute_ops = m
     stats.fpu_issued_ops = m + 2 * len(row_lengths)

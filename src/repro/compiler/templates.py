@@ -27,17 +27,16 @@ from repro.compiler.structure import recover_structure
 from repro.compiler.vectorize import (
     accumulate_rows,
     chain_rows,
+    cleared_rows,
     settle_nan_rows,
     staggered_rows,
 )
 from repro.errors import LoweringError
 from repro.isa.introspect import normalize_program
 from repro.kernels.common import (
-    BASE,
     ISSR,
     N_ACCUMULATORS,
     PROGRAM_CACHE,
-    SSR,
     VARIANTS,
 )
 
@@ -133,8 +132,10 @@ def csr_shape_class(ptr):
     """The shape class of a CSR row partition.
 
     ``("uniform", L)`` when every row holds exactly ``L`` nonzeros —
-    the row loop specializes to straight vector passes with no length
-    sort; ``("general",)`` otherwise (the length-sorted stepper).
+    the ISSR row loop specializes to straight vector passes with no
+    length sort; ``("general",)`` otherwise (the length-sorted
+    stepper). Cleared-accumulator (BASE/SSR) rows replay the same way
+    in every class.
     """
     lengths = np.diff(ptr)
     if len(lengths) and lengths.min() == lengths.max():
@@ -145,6 +146,9 @@ def csr_shape_class(ptr):
 def _emit_row_reducer(kernel, shape_class):
     """Emit the fused row-reduction closure for ``shape_class``."""
     variant, index_bits = kernel.variant, kernel.index_bits
+    n_acc = kernel.n_acc
+    if n_acc == 0:  # BASE/SSR clear their accumulator: one bincount
+        return cleared_rows
     if shape_class[0] != "uniform":
         def general(products, ptr, nrows):
             return accumulate_rows(products, ptr, variant, index_bits)
@@ -152,21 +156,18 @@ def _emit_row_reducer(kernel, shape_class):
         return general
 
     length = shape_class[1]
-    n_acc = kernel.n_acc
     if length == 0:
         def empty(products, ptr, nrows):
             return np.zeros((nrows,) + products.shape[1:], dtype=np.float64)
 
         return empty
-    if variant in (BASE, SSR) or length < n_acc:
-        from_zero = variant in (BASE, SSR)
-
-        def uniform_chain(products, ptr, nrows):
+    if length < n_acc:
+        def uniform_short(products, ptr, nrows):
             starts = np.asarray(ptr[:-1], dtype=np.int64)
-            out = chain_rows(products, starts, length, from_zero)
+            out = chain_rows(products, starts, length)
             return settle_nan_rows(out, products, ptr, variant, index_bits)
 
-        return uniform_chain
+        return uniform_short
 
     def uniform_staggered(products, ptr, nrows):
         starts = np.asarray(ptr[:-1], dtype=np.int64)

@@ -6,27 +6,31 @@ Results are **bit-identical** to the cycle engine: the simulator's FPU
 evaluates ``fmadd.d`` as the Python expression ``a * b + c`` (two
 roundings), so replaying each kernel's exact accumulation order with
 IEEE-754 double operations reproduces its output to the last bit. The
-orders differ per variant (§III-B, Listing 1):
+orders differ per kernel (§III-B, Listing 1):
 
-- BASE/SSR accumulate each row left to right from ``0.0``;
+- BASE/SSR rows, every SpVV lane, the masked merges and SpGEMM's
+  output slots clear their accumulators, then add each product in
+  stream order: one ``np.bincount`` over accumulator ids
+  (:func:`cleared_sums`);
 - ISSR short rows start from the first product (``fmul``) and chain;
 - ISSR long rows initialize ``n_acc`` accumulators with the first
   ``n_acc`` products, stagger the remaining products round-robin
   (product ``n_acc + i`` lands on accumulator ``i % n_acc``), then
   combine with the same balanced fadd tree the kernel emits.
 
-Ragged rows replay in one length-sorted ("jagged-diagonal") pass,
+Ragged ISSR rows replay in one length-sorted ("jagged-diagonal") pass,
 one vector update per row position while many rows are live. The
 rows still live then finish with one ``np.add.accumulate`` per group
-of rows with as many products left (:func:`finish_rows`), of which a
-whole SpVV fiber is the one-row case. A trailing column axis on the
-products (CsrMM's k columns) rides the same pass. Rows holding a NaN
-product are replayed in Python floats, which pins the NaN payload
-(:func:`settle_nan_rows`).
+of rows with as many products left (:func:`finish_rows`). A trailing
+column axis on the products (CsrMM's k columns) rides the same pass.
+ISSR rows holding a NaN product are replayed in Python floats, which
+pins the NaN payload (:func:`settle_nan_rows`).
 """
 
 import numpy as np
 
+from repro.core.intersect import merge_rows
+from repro.formats.builder import pattern_of_keys, spgemm_pairs
 from repro.kernels.common import ISSR, N_ACCUMULATORS
 from repro.snitch.fpu import fadd
 
@@ -49,16 +53,74 @@ def tree_reduce(acc):
     return acc[:, 0]
 
 
-def chain_rows(products, starts, length, from_zero):
-    """Left-to-right accumulation of same-length rows (vectorized).
+def cleared_sums(ids, weights, n):
+    """``n`` cleared accumulators, each adding its weights in order.
 
-    ``starts`` indexes each row's first product. ``from_zero`` matches
-    the BASE/SSR kernels (accumulator cleared, first op is a MAC);
-    otherwise the first product initializes the accumulator (``fmul``).
+    Accumulator ``ids[i]`` takes ``weights[i]`` as ``p + acc``, in
+    array order, from +0.0: the order of every kernel that clears its
+    accumulators and then MACs into them (BASE/SSR rows, SpVV lanes,
+    the masked merges, SpGEMM's output slots). ``np.bincount`` adds
+    each weight into its bin in exactly that order, in one C loop.
+
+    It computes ``acc + p``, so a bin meeting two NaNs may keep the
+    accumulator's payload, where the FPU's rule
+    (:func:`repro.snitch.fpu.fadd`) lets the product's win. Under that
+    rule a NaN product replaces whatever the accumulator held, and only
+    a later NaN product replaces it again, so a bin that met a NaN
+    weight ends as its last one, quieted. A NaN weight always leaves
+    its bin NaN, so bins that end without a NaN skip the search.
+    """
+    out = np.bincount(ids, weights=weights, minlength=n)
+    if np.isnan(out).any():
+        nan = np.flatnonzero(np.isnan(weights))[::-1]
+        # np.unique keeps each bin's first index: its last NaN weight
+        _, first = np.unique(ids[nan], return_index=True)
+        last = nan[first]
+        out[ids[last]] = weights[last] + weights[last]
+    return out
+
+
+def cleared_rows(products, ptr, nrows):
+    """Every CSR row summed from a cleared accumulator (BASE/SSR).
+
+    ``products`` is (nnz,) or (nnz, k); each of the k columns is one
+    :func:`cleared_sums`. CsrMM passes the transpose of a (k, nnz)
+    array, so each column it sums is contiguous. Returns (nrows,) or
+    (nrows, k).
+    """
+    rows = np.repeat(np.arange(nrows), np.diff(ptr))
+    if products.ndim == 1:
+        return cleared_sums(rows, products, nrows)
+    out = np.empty((products.shape[1], nrows), dtype=np.float64)
+    for c, column in enumerate(products.T):
+        out[c] = cleared_sums(rows, column, nrows)
+    return out.T
+
+
+def lane_tree(lanes):
+    """The kernel's balanced fadd tree over one row's ``lanes``.
+
+    Python floats with the FPU's NaN rule: a sum of two NaNs keeps the
+    left operand's payload. Returns a float.
+    """
+    accs = [float(a) for a in lanes]
+    stride = 1
+    while stride < len(accs):
+        for i in range(0, len(accs) - stride, 2 * stride):
+            accs[i] = fadd(accs[i], accs[i + stride])
+        stride *= 2
+    return accs[0]
+
+
+def chain_rows(products, starts, length):
+    """ISSR short rows of one length: ``fmul``, then a chain (vectorized).
+
+    ``starts`` indexes each row's first product, which initializes the
+    row's accumulator.
     """
     cols = starts[:, None] + np.arange(length)
     p = products[cols]
-    acc = p[:, 0] + 0.0 if from_zero else p[:, 0].copy()
+    acc = p[:, 0].copy()
     for j in range(1, length):
         acc = p[:, j] + acc
     return acc
@@ -78,6 +140,9 @@ def staggered_rows(products, starts, length, n_acc):
 def accumulate_rows(products, ptr, variant, index_bits):
     """Per-row reduction of ``products`` in the kernel's exact order.
 
+    The compiled backend replays ISSR rows here and sends BASE/SSR
+    rows, one cleared accumulator each, to :func:`cleared_rows`,
+    which computes the same order.
     ``products`` is (nnz,) or (nnz, k): a trailing axis replays k
     independent columns in the same pass, and the result is (nrows,)
     or (nrows, k). Rows are sorted longest first, so the rows still
@@ -189,18 +254,6 @@ def finish_rows(products, starts, lengths, lanes, position):
     return lanes
 
 
-def fold_lanes(products, lanes):
-    """Chain a fiber's ``products`` onto ``lanes`` (n_acc, 1) in place.
-
-    The one-row case of :func:`finish_rows`: product ``i`` lands on
-    lane ``i % n_acc``. Returns ``lanes``.
-    """
-    if len(products):
-        finish_rows(products, np.zeros(1, dtype=np.int64),
-                    np.array([len(products)]), lanes, 0)
-    return lanes
-
-
 def _chain_lanes(rest, accs, j):
     """Chain a row's products at positions ``j`` and up onto ``accs``.
 
@@ -231,13 +284,7 @@ def _replay_row(row, n_acc):
         return _chain_lanes(row, [0.0], 0)[0]
     if len(row) < n_acc:  # short row: fmul, then a chain
         return _chain_lanes(row[1:], [row[0]], 1)[0]
-    accs = _chain_lanes(row[n_acc:], row[:n_acc], n_acc)
-    stride = 1  # the kernel's balanced fadd tree
-    while stride < n_acc:
-        for i in range(0, n_acc - stride, 2 * stride):
-            accs[i] = fadd(accs[i], accs[i + stride])
-        stride *= 2
-    return accs[0]
+    return lane_tree(_chain_lanes(row[n_acc:], row[:n_acc], n_acc))
 
 
 def settle_nan_rows(out, products, ptr, variant, index_bits):
@@ -268,66 +315,54 @@ def settle_nan_rows(out, products, ptr, variant, index_bits):
     return out
 
 
-def masked_products(a_idcs, a_vals, b_idcs, b_vals):
-    """Products of matched value pairs, in merge (index) order.
+def masked_rows(ptr, a_idcs, a_vals, b_idcs, b_vals):
+    """Masked CsrMV's rows in merge order; ``(y, profile)``.
 
-    The vectorized form of the lane's functional contract
-    (:func:`repro.core.intersect.intersect_indices`): fiber indices
-    are sorted and unique, so ``np.intersect1d`` yields exactly the
-    merge's matched positions, in order.
+    Row ``r`` (``a_idcs[ptr[r]:ptr[r + 1]]``) merges with the fiber
+    ``(b_idcs, b_vals)``, clears its accumulator and adds each matched
+    pair's product in merge (index) order: one
+    :func:`~repro.core.intersect.merge_rows` over every row, then
+    :func:`cleared_sums`. The masked kernels share that order across
+    BASE/SSR/ISSR (see :mod:`repro.kernels.masked`); masked SpVV is
+    the one-row case. ``profile`` holds each row's merge work.
     """
-    _, pa, pb = np.intersect1d(np.asarray(a_idcs, dtype=np.int64),
-                               np.asarray(b_idcs, dtype=np.int64),
-                               assume_unique=True, return_indices=True)
-    return np.asarray(a_vals, dtype=np.float64)[pa] \
-        * np.asarray(b_vals, dtype=np.float64)[pb]
+    nrows = len(ptr) - 1
+    rows, pos_a, pos_b, profile = merge_rows(ptr, a_idcs, b_idcs)
+    products = np.asarray(a_vals, dtype=np.float64)[pos_a] \
+        * np.asarray(b_vals, dtype=np.float64)[pos_b]
+    return cleared_sums(rows, products, nrows), profile
 
 
-def chain_from_zero(products):
-    """Left-to-right accumulation from +0.0 — the masked kernels' order
-    (identical across BASE/SSR/ISSR, see :mod:`repro.kernels.masked`)."""
-    acc = 0.0
-    for p in products:
-        acc = p + acc
-    return float(acc)
+def spgemm_numeric(a, b, pattern=None):
+    """Both Gustavson phases of ``C = A @ B`` from one pair expansion.
 
-
-def spgemm_numeric(a, b, ptr, idcs):
-    """Gustavson's numeric phase in the kernel's k-major order.
-
-    ``(ptr, idcs)`` is the symbolic pattern of ``C = A @ B``. Returns
-    ``(vals, counters)`` where ``counters`` carries the loop-trip
-    counts the analytic model charges: rows with a nonempty pattern,
-    skipped rows, A elements walked, nonempty B rows, and flops.
+    :func:`~repro.formats.builder.spgemm_pairs` lists every multiply
+    in the kernel's k-major order; each output slot, cleared, adds its
+    products in that order (:func:`cleared_sums`). ``pattern`` is a
+    precomputed ``(ptr, idcs)`` symbolic phase, else the pairs' own.
+    Returns ``(ptr, idcs, vals, counters)`` where ``counters`` carries
+    the loop-trip counts the analytic model charges: rows with a
+    nonempty pattern, skipped rows, A elements walked, nonempty B rows,
+    and flops.
     """
-    vals = np.zeros(int(ptr[-1]), dtype=np.float64)
-    acc = np.zeros(b.ncols, dtype=np.float64)
-    n_pattern = n_skip = n_a = n_k = flops = 0
-    for r in range(a.nrows):
-        plo, phi = int(ptr[r]), int(ptr[r + 1])
-        if phi == plo:
-            n_skip += 1
-            continue
-        n_pattern += 1
-        pat = idcs[plo:phi]
-        acc[pat] = 0.0
-        for e in range(int(a.ptr[r]), int(a.ptr[r + 1])):
-            n_a += 1
-            k = int(a.idcs[e])
-            blo, bhi = int(b.ptr[k]), int(b.ptr[k + 1])
-            if bhi == blo:
-                continue
-            n_k += 1
-            flops += bhi - blo
-            cols = b.idcs[blo:bhi]
-            # column indices are unique within a B row, so the fancy
-            # update reproduces the kernel's sequential fmadd order
-            # (two roundings: multiply, then add)
-            acc[cols] = a.vals[e] * b.vals[blo:bhi] + acc[cols]
-        vals[plo:phi] = acc[pat]
-    counters = {"n_pattern": n_pattern, "n_skip": n_skip, "n_a": n_a,
-                "n_k": n_k, "flops": flops}
-    return vals, counters
+    a_pos, b_pos, keys = spgemm_pairs(a, b)
+    ptr, idcs = pattern if pattern is not None else \
+        pattern_of_keys(keys, a.nrows, b.ncols)
+    ptr = np.asarray(ptr, dtype=np.int64)
+    idcs = np.asarray(idcs, dtype=np.int64)
+    lengths = np.diff(ptr)
+    slot_keys = np.repeat(np.arange(a.nrows), lengths) * b.ncols + idcs
+    vals = cleared_sums(np.searchsorted(slot_keys, keys),
+                        a.vals[a_pos] * b.vals[b_pos], len(idcs))
+    # the kernel walks A's elements only in rows with a nonempty pattern
+    walked = np.repeat(lengths > 0, a.row_lengths())
+    b_lengths = b.row_lengths()[a.idcs][walked]
+    n_pattern = int(np.count_nonzero(lengths))
+    counters = {"n_pattern": n_pattern, "n_skip": a.nrows - n_pattern,
+                "n_a": len(b_lengths),
+                "n_k": int(np.count_nonzero(b_lengths)),
+                "flops": int(b_lengths.sum())}
+    return ptr, idcs, vals, counters
 
 
 def spvv_value(products, variant, index_bits):
@@ -335,8 +370,10 @@ def spvv_value(products, variant, index_bits):
 
     Every variant clears its accumulators, ISSR's ``n_acc`` of them,
     lands product ``i`` on accumulator ``i % n_acc`` and ends with the
-    fadd tree: :func:`fold_lanes` onto zeroed lanes.
+    fadd tree: :func:`cleared_sums` over lane ids, then
+    :func:`lane_tree`.
     """
     n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
-    lanes = fold_lanes(products, np.zeros((n_acc, 1), dtype=np.float64))
-    return float(tree_reduce(lanes.T)[0])
+    lanes = cleared_sums(np.arange(len(products)) & (n_acc - 1), products,
+                         n_acc)
+    return lane_tree(lanes)

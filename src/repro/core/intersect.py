@@ -41,6 +41,8 @@ matches are possible).
 from collections import deque
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.core.config import INTERSECT_STREAM
 from repro.core.lane import DATA_FIFO_DEPTH, JOB_QUEUE_DEPTH
 from repro.core.serializer import IndexSerializer
@@ -482,7 +484,8 @@ def intersect_indices(a_idcs, b_idcs):
 
 
 class MergeProfile(NamedTuple):
-    """Work profile of one two-pointer merge (see :func:`merge_profile`)."""
+    """Work profile of a two-pointer merge: ints for one merge
+    (:func:`merge_profile`), per-row arrays for :func:`merge_rows`."""
 
     steps: int
     matches: int
@@ -490,25 +493,47 @@ class MergeProfile(NamedTuple):
     consumed_b: int
 
 
-def merge_profile(a_idcs, b_idcs):
-    """The merge's :class:`MergeProfile`, computed without replaying it.
+def merge_rows(ptr, a_idcs, b_idcs):
+    """Every CSR row's two-pointer merge with one fiber, vectorized.
+
+    Row ``r`` is ``a_idcs[ptr[r]:ptr[r + 1]]``; its indices and
+    ``b_idcs`` are sorted and unique. Returns ``(rows, pos_a, pos_b,
+    profile)``: the matched pairs, row by row in merge (index) order
+    (pair ``t`` of row ``rows[t]`` matches A's element ``pos_a[t]``
+    with ``b_idcs[pos_b[t]]``), and a :class:`MergeProfile` whose fields
+    are per-row arrays, zero for an empty row.
 
     ``steps`` counts comparator cycles: every step consumes one index
     (or two on a match), and the merge stops when either side is
     exhausted — so ``steps = consumed_a + consumed_b - matches`` where
     a side's consumption is capped at its last element ``<= min(max_a,
-    max_b)``. Shared by the analytic models so the compiled backend prices
-    intersections without replaying them element by element.
+    max_b)``. The analytic models price intersections from it without
+    replaying them element by element.
     """
-    import numpy as np
-
+    ptr = np.asarray(ptr, dtype=np.int64)
     a = np.asarray(a_idcs, dtype=np.int64)
     b = np.asarray(b_idcs, dtype=np.int64)
+    nrows = len(ptr) - 1
     if len(a) == 0 or len(b) == 0:
-        return MergeProfile(0, 0, 0, 0)
-    matches = int(np.intersect1d(a, b, assume_unique=True).size)
-    limit = min(int(a[-1]), int(b[-1]))
-    consumed_a = int(np.searchsorted(a, limit, side="right"))
-    consumed_b = int(np.searchsorted(b, limit, side="right"))
-    return MergeProfile(consumed_a + consumed_b - matches, matches,
-                        consumed_a, consumed_b)
+        empty, zeros = np.zeros(0, np.int64), np.zeros(nrows, np.int64)
+        return empty, empty, empty, MergeProfile(zeros, zeros, zeros, zeros)
+    row_of = np.repeat(np.arange(nrows), np.diff(ptr))
+    pos = np.searchsorted(b, a)  # b's indices below each of a's
+    hit = b.take(pos, mode="clip") == a
+    pos_a = np.flatnonzero(hit)
+    rows = row_of[pos_a]
+    matches = np.bincount(rows, minlength=nrows)
+    # A row consumes its indices up to min(its last, b's last), those
+    # with a b index at or above them, and b's up to its last index.
+    consumed_a = np.bincount(row_of[pos < len(b)], minlength=nrows)
+    last = ptr[1:] - 1
+    consumed_b = np.where(ptr[1:] > ptr[:-1], pos[last] + hit[last], 0)
+    return rows, pos_a, pos[pos_a], MergeProfile(
+        consumed_a + consumed_b - matches, matches, consumed_a, consumed_b)
+
+
+def merge_profile(a_idcs, b_idcs):
+    """The :class:`MergeProfile` of one merge: :func:`merge_rows`'s
+    one-row case, as ints."""
+    profile = merge_rows([0, len(a_idcs)], a_idcs, b_idcs)[3]
+    return MergeProfile(*(int(field[0]) for field in profile))

@@ -153,6 +153,36 @@ def spgemm_row_upper_bound(a, b):
     return bound
 
 
+def spgemm_pairs(a, b):
+    """Every multiply of Gustavson's ``C = A @ B``, in the kernel's order.
+
+    Returns ``(a_pos, b_pos, keys)``: multiply ``t`` takes A's element
+    ``a_pos[t]`` times B's element ``b_pos[t]`` into C's entry ``keys[t]
+    = row * b.ncols + col``. Multiplies run over A's elements in CSR
+    order and, for each, over its B row: the k-major order in which
+    the numeric kernel's accumulators take them.
+    """
+    if a.ncols != b.nrows:
+        raise FormatError(
+            f"spgemm shape mismatch: {a.shape} @ {b.shape}")
+    counts = b.row_lengths()[a.idcs]  # B elements per A element
+    a_pos = np.repeat(np.arange(a.nnz), counts)
+    heads = np.cumsum(counts) - counts
+    b_pos = np.repeat(b.ptr[a.idcs] - heads, counts) + np.arange(len(a_pos))
+    rows = np.repeat(np.arange(a.nrows), a.row_lengths())
+    keys = rows[a_pos] * b.ncols + b.idcs[b_pos]
+    return a_pos, b_pos, keys
+
+
+def pattern_of_keys(keys, nrows, ncols):
+    """The CSR pattern ``(ptr, idcs)`` of entries ``row * ncols + col``."""
+    keys = np.unique(keys)
+    rows, idcs = np.divmod(keys, max(ncols, 1))
+    ptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])
+    return ptr, idcs
+
+
 def spgemm_pattern(a, b):
     """Symbolic SpGEMM: the exact output pattern of ``C = A @ B``.
 
@@ -161,22 +191,4 @@ def spgemm_pattern(a, b):
     phase of the two-phase SpGEMM; the numeric kernels scatter into a
     dense accumulator and gather back through exactly this pattern.
     """
-    if a.ncols != b.nrows:
-        raise FormatError(
-            f"spgemm shape mismatch: {a.shape} @ {b.shape}")
-    rows = []
-    for r in range(a.nrows):
-        lo, hi = int(a.ptr[r]), int(a.ptr[r + 1])
-        ks = a.idcs[lo:hi]
-        if len(ks) == 0:
-            rows.append(np.zeros(0, dtype=np.int64))
-            continue
-        segments = [b.idcs[int(b.ptr[k]):int(b.ptr[k + 1])] for k in ks]
-        cols = np.unique(np.concatenate(segments)) if segments else \
-            np.zeros(0, dtype=np.int64)
-        rows.append(cols.astype(np.int64))
-    ptr = np.zeros(a.nrows + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in rows], out=ptr[1:])
-    idcs = np.concatenate(rows) if rows and ptr[-1] else \
-        np.zeros(0, dtype=np.int64)
-    return ptr, idcs
+    return pattern_of_keys(spgemm_pairs(a, b)[2], a.nrows, b.ncols)

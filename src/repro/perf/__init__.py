@@ -1,4 +1,4 @@
-"""Area, timing, power, analytical performance, and related-work models."""
+"""Area, timing, power, and related-work models."""
 
 from repro.perf.area import (
     AreaReport,
@@ -7,12 +7,6 @@ from repro.perf.area import (
     issr_lane_area,
     issr_vs_ssr_overhead,
     streamer_area,
-)
-from repro.perf.model import (
-    predict_cluster_csrmv,
-    predict_csrmv,
-    predict_speedup,
-    predict_spvv,
 )
 from repro.perf.power import PowerReport, energy_gain, estimate_cluster_power
 from repro.perf.related import (
@@ -35,10 +29,6 @@ __all__ = [
     "PowerReport",
     "estimate_cluster_power",
     "energy_gain",
-    "predict_spvv",
-    "predict_csrmv",
-    "predict_speedup",
-    "predict_cluster_csrmv",
     "comparison_table",
     "headline_ratios",
     "ALL_POINTS",

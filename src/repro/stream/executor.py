@@ -187,14 +187,16 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     """Sparse-dense dot streamed over nnz chunks; ``(stats, value)``.
 
     ``indices``/``values`` may be mmap slices (e.g. one giant row of a
-    cached matrix). The fold replays the resident
-    :func:`repro.compiler.vectorize.spvv_value` operation-for-
-    operation: chunk bounds are multiples of the ISSR accumulator
-    count, and the accumulator lanes carry across chunks, so the
-    result is bit-identical to the resident backend.
+    cached matrix). The fold is bit-identical to the resident
+    :func:`repro.compiler.vectorize.spvv_value`: chunk bounds are
+    multiples of the ISSR accumulator count, and each chunk's
+    :func:`~repro.compiler.vectorize.cleared_sums` takes the lanes the
+    last one left as its first weights. Adding a carried lane to a
+    cleared one changes no bit, because a lane that starts at +0.0
+    never holds -0.0.
     """
     from repro.backends.model import spvv_stats
-    from repro.compiler.vectorize import fold_lanes, tree_reduce
+    from repro.compiler.vectorize import cleared_sums, lane_tree
 
     check_variant(variant)
     check_index_bits(index_bits)
@@ -205,15 +207,20 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     if len(indices) != nnz:
         raise FormatError(f"fiber idcs/vals length mismatch: "
                           f"{len(indices)} vs {nnz}")
-    n_acc = N_ACCUMULATORS[index_bits]
-    chunks = _spvv_chunks(nnz, chunk_nnz, n_acc) if nnz else []
-    lanes = np.zeros((n_acc if variant == ISSR else 1, 1), dtype=np.float64)
+    chunks = _spvv_chunks(nnz, chunk_nnz, N_ACCUMULATORS[index_bits]) \
+        if nnz else []
+    n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
+    lanes = np.zeros(n_acc, dtype=np.float64)
     compute, dma = [], []
     stats = StreamStats()
     for i, (c0, c1) in enumerate(chunks):
         idx = np.asarray(indices[c0:c1], dtype=np.int64)
-        fold_lanes(np.asarray(values[c0:c1], dtype=np.float64) * x[idx],
-                   lanes)
+        weights = np.empty(n_acc + c1 - c0, dtype=np.float64)
+        weights[:n_acc] = lanes
+        np.multiply(np.asarray(values[c0:c1], dtype=np.float64), x[idx],
+                    out=weights[n_acc:])
+        lanes = cleared_sums(np.arange(len(weights)) & (n_acc - 1), weights,
+                             n_acc)
         words = 2 * (c1 - c0)  # value + index words
         if ledger is not None:
             ledger.record(pass_id, ("chunk", i), words, IN)
@@ -221,7 +228,7 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
         compute.append(int(kstats.cycles))
         dma.append(transfer_cycles(words))
         stats.bytes_in += words * 8
-    result = float(tree_reduce(lanes.T)[0])
+    result = lane_tree(lanes)
     stats.tiles = len(chunks)
     stats.tile_bounds = list(chunks)
     stats.compute_cycles = sum(compute)

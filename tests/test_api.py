@@ -19,6 +19,7 @@ from repro.backends import (
     Backend,
     get_backend,
 )
+from repro.backends.base import check_index_width
 from repro.errors import ConfigError, FormatError, UnsupportedKernelError
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
@@ -189,6 +190,39 @@ class TestIndexWidth:
                            match="index 70000 does not fit in 16 bits"):
             api.run(kernel, backend=backend, variant="issr", index_bits=16,
                     **wide_operands(kernel))
+
+
+    @pytest.mark.parametrize("backend", ["cycle", "compiled"])
+    def test_first_index_past_the_width_raises(self, backend):
+        """``ncols = 2**16 + 1`` admits index 2**16, which still raises
+        at 16 bits."""
+        matrix = CsrMatrix([0, 2], [5, 1 << 16], [1.0, 2.0], (1, (1 << 16) + 1))
+        with pytest.raises(FormatError,
+                           match="index 65536 does not fit in 16 bits"):
+            api.run("csrmv", backend=backend, variant="issr", index_bits=16,
+                    matrix=matrix, x=np.ones((1 << 16) + 1))
+
+    @pytest.mark.parametrize("ncols,scans", [(1 << 16, 0), ((1 << 16) + 1, 1)])
+    def test_no_scan_when_the_bound_fits(self, ncols, scans):
+        """A format's index bound within the width skips the scan."""
+        calls = []
+
+        class SpyIndices(np.ndarray):
+            def max(self, *args, **kwargs):
+                calls.append(1)
+                return np.asarray(self).max(*args, **kwargs)
+
+        matrix = CsrMatrix([0, 2], [5, ncols - 1], [1.0, 2.0], (1, ncols))
+        matrix.idcs = matrix.idcs.view(SpyIndices)
+        fiber = SparseFiber([3, ncols - 1], [1.0, 2.0], dim=ncols)
+        fiber.indices = fiber.indices.view(SpyIndices)
+        operands = {"matrix": matrix, "x_fiber": fiber}
+        if scans:
+            with pytest.raises(FormatError):
+                check_index_width(get_kernel("masked_csrmv"), operands, 16)
+        else:
+            check_index_width(get_kernel("masked_csrmv"), operands, 16)
+        assert len(calls) == scans
 
 
 class TestSpecImmutability:

@@ -26,8 +26,10 @@ from repro.backends import (
 from repro.errors import ConfigError, DeadlockError
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
+from repro.formats.fiber import SparseFiber
 from repro.kernels.common import PROGRAM_CACHE, ProgramCache
 from repro.sim.engine import Engine
+from repro.stream import stream_spvv
 from repro.workloads import (
     get_spec,
     random_csr,
@@ -283,6 +285,92 @@ class TestTwoNanPayloads:
         cycle, compiled = got.stdout.split()
         assert np.isnan(np.frombuffer(bytes.fromhex(compiled))).all()
         assert cycle == compiled
+
+
+#: The paper's four series.
+NAN_SERIES = [("base", 32), ("ssr", 32), ("issr", 32), ("issr", 16)]
+
+
+def two_payload_salted(values, seed):
+    """A copy of ``values`` with both NaN payloads and the other IEEE
+    specials at a quarter of the positions, so accumulators meet two
+    NaNs."""
+    out = np.array(values, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    salt = rng.random(out.shape) < 0.25
+    specials = np.array((np.nan, DEFAULT_NAN, np.inf, -np.inf, -0.0, 5e-324))
+    out[salt] = rng.choice(specials, int(salt.sum()))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf etc.
+class TestClearedAccumulatorParity:
+    """Cycle and compiled agree byte for byte on every kernel whose
+    compiled replay sums cleared accumulators in one ``np.bincount``.
+
+    The sparse values carry both NaN payloads; the other operand stays
+    finite, so no product multiplies two NaNs.
+    """
+
+    @pytest.mark.parametrize("variant", ["base", "ssr"])
+    @pytest.mark.parametrize("kernel", ["csrmv", "csrmm", "cluster_csrmv"])
+    def test_cleared_rows(self, backends, kernel, variant):
+        base = random_csr(12, 32, 60, seed=31)
+        matrix = CsrMatrix(base.ptr, base.idcs,
+                           two_payload_salted(base.vals, 32), base.shape)
+        if kernel == "csrmm":
+            operands = {"dense": random_dense_matrix(32, 4, seed=33)}
+        else:
+            operands = {"x": random_dense_vector(32, seed=33)}
+        results = [b.run(kernel, variant=variant, index_bits=32, check=False,
+                         matrix=matrix, **operands)[1] for b in backends]
+        assert np.isnan(results[0]).any()
+        assert results[0].tobytes() == results[1].tobytes()
+
+    @pytest.mark.parametrize("variant,bits", NAN_SERIES)
+    def test_spvv(self, backends, variant, bits):
+        fiber = random_sparse_vector(96, 40, seed=34)
+        fiber = SparseFiber(fiber.indices, two_payload_salted(fiber.values, 35),
+                            dim=96)
+        x = random_dense_vector(96, seed=36)
+        results = [b.run("spvv", variant=variant, index_bits=bits,
+                         check=False, fiber=fiber, x=x)[1] for b in backends]
+        _stats, streamed = stream_spvv(fiber.indices, fiber.values, x,
+                                       chunk_nnz=16, variant=variant,
+                                       index_bits=bits)
+        assert np.isnan(results[0])
+        assert (np.float64(results[0]).tobytes()
+                == np.float64(results[1]).tobytes()
+                == np.float64(streamed).tobytes())
+
+    @pytest.mark.parametrize("variant,bits", NAN_SERIES)
+    def test_masked(self, backends, variant, bits):
+        base = random_csr(10, 64, 120, seed=37)
+        matrix = CsrMatrix(base.ptr, base.idcs,
+                           two_payload_salted(base.vals, 38), base.shape)
+        x_fiber = random_sparse_vector(64, 40, seed=39)
+        rows = [b.run("masked_csrmv", variant=variant, index_bits=bits,
+                      check=False, matrix=matrix, x_fiber=x_fiber)[1]
+                for b in backends]
+        assert np.isnan(rows[0]).any()
+        assert rows[0].tobytes() == rows[1].tobytes()
+        fiber_a = matrix.row(int(np.argmax(matrix.row_lengths())))
+        dots = [b.run("masked_spvv", variant=variant, index_bits=bits,
+                      check=False, fiber_a=fiber_a, fiber_b=x_fiber)[1]
+                for b in backends]
+        assert np.float64(dots[0]).tobytes() == np.float64(dots[1]).tobytes()
+
+    @pytest.mark.parametrize("variant,bits", NAN_SERIES)
+    def test_spgemm(self, backends, variant, bits):
+        a = random_csr(8, 8, 28, seed=40)
+        a = CsrMatrix(a.ptr, a.idcs, two_payload_salted(a.vals, 41), a.shape)
+        b = random_csr(8, 8, 30, seed=42)
+        results = [be.run("spgemm", variant=variant, index_bits=bits,
+                          check=False, a=a, b=b)[1] for be in backends]
+        assert np.isnan(results[0].vals).any()
+        assert results[0].ptr.tobytes() == results[1].ptr.tobytes()
+        assert results[0].idcs.tobytes() == results[1].idcs.tobytes()
+        assert results[0].vals.tobytes() == results[1].vals.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf etc.

@@ -26,9 +26,11 @@ from repro.compiler import (
     lower,
     recover_structure,
 )
+from repro import api
 from repro.compiler import vectorize
 from repro.compiler.templates import csr_shape_class
 from repro.compiler.vectorize import accumulate_rows, spvv_value
+from repro.formats import CsrMatrix, SparseFiber, spgemm_pattern
 from repro.isa.introspect import fingerprint, normalize_program
 from repro.isa.program import ProgramBuilder
 from repro.kernels.common import PROGRAM_CACHE
@@ -38,6 +40,7 @@ from repro.kernels.masked import build_masked_csrmv, build_masked_spvv
 from repro.kernels.spgemm import build_spgemm
 from repro.kernels.spvv import build_spvv
 from repro.stream import stream_spvv
+from repro.workloads import random_csr
 
 ALL_VARIANTS = [("base", 32), ("base", 16), ("ssr", 32), ("ssr", 16),
                 ("issr", 32), ("issr", 16)]
@@ -310,6 +313,49 @@ def reference_fiber(products, variant, bits):
     return lanes[0]
 
 
+def reference_merge(fiber_a, fiber_b):
+    """Masked SpVV in Python floats: a two-pointer merge, each matched
+    pair's product chained onto a cleared accumulator."""
+    a, b = fiber_a.indices.tolist(), fiber_b.indices.tolist()
+    acc, i, j = 0.0, 0, 0
+    while i < len(a) and j < len(b):
+        if a[i] == b[j]:
+            acc = fadd(float(fiber_a.values[i]) * float(fiber_b.values[j]),
+                       acc)
+        i, j = i + (a[i] <= b[j]), j + (b[j] <= a[i])
+    return acc
+
+
+def reference_gustavson(a, b):
+    """``C = A @ B`` in Python floats: per row, each A element's B row
+    is MAC'd into cleared output slots. Returns ``(ptr, idcs, vals,
+    counters)``, ``counters`` the loop trips the kernel makes: it
+    skips a row whose pattern is empty, and an empty B row."""
+    ptr, idcs, vals = [0], [], []
+    counters = dict.fromkeys(("n_pattern", "n_skip", "n_a", "n_k",
+                              "flops"), 0)
+    for r in range(a.nrows):
+        slots = {}
+        for e in range(a.ptr[r], a.ptr[r + 1]):
+            k = a.idcs[e]
+            for f in range(b.ptr[k], b.ptr[k + 1]):
+                col = int(b.idcs[f])
+                p = float(a.vals[e]) * float(b.vals[f])
+                slots[col] = fadd(p, slots.get(col, 0.0))
+        if not slots:
+            counters["n_skip"] += 1
+        else:
+            counters["n_pattern"] += 1
+            counters["n_a"] += int(a.ptr[r + 1] - a.ptr[r])
+            visits = np.diff(b.ptr)[a.idcs[a.ptr[r]:a.ptr[r + 1]]]
+            counters["n_k"] += int(np.count_nonzero(visits))
+            counters["flops"] += int(visits.sum())
+        idcs += sorted(slots)
+        vals += [slots[col] for col in sorted(slots)]
+        ptr.append(len(idcs))
+    return ptr, idcs, vals, counters
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic
 class TestExactOrderBattery:
     """``accumulate_rows`` == the scalar reference, byte for byte.
@@ -374,13 +420,13 @@ class TestExactOrderBattery:
     @pytest.mark.parametrize("variant,bits", SERIES)
     def test_one_row_fibers_match_the_scalar_reference(self, variant, bits,
                                                        nnz):
-        """``spvv_value`` and ``stream_spvv`` (in chunks of 16) are the
-        finisher's one-row case. Salted without NaN operands: SpVV pins
-        no NaN payload rule, and ``inf - inf`` makes only one NaN."""
+        """``spvv_value`` and ``stream_spvv`` (in chunks of 16, lanes
+        carried across chunks) sum cleared lanes, then run the fadd
+        tree; salted with both NaN payloads."""
         rng = stable_rng(variant, bits, nnz)
         products = rng.standard_normal(nnz)
         salt = rng.random(nnz) < 0.04
-        products[salt] = rng.choice(np.array(SPECIALS[2:]), int(salt.sum()))
+        products[salt] = rng.choice(np.array(SPECIALS), int(salt.sum()))
         want = np.float64(reference_fiber(products.tolist(), variant, bits))
         got = np.float64(spvv_value(products, variant, bits))
         _stats, streamed = stream_spvv(np.arange(nnz), products, np.ones(nnz),
@@ -388,6 +434,103 @@ class TestExactOrderBattery:
                                        index_bits=bits)
         assert got.tobytes() == want.tobytes()
         assert np.float64(streamed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 4, 8])
+    @pytest.mark.parametrize("shape", ["no_rows", "all_empty", "giant_row",
+                                       "power_law", "straddle_n_acc",
+                                       "python_tail"] + FINISHER_SHAPES)
+    @pytest.mark.parametrize("variant", ["base", "ssr"])
+    def test_cleared_rows_match_the_scalar_reference(self, variant, shape,
+                                                     k):
+        """BASE/SSR CsrMV (``k`` None) and CsrMM on the compiled
+        backend, whose CsrMM builds its products column-major."""
+        rng = stable_rng("cleared", variant, shape, k)
+        lengths = battery_lengths(shape, rng)
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        ncols = int(lengths.max(initial=1))
+        idcs = np.concatenate([np.arange(n) for n in lengths] + [[]])
+        vals = salted_products(rng, int(ptr[-1]))
+        matrix = CsrMatrix(ptr, idcs, vals, (len(lengths), ncols))
+        if k is None:
+            x = rng.standard_normal(ncols)
+            _stats, got = api.run("csrmv", backend="compiled",
+                                  variant=variant, matrix=matrix, x=x)
+            products = matrix.vals * x[matrix.idcs]
+        else:
+            dense = rng.standard_normal((ncols, k))
+            _stats, got = api.run("csrmm", backend="compiled",
+                                  variant=variant, matrix=matrix, dense=dense)
+            products = matrix.vals[:, None] * dense[matrix.idcs]
+        want = reference_rows(products, ptr, variant, 32)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", ["no_rows", "all_empty", "giant_row",
+                                       "power_law", "straddle_n_acc"])
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_masked_merges_match_the_scalar_reference(self, variant, bits,
+                                                      shape):
+        """Masked CsrMV, and masked SpVV on each of its rows: a cleared
+        accumulator takes the matched products in merge order. Only
+        the sparse matrix is salted, so no product multiplies two
+        NaNs."""
+        rng = stable_rng("masked", variant, bits, shape)
+        lengths = battery_lengths(shape, rng)
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        ncols = 1024
+        idcs = np.concatenate([np.sort(rng.choice(ncols, n, replace=False))
+                               for n in lengths] + [[]])
+        matrix = CsrMatrix(ptr, idcs, salted_products(rng, len(idcs), rate=0.1),
+                           (len(lengths), ncols))
+        x_fiber = SparseFiber(np.sort(rng.choice(ncols, 300, replace=False)),
+                              rng.standard_normal(300), dim=ncols)
+        _stats, got = api.run("masked_csrmv", backend="compiled",
+                              variant=variant, index_bits=bits,
+                              matrix=matrix, x_fiber=x_fiber)
+        want = np.array([reference_merge(matrix.row(r), x_fiber)
+                         for r in range(matrix.nrows)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        for r in range(matrix.nrows):
+            _stats, value = api.run("masked_spvv", backend="compiled",
+                                    variant=variant, index_bits=bits,
+                                    fiber_a=matrix.row(r), fiber_b=x_fiber)
+            assert np.float64(value).tobytes() == want[r].tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_spgemm_matches_the_scalar_reference(self, variant, bits, seed):
+        """Gustavson's output slots, cleared, take their products in
+        k-major order; A is salted, B finite. The precomputed-pattern
+        path returns the same bytes."""
+        rng = stable_rng("spgemm", variant, bits, seed)
+        a = random_csr(16, 12, 64, seed=int(rng.integers(1 << 30)))
+        a = CsrMatrix(a.ptr, a.idcs, salted_products(rng, a.nnz, rate=0.15),
+                      a.shape)
+        b = random_csr(12, 16, 72, seed=int(rng.integers(1 << 30)))
+        want_ptr, want_idcs, want_vals, _ = reference_gustavson(a, b)
+        for pattern in (None, spgemm_pattern(a, b)):
+            _stats, c = api.run("spgemm", backend="compiled", variant=variant,
+                                index_bits=bits, a=a, b=b, pattern=pattern)
+            assert c.ptr.tolist() == want_ptr
+            assert c.idcs.tolist() == want_idcs
+            assert c.vals.tobytes() == np.array(want_vals).tobytes()
+        assert np.isnan(want_vals).any()
+
+    def test_spgemm_counters_match_the_kernel_loop(self):
+        """The loop trips the model charges: row 0 of A selects only
+        empty B rows, so its pattern is empty and its A elements are
+        not walked; rows 1 and 3 are empty."""
+        a = CsrMatrix([0, 2, 2, 5, 5, 7], [1, 3, 0, 1, 2, 2, 3],
+                      np.arange(1.0, 8.0), (5, 4))
+        b = CsrMatrix([0, 2, 2, 5, 5], [0, 4, 1, 2, 4],
+                      np.arange(1.0, 6.0), (4, 5))
+        want = reference_gustavson(a, b)
+        got = vectorize.spgemm_numeric(a, b)
+        assert want[3] == {"n_pattern": 2, "n_skip": 3, "n_a": 5, "n_k": 3,
+                           "flops": 8}
+        assert got[3] == want[3]
+        assert got[0].tolist() == want[0] and got[1].tolist() == want[1]
+        assert got[2].tobytes() == np.array(want[2]).tobytes()
 
     @pytest.mark.parametrize("variant,bits", SERIES)
     def test_nan_payload_follows_the_product(self, variant, bits):

@@ -1,8 +1,8 @@
 """Intersection lane: reference merge, profiles, and cycle-level unit.
 
 The pure two-pointer reference (`intersect_indices`) is property-tested
-against a brute-force oracle; the analytic `merge_profile` against a
-stepwise merge replay; and the hardware `IntersectLane` (count and
+against a brute-force oracle; the vectorized `merge_rows` and its
+one-row case `merge_profile` against a stepwise merge replay; and the hardware `IntersectLane` (count and
 stream modes) against both, through a minimal hand-built program.
 """
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import config as cfg
-from repro.core.intersect import intersect_indices, merge_profile
+from repro.core.intersect import intersect_indices, merge_profile, merge_rows
 from repro.errors import ConfigError
 from repro.isa.isa import CSR_SSR
 from repro.isa.program import ProgramBuilder
@@ -65,6 +65,22 @@ def test_merge_profile_matches_stepwise_replay(a, b):
     assert profile.matches == matches
     assert profile.consumed_a == ca
     assert profile.consumed_b == cb
+
+
+@given(st.lists(sorted_indices, max_size=6), sorted_indices)
+@settings(max_examples=200, deadline=None)
+def test_merge_rows_matches_each_rows_replay(rows, b):
+    """All rows' merges at once: pairs and profiles row by row."""
+    ptr = np.cumsum([0] + [len(r) for r in rows])
+    a = np.array([i for r in rows for i in r], dtype=np.int64)
+    pair_rows, pos_a, pos_b, profile = merge_rows(ptr, a, b)
+    for r, row in enumerate(rows):
+        pa, pb = naive_merge(row, b)
+        mine = pair_rows == r
+        assert (pos_a[mine] - ptr[r]).tolist() == pa
+        assert pos_b[mine].tolist() == pb
+        want = stepwise_profile(row, b)
+        assert tuple(int(field[r]) for field in profile) == want
 
 
 def _count_program(index_bits):

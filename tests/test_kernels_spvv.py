@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends.model import spvv_stats
 from repro.kernels.spvv import build_spvv, run_spvv
-from repro.perf.model import predict_spvv
 from repro.workloads import random_dense_vector, random_sparse_vector
 
 ALL_KERNELS = [("base", 32), ("base", 16), ("ssr", 32), ("ssr", 16),
@@ -84,7 +84,7 @@ class TestTiming:
         fiber = random_sparse_vector(4096, 2000, seed=17)
         for variant, bits in ALL_KERNELS:
             stats, _ = run_spvv(fiber, x, variant, bits)
-            predicted = predict_spvv(2000, variant, bits)
+            predicted = spvv_stats(2000, variant, bits)
             assert stats.cycles == pytest.approx(predicted.cycles, rel=0.05), \
                 (variant, bits)
 

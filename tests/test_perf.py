@@ -1,7 +1,16 @@
 """Tests for the area, timing, power, and analytical models."""
 
+import numpy as np
 import pytest
 
+from repro.backends.model import (
+    _FIXED,
+    _LAUNCH,
+    csrmv_cycles,
+    csrmv_stats,
+    row_cycles,
+    spvv_stats,
+)
 from repro.perf import (
     PAPER_CLUSTER_UTILIZATION,
     cc_area,
@@ -13,14 +22,12 @@ from repro.perf import (
     issr_critical_path,
     issr_lane_area,
     issr_vs_ssr_overhead,
-    predict_csrmv,
-    predict_speedup,
-    predict_spvv,
     ssr_critical_path,
     streamer_area,
 )
 from repro.perf.area import ISSR_EXTRA_KGE, ISSR_LANE_KGE, SSR_LANE_KGE
 from repro.sim.counters import LaneStats, RunStats
+from repro.workloads import PAPER_SET
 
 
 class TestArea:
@@ -115,15 +122,24 @@ class TestPower:
             [v for _k, v in rows], reverse=True)
 
 
+def predict_speedup(nrows, nnz, variant, index_bits=32):
+    """CsrMV speedup over BASE (Fig. 4b's y-axis) on uniform rows."""
+    lengths = [nnz // nrows] * nrows
+    return (csrmv_cycles(lengths, "base", 32)
+            / csrmv_cycles(lengths, variant, index_bits))
+
+
 class TestAnalyticalModel:
+    """The compiled backend's closed forms at the paper's limits."""
+
     def test_spvv_base_rate(self):
-        p = predict_spvv(1000, "base")
+        p = spvv_stats(1000, "base", 32)
         assert p.cycles == pytest.approx(9000, rel=0.01)
 
     def test_spvv_issr_limits(self):
-        assert predict_spvv(10000, "issr", 16).utilization == \
+        assert spvv_stats(10000, "issr", 16).fpu_utilization == \
             pytest.approx(0.8, abs=0.02)
-        assert predict_spvv(10000, "issr", 32).utilization == \
+        assert spvv_stats(10000, "issr", 32).fpu_utilization == \
             pytest.approx(2 / 3, abs=0.02)
 
     def test_csrmv_speedup_limits(self):
@@ -136,8 +152,35 @@ class TestAnalyticalModel:
         assert speeds == sorted(speeds)
 
     def test_short_row_regime(self):
-        p = predict_csrmv(100, 100, "issr", 16)  # 1 nnz/row
-        assert p.utilization < 0.2
+        p = csrmv_stats([1] * 100, "issr", 16)  # 1 nnz/row
+        assert p.fpu_utilization < 0.2
+
+
+@pytest.fixture(scope="module")
+def paper_lengths():
+    """Row lengths of the paper set, plus all-empty rows and rows on
+    both sides of 4 and 8 accumulators."""
+    sets = {spec.name: spec.generate(seed=1, scale=0.5).row_lengths()
+            for spec in PAPER_SET}
+    sets["empty"] = np.zeros(9, dtype=np.int64)
+    sets["none"] = np.zeros(0, dtype=np.int64)
+    sets["straddle"] = np.random.default_rng(2).integers(0, 13, size=300)
+    return sets
+
+
+class TestCsrmvCycleModel:
+    @pytest.mark.parametrize("variant,bits", [("base", 32), ("base", 16),
+                                              ("ssr", 32), ("ssr", 16),
+                                              ("issr", 32), ("issr", 16)])
+    def test_length_histogram_prices_every_row(self, paper_lengths,
+                                               variant, bits):
+        """Pricing each distinct length once equals pricing every row."""
+        for name, lengths in paper_lengths.items():
+            launch = _LAUNCH[variant] if lengths.sum() else 0
+            want = _FIXED[variant] + launch + int(
+                row_cycles(lengths, variant, bits).sum())
+            assert csrmv_cycles(lengths, variant, bits) == want, name
+            assert csrmv_stats(lengths, variant, bits).cycles == want, name
 
 
 class TestRelated:
