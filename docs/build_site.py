@@ -90,8 +90,8 @@ def kernel_table():
     request_fields = _import_repro("repro.serve.protocol.request_fields")
     backends = {name: get_backend(name) for name in list_backends()}
     lines = ["| kernel | operands | result | variants | backends "
-             "| serve request |",
-             "| --- | --- | --- | --- | --- | --- |"]
+             "| serve request | operand rules |",
+             "| --- | --- | --- | --- | --- | --- | --- |"]
     for spec in kernels.values():
         operands = ", ".join(f"`{name}`" for name in spec.operands)
         support = " · ".join(name for name, backend in backends.items()
@@ -101,8 +101,9 @@ def kernel_table():
         # one workload.<operand> generator spec per operand
         workload = ", ".join(f"`{f}`" for f in request_fields(spec)
                              if f.startswith("workload."))
+        rules = "; ".join(spec.operand_rules())
         lines.append(f"| `{spec.name}` | {operands} | {spec.result} "
-                     f"| {variants} | {support} | {workload} |")
+                     f"| {variants} | {support} | {workload} | {rules} |")
     return "\n".join(lines)
 
 

@@ -22,45 +22,8 @@ instance) and resolve it with :func:`repro.backends.get_backend`.
 """
 
 from repro.api.registry import KERNELS, get_kernel
-from repro.errors import FormatError, UnsupportedKernelError
-from repro.formats.csf import CsfTensor
-from repro.formats.csr import CsrMatrix
-from repro.formats.fiber import SparseFiber
-from repro.kernels.common import check_index_bits, check_variant
+from repro.errors import UnsupportedKernelError
 from repro.telemetry import metrics as _metrics
-
-
-def _index_array(operand):
-    """``(indices, bound)`` a kernel packs from ``operand``.
-
-    Each format's constructor guarantees every index is below
-    ``bound``; an operand without indices gives ``(None, 0)``.
-    """
-    if isinstance(operand, CsrMatrix):
-        return operand.idcs, operand.ncols
-    if isinstance(operand, SparseFiber):
-        return operand.indices, operand.dim
-    if isinstance(operand, CsfTensor):
-        return operand.idcs[-1], operand.shape[-1]
-    return None, 0
-
-
-def check_index_width(spec, operands, index_bits):
-    """Raise :class:`FormatError` if a sparse index overflows the width.
-
-    Every index the kernel streams through the ISSR must fit in
-    ``index_bits`` (the paper's 16/32-bit axis) — the same check, with
-    the same message, that :func:`repro.utils.bits.pack_indices`
-    applies when the cycle backend packs the operands. Only an operand
-    whose index bound exceeds the width is scanned.
-    """
-    limit = 1 << index_bits
-    for name in spec.operands:
-        idcs, bound = _index_array(operands[name])
-        if bound > limit and len(idcs) and idcs.max() >= limit:
-            first = int(idcs[(idcs >= limit).argmax()])
-            raise FormatError(
-                f"index {first} does not fit in {index_bits} bits")
 
 
 class Backend:
@@ -80,8 +43,8 @@ class Backend:
 
         ``kernel`` is a name from :data:`repro.api.registry.KERNELS`
         (or a :class:`~repro.api.registry.KernelSpec`). Operands are
-        keyword-only and validated against the registry schema, and
-        every sparse index must fit in ``index_bits``;
+        keyword-only and pass the registry's legality check
+        (:meth:`~repro.api.registry.KernelSpec.validate_operands`);
         ``variant``/``index_bits``/``check`` follow the kernel entry
         points' conventions (``variant`` defaults to ISSR; kernels
         without a variant axis ignore it). Raises
@@ -93,12 +56,9 @@ class Backend:
         if impl is None:
             raise UnsupportedKernelError(self.name, spec.name,
                                          supported=self.kernels())
-        spec.validate_operands(operands)
-        check_index_bits(index_bits)
+        operands = spec.validate_operands(operands, variant, index_bits)
         if spec.has_variant:
             operands["variant"] = "issr" if variant is None else variant
-            check_variant(operands["variant"])
-        check_index_width(spec, operands, index_bits)
         out = impl(index_bits=index_bits, check=check, **operands)
         if _metrics.ENABLED:
             _metrics.record_kernel_run(spec.name, self.name, out[0])

@@ -35,11 +35,15 @@ from repro.backends.model import (
     spgemm_stats,
     spvv_stats,
 )
-from repro.compiler.templates import csr_shape_class, lower
-from repro.compiler.vectorize import masked_rows, spgemm_numeric, spvv_value
+from repro.compiler.templates import lower
+from repro.compiler.vectorize import (
+    masked_rows,
+    pin_nan_products,
+    spgemm_numeric,
+    spvv_value,
+)
 from repro.core.intersect import MergeProfile
-from repro.errors import ConfigError, FormatError, LoweringError
-from repro.formats.csf import CsfTensor
+from repro.errors import ConfigError, LoweringError
 from repro.formats.csr import CsrMatrix
 from repro.kernels.ttv import _nonleaf_coords
 
@@ -71,10 +75,11 @@ class CompiledBackend(Backend):
         from repro.kernels.spvv import build_spvv
 
         kernel = self._lower(build_spvv, "spvv", variant, index_bits)
-        x = np.asarray(x, dtype=np.float64)
-        products = np.asarray(fiber.values, dtype=np.float64) \
-            * x[np.asarray(fiber.indices, dtype=np.int64)]
+        products = fiber.values * x[fiber.indices]
         result = spvv_value(products, kernel.variant, kernel.index_bits)
+        if np.isnan(result) and pin_nan_products(products, fiber.values,
+                                                 x[fiber.indices]):
+            result = spvv_value(products, kernel.variant, kernel.index_bits)
         return spvv_stats(fiber.nnz, kernel.variant,
                           kernel.index_bits), result
 
@@ -83,10 +88,7 @@ class CompiledBackend(Backend):
         from repro.kernels.csrmv import build_csrmv
 
         kernel = self._lower(build_csrmv, "csrmv", variant, index_bits)
-        x = np.asarray(x, dtype=np.float64)
-        products = matrix.vals * x[matrix.idcs]
-        reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
-        y = reducer(products, matrix.ptr, matrix.nrows)
+        y = kernel.gather_rows(matrix.vals, matrix.idcs, matrix.ptr, x)
         stats = csrmv_stats(matrix.row_lengths(), kernel.variant,
                             kernel.index_bits)
         return stats, y
@@ -102,10 +104,7 @@ class CompiledBackend(Backend):
         from repro.kernels.csrmm import build_csrmm
 
         kernel = self._lower(build_csrmm, "csrmm", variant, index_bits)
-        dense = np.asarray(dense, dtype=np.float64)
         k = dense.shape[1]
-        if k & (k - 1):
-            raise ValueError(f"dense column count {k} must be a power of two")
         if kernel.n_acc:  # ISSR's stepper gathers whole (k,) rows
             products = np.take(dense, matrix.idcs, axis=0)
             np.multiply(matrix.vals[:, None], products, out=products)
@@ -113,11 +112,13 @@ class CompiledBackend(Backend):
             products = np.take(dense.T, matrix.idcs, axis=1)
             np.multiply(matrix.vals, products, out=products)
             products = products.T
-        reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
+        out = kernel.reduce_rows(products, matrix.ptr, matrix.nrows)
+        if np.isnan(out).any() and pin_nan_products(
+                products, matrix.vals[:, None], dense[matrix.idcs]):
+            out = kernel.reduce_rows(products, matrix.ptr, matrix.nrows)
         # uniform ISSR rows and cleared rows come back as strided views;
         # callers get a contiguous (nrows, k) array
-        out = np.ascontiguousarray(
-            reducer(products, matrix.ptr, matrix.nrows))
+        out = np.ascontiguousarray(out)
         stats = csrmm_stats(matrix.row_lengths(), k, kernel.variant,
                             kernel.index_bits)
         return stats, out
@@ -131,17 +132,10 @@ class CompiledBackend(Backend):
         """
         from repro.kernels.csrmv import build_csrmv
 
-        if not isinstance(tensor, CsfTensor):
-            raise FormatError("ttv expects a CsfTensor")
-        vector = np.asarray(vector, dtype=np.float64)
-        if len(vector) < tensor.shape[-1]:
-            raise FormatError("vector shorter than the tensor's leaf mode")
         kernel = self._lower(build_csrmv, "csrmv", "issr", index_bits)
-        leaf_ptr = np.asarray(tensor.ptrs[-1], dtype=np.int64)
-        products = np.asarray(tensor.vals, dtype=np.float64) \
-            * vector[np.asarray(tensor.idcs[-1], dtype=np.int64)]
-        reducer = kernel.row_reducer(csr_shape_class(leaf_ptr))
-        fiber_results = reducer(products, leaf_ptr, len(leaf_ptr) - 1)
+        leaf_ptr = tensor.ptrs[-1]
+        fiber_results = kernel.gather_rows(tensor.vals, tensor.idcs[-1],
+                                           leaf_ptr, vector)
         out = np.zeros(tensor.shape[:-1], dtype=np.float64)
         for node, coord in enumerate(_nonleaf_coords(tensor)):
             out[coord] = fiber_results[node]
@@ -184,9 +178,6 @@ class CompiledBackend(Backend):
         from repro.kernels.spgemm import build_spgemm
 
         kernel = self._lower(build_spgemm, "spgemm", variant, index_bits)
-        if a.ncols != b.nrows:
-            raise FormatError(
-                f"spgemm shape mismatch: {a.shape} @ {b.shape}")
         ptr, idcs, vals, counters = spgemm_numeric(a, b, pattern)
         c = CsrMatrix(ptr, idcs, vals, (a.nrows, b.ncols))
         stats = spgemm_stats(counters["n_pattern"], counters["n_skip"],
@@ -212,10 +203,7 @@ class CompiledBackend(Backend):
                 f"CompiledBackend.cluster_csrmv does not model "
                 f"{sorted(kwargs)}")
         kernel = self._lower(build_csrmv, "csrmv", variant, index_bits)
-        x = np.asarray(x, dtype=np.float64)
-        products = matrix.vals * x[matrix.idcs]
-        reducer = kernel.row_reducer(csr_shape_class(matrix.ptr))
-        y = reducer(products, matrix.ptr, matrix.nrows)
+        y = kernel.gather_rows(matrix.vals, matrix.idcs, matrix.ptr, x)
         model_kwargs = {}
         if cluster is not None:  # honor a custom cluster configuration
             model_kwargs["n_workers"] = cluster.n_workers

@@ -28,6 +28,7 @@ from repro.compiler.vectorize import (
     accumulate_rows,
     chain_rows,
     cleared_rows,
+    pin_nan_products,
     settle_nan_rows,
     staggered_rows,
 )
@@ -122,6 +123,30 @@ class CompiledKernel:
             fn = _emit_row_reducer(self, shape_class)
             self._closures[shape_class] = fn
         return fn
+
+    def reduce_rows(self, products, ptr, nrows):
+        """Row results of ``products`` in this program's exact order.
+
+        Cleared accumulators (BASE/SSR) reduce the same way in every
+        shape class, so only ISSR rows pay for :func:`csr_shape_class`.
+        """
+        if self.n_acc == 0:
+            return cleared_rows(products, ptr, nrows)
+        return self.row_reducer(csr_shape_class(ptr))(products, ptr, nrows)
+
+    def gather_rows(self, vals, idcs, ptr, x):
+        """``vals * x[idcs]`` summed per CSR row in this program's order.
+
+        A product of two NaNs keeps the value's payload, as ``fmul.d``
+        does (:func:`~repro.compiler.vectorize.pin_nan_products`); only
+        a NaN result pays for that rule.
+        """
+        nrows = len(ptr) - 1
+        products = vals * x[idcs]
+        out = self.reduce_rows(products, ptr, nrows)
+        if np.isnan(out).any() and pin_nan_products(products, vals, x[idcs]):
+            out = self.reduce_rows(products, ptr, nrows)
+        return out
 
     def __repr__(self):
         return (f"CompiledKernel({self.family}, {self.variant}, "

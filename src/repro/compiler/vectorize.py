@@ -53,6 +53,25 @@ def tree_reduce(acc):
     return acc[:, 0]
 
 
+def pin_nan_products(products, left, right):
+    """Pin every product of two NaN factors to the left one, quieted.
+
+    ``products`` is ``left * right`` (broadcast; ``right`` may carry a
+    trailing column axis) and is updated in place. The FPU's rule
+    (:func:`repro.snitch.fpu.fmul`) keeps the left factor's payload;
+    NumPy keeps the first factor's in its vector lanes and the
+    second's in its scalar remainder. Every kernel multiplies its
+    sparse value (or SpGEMM's ``a``) on the left. Callers run this
+    only when a result is NaN, the one case a NaN product can reach.
+    Returns True when some product has two NaN factors.
+    """
+    both = np.isnan(left) & np.isnan(right)
+    if not both.any():
+        return False
+    products[both] = np.broadcast_to(left + left, both.shape)[both]
+    return True
+
+
 def cleared_sums(ids, weights, n):
     """``n`` cleared accumulators, each adding its weights in order.
 
@@ -328,9 +347,13 @@ def masked_rows(ptr, a_idcs, a_vals, b_idcs, b_vals):
     """
     nrows = len(ptr) - 1
     rows, pos_a, pos_b, profile = merge_rows(ptr, a_idcs, b_idcs)
-    products = np.asarray(a_vals, dtype=np.float64)[pos_a] \
-        * np.asarray(b_vals, dtype=np.float64)[pos_b]
-    return cleared_sums(rows, products, nrows), profile
+    left = np.asarray(a_vals, dtype=np.float64)[pos_a]
+    right = np.asarray(b_vals, dtype=np.float64)[pos_b]
+    products = left * right
+    y = cleared_sums(rows, products, nrows)
+    if np.isnan(y).any() and pin_nan_products(products, left, right):
+        y = cleared_sums(rows, products, nrows)
+    return y, profile
 
 
 def spgemm_numeric(a, b, pattern=None):
@@ -352,8 +375,12 @@ def spgemm_numeric(a, b, pattern=None):
     idcs = np.asarray(idcs, dtype=np.int64)
     lengths = np.diff(ptr)
     slot_keys = np.repeat(np.arange(a.nrows), lengths) * b.ncols + idcs
-    vals = cleared_sums(np.searchsorted(slot_keys, keys),
-                        a.vals[a_pos] * b.vals[b_pos], len(idcs))
+    slots = np.searchsorted(slot_keys, keys)
+    left, right = a.vals[a_pos], b.vals[b_pos]
+    products = left * right
+    vals = cleared_sums(slots, products, len(idcs))
+    if np.isnan(vals).any() and pin_nan_products(products, left, right):
+        vals = cleared_sums(slots, products, len(idcs))
     # the kernel walks A's elements only in rows with a nonempty pattern
     walked = np.repeat(lengths > 0, a.row_lengths())
     b_lengths = b.row_lengths()[a.idcs][walked]

@@ -133,7 +133,7 @@ def check_variant(variant):
 
 def check_index_bits(index_bits):
     if index_bits not in (16, 32):
-        raise ConfigError(f"unsupported index width {index_bits}")
+        raise ConfigError(f"index_bits must be 16 or 32, got {index_bits!r}")
 
 
 def check_reference(got, expect, what):

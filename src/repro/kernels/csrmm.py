@@ -166,8 +166,6 @@ def run_csrmm(matrix, dense, variant, index_bits=32, sim=None, check=True):
     """
     dense = np.asarray(dense, dtype=np.float64)
     k = dense.shape[1]
-    if k & (k - 1):
-        raise ValueError(f"dense column count {k} must be a power of two")
     program, meta = build_csrmm(variant, index_bits)
     if sim is None:
         sim = SingleCC()

@@ -18,8 +18,6 @@ results into the dense output tensor.
 
 import numpy as np
 
-from repro.errors import FormatError
-from repro.formats.csf import CsfTensor
 from repro.kernels.common import check_reference
 from repro.kernels.csrmv import build_csrmv
 from repro.sim.harness import SingleCC
@@ -33,11 +31,7 @@ def run_ttv(tensor, vector, index_bits=32, sim=None, check=True):
     concatenated leaf fibers; nonzero output slots are then placed at
     their upper-axis coordinates.
     """
-    if not isinstance(tensor, CsfTensor):
-        raise FormatError("run_ttv expects a CsfTensor")
     vector = np.asarray(vector, dtype=np.float64)
-    if len(vector) < tensor.shape[-1]:
-        raise FormatError("vector shorter than the tensor's leaf mode")
 
     # The leaf level as a CSR-shaped triple: one "row" per leaf fiber.
     leaf_ptr = tensor.ptrs[-1]

@@ -24,10 +24,11 @@ results back into the global result. Supported kernels:
 
 import numpy as np
 
+from repro.api.registry import get_kernel
 from repro.backends import get_backend
 from repro.errors import ConfigError
-from repro.kernels.common import (check_index_bits, check_reference,
-                                  check_variant)
+from repro.kernels.common import check_reference
+from repro.kernels.spgemm import spgemm_reference
 from repro.multicluster.hbm import HbmConfig
 from repro.multicluster.model import (
     multicluster_csrmm_fast,
@@ -63,8 +64,6 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
             f"unknown multicluster kernel {kernel!r}; expected one of "
             f"{MULTICLUSTER_KERNELS}"
         )
-    check_variant(variant)
-    check_index_bits(index_bits)
     hbm = hbm if hbm is not None else HbmConfig()
     backend = get_backend(backend)
     backend_name = backend.name
@@ -73,39 +72,37 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
             f"multicluster supports the 'cycle' and 'compiled' backends, "
             f"not {backend_name!r}"
         )
+    if backend_name == "cycle" and kernel in ("csrmm", "spgemm"):
+        raise ConfigError(
+            f"multicluster {kernel} is modeled analytically; "
+            "run it with backend='compiled'"
+        )
 
     if kernel == "spvv_batch":
         dim = len(np.asarray(dense))
         matrix = fibers_to_csr(list(operand), dim=dim)
     else:
         matrix = operand
+    # a fiber batch is checked as the CsrMV it lowers to
+    spec = get_kernel("csrmv" if kernel == "spvv_batch" else kernel)
+    sparse, other = spec.operands
+    dense = spec.validate_operands({sparse: matrix, other: dense}, variant,
+                                   index_bits)[other]
     partition = get_partitioner(partitioner)(matrix, n_clusters)
 
     tcdm_words = tcdm_bytes // 8
     if kernel == "spgemm":
-        # A's rows shard; B broadcasts whole (like CsrMM's dense B) —
-        # modeled analytically, like csrmm (no cycle-level cluster
-        # SpGEMM runtime to validate against yet).
-        if backend_name == "cycle":
-            raise ConfigError(
-                "multicluster spgemm is modeled analytically; "
-                "run it with backend='compiled'"
-            )
+        # A's rows shard; B broadcasts whole (like CsrMM's dense B)
         stats, c = multicluster_spgemm_fast(
             partition, dense, variant, index_bits, hbm=hbm,
             n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
         if check:
-            expect = matrix.to_dense() @ dense.to_dense()
+            expect = spgemm_reference(matrix, dense)
             check_reference(c.to_dense(), expect,
                             f"multicluster {kernel} {variant}/{index_bits}")
         return stats, c
 
     if kernel == "csrmm":
-        if backend_name == "cycle":
-            raise ConfigError(
-                "multicluster csrmm is modeled analytically; "
-                "run it with backend='compiled'"
-            )
         stats, out = multicluster_csrmm_fast(
             partition, dense, variant, index_bits, hbm=hbm,
             n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)

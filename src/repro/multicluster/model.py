@@ -385,7 +385,6 @@ def multicluster_csrmv_fast(partition, x, variant, index_bits, hbm=None,
     multi-cluster run.
     """
     backend = _functional_backend(backend)
-    x = np.asarray(x, dtype=np.float64)
     parts = []
     for shard in partition.shards:
         if shard.nrows:
@@ -407,7 +406,6 @@ def multicluster_csrmm_fast(partition, dense, variant, index_bits, hbm=None,
                             backend=None):
     """Functional + analytic fast CsrMM path; returns ``(stats, C)``."""
     backend = _functional_backend(backend)
-    dense = np.asarray(dense, dtype=np.float64)
     k = dense.shape[1]
     parts = []
     for shard in partition.shards:

@@ -51,7 +51,6 @@ def run_multicluster_cycle(partition, x, variant="issr", index_bits=16,
     identically on both backends.
     """
     hbm = hbm if hbm is not None else HbmConfig()
-    x = np.asarray(x, dtype=np.float64)
 
     # A single cluster degenerates to the plain single-cluster path —
     # but only when the HBM config cannot throttle a lone cluster

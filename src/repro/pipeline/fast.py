@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.backends.model import _dma_cycles, csrmv_stats, glue_stats
 from repro.cluster.runtime import BARRIER_CYCLES
-from repro.compiler.templates import csr_shape_class, lower
+from repro.compiler.templates import lower
 from repro.kernels.blas1 import apply_glue
 from repro.mem.dma import BEAT_WORDS
 from repro.pipeline.buffers import plan_buffers
@@ -55,10 +55,6 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
 
     program, _meta = build_csrmv(pipeline.variant, pipeline.index_bits)
     kernel = lower(program, family_hint="csrmv")
-
-    def csrmv_reduce(mat, products):
-        reducer = kernel.row_reducer(csr_shape_class(mat.ptr))
-        return reducer(products, mat.ptr, mat.nrows)
 
     n_clusters = partition.n_clusters
     tcdm_words = tcdm_bytes // 8
@@ -182,9 +178,8 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
             return
         if stage.kind == "csrmv":
             mat = pipeline.matrices[stage.args["matrix"]].matrix
-            x = state[stage.args["x"]]
-            products = mat.vals * x[mat.idcs]
-            state[stage.args["y"]] = csrmv_reduce(mat, products)
+            state[stage.args["y"]] = kernel.gather_rows(
+                mat.vals, mat.idcs, mat.ptr, state[stage.args["x"]])
             return
         if stage.kind in ("dot", "diff2"):
             x, y = state[stage.args["x"]], state[stage.args["y"]]

@@ -25,7 +25,7 @@ import json
 import numpy as np
 
 from repro.api.registry import KERNELS, get_kernel
-from repro.errors import ConfigError, RequestError
+from repro.errors import ConfigError, FormatError, RequestError
 
 #: Request fields shared by every kernel (operand specs ride beside
 #: these under ``"workload"``). ``priority`` 0 is most urgent.
@@ -127,9 +127,6 @@ def validate_request(payload):
             isinstance(req["timeout"], (int, float)) and req["timeout"] > 0):
         raise RequestError(f"timeout must be a positive number of seconds, "
                            f"got {req['timeout']!r}")
-    if req["index_bits"] not in (16, 32):
-        raise RequestError(f"index_bits must be 16 or 32, got "
-                           f"{req['index_bits']!r}")
     if not isinstance(req["tenant"], str) or not req["tenant"]:
         raise RequestError(f"tenant must be a non-empty string, got "
                            f"{req['tenant']!r}")
@@ -144,17 +141,18 @@ def validate_request(payload):
     if not isinstance(source, dict):
         raise RequestError("workload/operands must map operand names to "
                            "specs/objects")
-    missing = [op for op in spec.operands if op not in source]
-    unknown = sorted(set(source) - set(spec.operands))
-    if missing or unknown:
-        problems = []
-        if missing:
-            problems.append(f"missing {missing}")
-        if unknown:
-            problems.append(f"unknown {unknown}")
-        raise RequestError(
-            f"kernel {spec.name!r} workload operands {'; '.join(problems)}; "
-            f"schema is ({', '.join(spec.operands)})")
+    # the registry's check, in full on operands request_key will hash
+    try:
+        if operands is None:
+            spec.check_call(workload, req["variant"], req["index_bits"])
+        else:
+            operands = spec.validate_operands(operands, req["variant"],
+                                              req["index_bits"])
+    except (ConfigError, FormatError) as exc:
+        raise RequestError(str(exc)) from None
+    knobs = sorted(set(source) & set(spec.extra_kwargs))
+    if knobs:
+        raise RequestError(f"keyword arguments {knobs} cannot ride a request")
     if workload is not None:
         for op, gen_spec in workload.items():
             _validate_generator_spec(spec.name, op, gen_spec)

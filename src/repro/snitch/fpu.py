@@ -52,6 +52,19 @@ def fadd(x, y):
     return x + x if x != x else x + y
 
 
+def fmul(x, y):
+    """``x * y`` where, if both factors are NaN, the left one's wins.
+
+    The left factor's NaN comes back quieted, as :func:`fadd` returns
+    it. CPython's float multiply keeps the right factor's payload
+    before it specializes a multiply site and the left one's after, so
+    ``fmul.d`` and the fused ops pin it here, and the compiled
+    backend's replay pins the same rule
+    (:func:`repro.compiler.vectorize.pin_nan_products`).
+    """
+    return x + x if x != x else x * y
+
+
 def _compare_int(cmp):
     return lambda a, b: int(cmp(a, b))
 
@@ -74,13 +87,13 @@ _DECODE = {
     "feq.d": (TO_INT, 2, _compare_int(operator.eq), FPU_SHORT_LATENCY),
     "flt.d": (TO_INT, 2, _compare_int(operator.lt), FPU_SHORT_LATENCY),
     "fle.d": (TO_INT, 2, _compare_int(operator.le), FPU_SHORT_LATENCY),
-    "fmadd.d": (ARITH, 3, lambda a, b, c: fadd(a * b, c), FPU_LATENCY),
-    "fmsub.d": (ARITH, 3, lambda a, b, c: a * b - c, FPU_LATENCY),
-    "fnmadd.d": (ARITH, 3, lambda a, b, c: -(a * b) - c, FPU_LATENCY),
-    "fnmsub.d": (ARITH, 3, lambda a, b, c: -(a * b) + c, FPU_LATENCY),
+    "fmadd.d": (ARITH, 3, lambda a, b, c: fadd(fmul(a, b), c), FPU_LATENCY),
+    "fmsub.d": (ARITH, 3, lambda a, b, c: fmul(a, b) - c, FPU_LATENCY),
+    "fnmadd.d": (ARITH, 3, lambda a, b, c: -fmul(a, b) - c, FPU_LATENCY),
+    "fnmsub.d": (ARITH, 3, lambda a, b, c: -fmul(a, b) + c, FPU_LATENCY),
     "fadd.d": (ARITH, 2, fadd, FPU_LATENCY),
     "fsub.d": (ARITH, 2, operator.sub, FPU_LATENCY),
-    "fmul.d": (ARITH, 2, operator.mul, FPU_LATENCY),
+    "fmul.d": (ARITH, 2, fmul, FPU_LATENCY),
     "fdiv.d": (ARITH, 2, operator.truediv, FPU_LONG_LATENCY),
     "fsqrt.d": (ARITH, 1, math.sqrt, FPU_LONG_LATENCY),
     "fmin.d": (ARITH, 2, min, FPU_SHORT_LATENCY),

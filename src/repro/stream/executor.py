@@ -30,13 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.api.registry import get_kernel
 from repro.errors import ConfigError, FormatError
-from repro.kernels.common import (
-    ISSR,
-    N_ACCUMULATORS,
-    check_index_bits,
-    check_variant,
-)
+from repro.formats.fiber import SparseFiber
+from repro.kernels.common import ISSR, N_ACCUMULATORS
 from repro.mem.dma import IN, OUT, transfer_cycles
 from repro.stream.plan import plan_row_tiles, tile_bytes
 from repro.telemetry import metrics as _metrics
@@ -134,12 +131,10 @@ def stream_csrmv(matrix, x, *, budget_bytes=None, tile_rows=None,
     """
     from repro.backends import get_backend
 
-    check_variant(variant)
-    check_index_bits(index_bits)
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < matrix.ncols:
-        raise FormatError(f"vector of length {len(x)} shorter than "
-                          f"ncols {matrix.ncols}")
+    # no index scan here: each tile's Backend.run scans that tile's
+    spec = get_kernel("csrmv")
+    spec.check_call(("matrix", "x"), variant, index_bits)
+    x = spec.check_values({"matrix": matrix, "x": x})["x"]
     if (budget_bytes is None) == (tile_rows is None):
         raise ConfigError("stream_csrmv needs exactly one of budget_bytes "
                           "or tile_rows")
@@ -196,17 +191,16 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     never holds -0.0.
     """
     from repro.backends.model import spvv_stats
-    from repro.compiler.vectorize import cleared_sums, lane_tree
+    from repro.compiler.vectorize import (cleared_sums, lane_tree,
+                                          pin_nan_products)
 
-    check_variant(variant)
-    check_index_bits(index_bits)
     if chunk_nnz < 1:
         raise ConfigError(f"chunk_nnz must be >= 1, got {chunk_nnz}")
-    x = np.asarray(x, dtype=np.float64)
+    # the fiber spans its largest index, the one bound the arrays carry
+    x = get_kernel("spvv").validate_operands(
+        {"fiber": SparseFiber(indices, values), "x": x}, variant,
+        index_bits)["x"]
     nnz = len(values)
-    if len(indices) != nnz:
-        raise FormatError(f"fiber idcs/vals length mismatch: "
-                          f"{len(indices)} vs {nnz}")
     chunks = _spvv_chunks(nnz, chunk_nnz, N_ACCUMULATORS[index_bits]) \
         if nnz else []
     n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
@@ -215,12 +209,15 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
     stats = StreamStats()
     for i, (c0, c1) in enumerate(chunks):
         idx = np.asarray(indices[c0:c1], dtype=np.int64)
+        vals = np.asarray(values[c0:c1], dtype=np.float64)
         weights = np.empty(n_acc + c1 - c0, dtype=np.float64)
         weights[:n_acc] = lanes
-        np.multiply(np.asarray(values[c0:c1], dtype=np.float64), x[idx],
-                    out=weights[n_acc:])
-        lanes = cleared_sums(np.arange(len(weights)) & (n_acc - 1), weights,
-                             n_acc)
+        np.multiply(vals, x[idx], out=weights[n_acc:])
+        lane_ids = np.arange(len(weights)) & (n_acc - 1)
+        lanes = cleared_sums(lane_ids, weights, n_acc)
+        if np.isnan(lanes).any() and pin_nan_products(weights[n_acc:],
+                                                      vals, x[idx]):
+            lanes = cleared_sums(lane_ids, weights, n_acc)
         words = 2 * (c1 - c0)  # value + index words
         if ledger is not None:
             ledger.record(pass_id, ("chunk", i), words, IN)

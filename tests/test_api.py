@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.api.registry import RESULT_KINDS, KernelSpec, get_kernel
+from repro.api.registry import (
+    RESULT_KINDS,
+    KernelSpec,
+    check_index_width,
+    get_kernel,
+)
 from repro.backends import (
     BACKENDS,
     CYCLE_TOLERANCE,
@@ -19,11 +24,18 @@ from repro.backends import (
     Backend,
     get_backend,
 )
-from repro.backends.base import check_index_width
-from repro.errors import ConfigError, FormatError, UnsupportedKernelError
+from repro.errors import (
+    ConfigError,
+    FormatError,
+    RequestError,
+    UnsupportedKernelError,
+)
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
 from repro.formats.fiber import SparseFiber
+from repro.multicluster import run_multicluster
+from repro.serve.protocol import validate_request
+from repro.stream import stream_csrmv, stream_spvv
 from repro.workloads import (
     random_csr,
     random_dense_matrix,
@@ -167,6 +179,8 @@ def wide_operands(kernel):
         return {"matrix": wide, "x": np.ones(70001)}
     if kernel == "spvv":
         return {"fiber": fiber, "x": np.ones(70001)}
+    if kernel == "csrmm":
+        return {"matrix": wide, "dense": np.ones((70001, 2))}
     if kernel == "ttv":
         tensor = CsfTensor((1, 70001), [[0, 1]], [[0], [70000]], [3.0])
         return {"tensor": tensor, "vector": np.ones(70001)}
@@ -223,6 +237,139 @@ class TestIndexWidth:
         else:
             check_index_width(get_kernel("masked_csrmv"), operands, 16)
         assert len(calls) == scans
+
+
+def wrong_format(value):
+    """A legal operand of another sparse format than ``value``'s."""
+    if isinstance(value, SparseFiber):
+        return CsrMatrix.from_dense(value.to_dense()[None, :])
+    if isinstance(value, CsrMatrix):
+        return value.row(0)
+    return CsrMatrix.from_dense(np.ones((2, 2)))
+
+
+def broken_cases():
+    """Each registered kernel's :func:`small_operands` with one operand
+    broken at a time: ``(kernel, operands, variant, index_bits,
+    error)`` params."""
+    cases = []
+
+    def case(kernel, label, error, variant=None, index_bits=32, **broken):
+        operands = {**small_operands(kernel), **broken}
+        cases.append(pytest.param(kernel, operands, variant, index_bits,
+                                  error, id=f"{kernel}-{label}"))
+
+    for kernel, spec in api.KERNELS.items():
+        ops = small_operands(kernel)
+        for name in spec.operands:
+            value = ops[name]
+            if name in ("x", "vector"):
+                case(kernel, f"short-{name}", FormatError, **{name: value[:2]})
+                case(kernel, f"2d-{name}", FormatError,
+                     **{name: value[:, None]})
+            elif name == "dense":
+                case(kernel, "1d-dense", FormatError, dense=value[:, 0])
+                case(kernel, "short-dense", FormatError, dense=value[:2])
+                case(kernel, "3-column-dense", FormatError,
+                     dense=np.ones((len(value), 3)))
+            else:
+                case(kernel, f"ndarray-{name}", FormatError,
+                     **{name: value.to_dense()})
+                case(kernel, f"wrong-format-{name}", FormatError,
+                     **{name: wrong_format(value)})
+        if spec.has_variant:
+            case(kernel, "bogus-variant", ConfigError, variant="bogus")
+        case(kernel, "17-bit-index", FormatError, index_bits=16,
+             **wide_operands(kernel))
+    case("spgemm", "inner-dims-off-by-one", FormatError,
+         b=random_csr(13, 8, 24, seed=13))
+    return cases
+
+
+def every_path(kernel, operands, variant, index_bits):
+    """Every path that runs ``kernel`` on ``operands``: name -> thunk.
+
+    Both backends through ``api.run`` (cycle with ``check`` on and
+    off), ``repro.stream`` for CsrMV and SpVV, and
+    ``run_multicluster`` for CsrMV (both backends), CsrMM and SpGEMM
+    (compiled, their one multicluster backend), check on and off.
+    """
+    kw = {"variant": variant, "index_bits": index_bits}
+    paths = {
+        "cycle": lambda: api.run(kernel, backend="cycle", **kw, **operands),
+        "cycle-nocheck": lambda: api.run(kernel, backend="cycle",
+                                         check=False, **kw, **operands),
+        "compiled": lambda: api.run(kernel, backend="compiled", **kw,
+                                    **operands),
+    }
+    # the paths outside api.run take the variant's default explicitly
+    kw_issr = {**kw, "variant": "issr" if variant is None else variant}
+    if kernel == "csrmv":
+        paths["stream_csrmv"] = lambda: stream_csrmv(
+            operands["matrix"], operands["x"], tile_rows=3, **kw_issr)
+    if kernel == "spvv" and isinstance(operands["fiber"], SparseFiber):
+        paths["stream_spvv"] = lambda: stream_spvv(
+            operands["fiber"].indices, operands["fiber"].values,
+            operands["x"], chunk_nnz=4, **kw_issr)
+    if kernel in ("csrmv", "csrmm", "spgemm"):
+        sparse, dense = get_kernel(kernel).operands
+        backends = ("cycle", "compiled") if kernel == "csrmv" else \
+            ("compiled",)
+        for backend in backends:
+            for check in (True, False):
+                paths[f"multicluster-{backend}-{check}"] = (
+                    lambda backend=backend, check=check: run_multicluster(
+                        operands[sparse], operands[dense], kernel=kernel,
+                        n_clusters=2, backend=backend, check=check,
+                        **kw_issr))
+    return paths
+
+
+def admit(kernel, operands, variant, index_bits):
+    """Serve admission of an in-process request."""
+    return validate_request({"kernel": kernel, "variant": variant,
+                             "index_bits": index_bits,
+                             "operands": operands})
+
+
+class TestLegalityBattery:
+    """One legality check: every path raises the same typed error with
+    the same message, and returns the same bytes on a legal input."""
+
+    @pytest.mark.parametrize("kernel,operands,variant,index_bits,error",
+                             broken_cases())
+    def test_every_path_raises_the_same_error(self, kernel, operands,
+                                              variant, index_bits, error):
+        seen = {}
+        for name, run in every_path(kernel, operands, variant,
+                                    index_bits).items():
+            with pytest.raises(error) as info:
+                run()
+            seen[name] = (type(info.value), str(info.value))
+        assert len(set(seen.values())) == 1, seen
+        message = seen["compiled"][1]
+        with pytest.raises(RequestError) as info:
+            admit(kernel, operands, variant, index_bits)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kernel", ["spvv", "csrmv", "csrmm", "ttv",
+                                        "cluster_csrmv"])
+    def test_integer_dense_operand_returns_equal_bytes(self, kernel):
+        """An integer dense operand is legal and computes as its float64
+        copy does, on every path."""
+        operands = small_operands(kernel)
+        name = get_kernel(kernel).operands[1]
+        ints = np.rint(4 * operands[name]).astype(np.int64)
+        expect = api.run(kernel, backend="compiled",
+                         **{**operands, name: ints.astype(np.float64)})[1]
+        operands[name] = ints
+        for path, run in every_path(kernel, operands, None, 32).items():
+            got = run()[1]
+            assert np.asarray(got).tobytes() == \
+                np.asarray(expect).tobytes(), path
+        admitted = admit(kernel, operands, None, 32)["operands"][name]
+        assert admitted.dtype == np.float64
+        assert admitted.tobytes() == ints.astype(np.float64).tobytes()
 
 
 class TestSpecImmutability:

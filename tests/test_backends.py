@@ -23,7 +23,7 @@ from repro.backends import (
     cycles_within_tolerance,
     get_backend,
 )
-from repro.errors import ConfigError, DeadlockError
+from repro.errors import ConfigError, DeadlockError, FormatError
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
 from repro.formats.fiber import SparseFiber
@@ -141,7 +141,7 @@ class TestCsrmmParity:
     def test_non_power_of_two_rejected(self, backends):
         _, comp = backends
         matrix = random_csr(4, 16, 8, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="power of two"):
             comp.run("csrmm", variant="issr", index_bits=16, matrix=matrix,
                      dense=random_dense_matrix(16, 3, seed=1))
 
@@ -286,6 +286,103 @@ class TestTwoNanPayloads:
         assert np.isnan(np.frombuffer(bytes.fromhex(compiled))).all()
         assert cycle == compiled
 
+
+
+#: Two quiet NaNs with different payloads: the sparse values carry the
+#: first, the dense operand the second.
+VALUE_NAN, DENSE_NAN = np.frombuffer(
+    bytes.fromhex("3412000000f8ff7f2143000000f8ff7f"), dtype=np.float64)
+
+
+def two_nan_factor_operands(kernel):
+    """Operands whose every NaN product multiplies two NaN payloads.
+
+    The dense operand is NaN at columns 3 and 7 (every column of those
+    CsrMM rows) and the sparse values are NaN exactly there, over
+    ragged rows that reach the ISSR kernels' short rows, staggered
+    lanes and fadd tree.
+    """
+    lengths = (3, 9, 13, 1, 16, 0, 5, 8)
+    rng = np.random.default_rng(5)
+    idcs = np.concatenate([np.sort(rng.choice(16, n, replace=False))
+                           for n in lengths])
+    vals = rng.standard_normal(len(idcs))
+    vals[np.isin(idcs, (3, 7))] = VALUE_NAN
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    matrix = CsrMatrix(ptr, idcs, vals, (len(lengths), 16))
+    dense = rng.standard_normal((16, 4))
+    dense[[3, 7]] = DENSE_NAN
+    if kernel == "csrmm":
+        return {"matrix": matrix, "dense": dense}
+    if kernel == "spvv":
+        return {"fiber": matrix.row(2), "x": dense[:, 0]}
+    if kernel == "masked_csrmv":
+        return {"matrix": matrix,
+                "x_fiber": SparseFiber(np.arange(16), dense[:, 0])}
+    if kernel == "spgemm":
+        return {"a": matrix, "b": CsrMatrix(np.arange(0, 65, 4),
+                                            np.tile(np.arange(4), 16),
+                                            dense.ravel(), (16, 4))}
+    return {"matrix": matrix, "x": dense[:, 0]}
+
+
+#: Every variant and index width.
+ALL_SERIES = [("base", 16), ("base", 32), ("ssr", 16), ("ssr", 32),
+              ("issr", 16), ("issr", 32)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestTwoNanFactors:
+    """A product of two NaNs keeps the sparse value's payload, quieted,
+    on both backends, whatever state the interpreter is in.
+
+    CPython's float multiply keeps the right factor's payload before it
+    specializes a multiply site and the left one's after, and NumPy's
+    differs between its vector lanes and its remainder loop.
+    """
+
+    @staticmethod
+    def _check(results):
+        cycle, compiled = (np.asarray(r).tobytes() for r in results)
+        assert cycle == compiled
+        got = np.frombuffer(compiled, dtype=np.float64)
+        assert np.isnan(got).any()
+        assert got[np.isnan(got)].tobytes() == \
+            VALUE_NAN.tobytes() * int(np.isnan(got).sum())
+
+    @pytest.mark.parametrize("variant,bits", ALL_SERIES)
+    @pytest.mark.parametrize("kernel", ["csrmv", "csrmm", "spvv",
+                                        "masked_csrmv", "spgemm"])
+    def test_on_a_warm_interpreter(self, backends, kernel, variant, bits):
+        operands = two_nan_factor_operands(kernel)
+        results = [b.run(kernel, variant=variant, index_bits=bits,
+                         check=False, **operands)[1] for b in backends]
+        self._check([getattr(r, "vals", r) for r in results])
+
+    @pytest.mark.parametrize("variant,bits", ALL_SERIES)
+    @pytest.mark.parametrize("kernel", ["csrmv", "csrmm", "spvv"])
+    def test_on_a_cold_interpreter(self, kernel, variant, bits):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_backends import two_nan_factor_operands\n"
+            "from repro import api\n"
+            f"operands = two_nan_factor_operands({kernel!r})\n"
+            "for backend in ('cycle', 'compiled'):\n"
+            f"    _s, y = api.run({kernel!r}, backend=backend, "
+            f"variant={variant!r}, index_bits={bits}, check=False, "
+            "**operands)\n"
+            "    print(np.asarray(y).tobytes().hex())\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        got = subprocess.run([sys.executable, "-W", "ignore", "-c", code,
+                              tests],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        self._check([bytes.fromhex(h) for h in got.stdout.split()])
 
 #: The paper's four series.
 NAN_SERIES = [("base", 32), ("ssr", 32), ("issr", 32), ("issr", 16)]

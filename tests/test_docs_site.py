@@ -53,6 +53,18 @@ def test_committed_registry_table_is_fresh():
         "`python docs/build_site.py --sync-registry`"
 
 
+def test_committed_kernel_table_is_fresh():
+    """The kernels.md dispatch block matches the live kernel registry.
+
+    Regenerate with ``python docs/build_site.py --sync-registry``.
+    """
+    build_site = _load_build_site()
+    page = (DOCS / "kernels.md").read_text()
+    assert build_site.inject_kernels(page) == page, \
+        "docs/kernels.md kernel table is stale — run " \
+        "`python docs/build_site.py --sync-registry`"
+
+
 def test_registry_table_matches_cli_json():
     """One emitter behind both the docs table and the CLI JSON."""
     from repro.eval.experiments import experiment_registry

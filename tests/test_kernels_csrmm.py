@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import api
+from repro.errors import FormatError
 from repro.kernels.csrmm import run_csrmm
 from repro.kernels.csrmv import run_csrmv
 from repro.workloads import (
@@ -38,8 +40,9 @@ def test_empty_rows(variant, bits):
 def test_non_power_of_two_rejected():
     m = random_csr(8, 32, 32, seed=4)
     b = random_dense_matrix(32, 3, seed=5)
-    with pytest.raises(ValueError):
-        run_csrmm(m, b, "issr", 16)
+    with pytest.raises(FormatError, match="power of two"):
+        api.run("csrmm", backend="cycle", variant="issr", index_bits=16,
+                matrix=m, dense=b)
 
 
 def test_k1_matches_csrmv():

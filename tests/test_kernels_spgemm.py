@@ -9,6 +9,7 @@ from repro.backends import (
     CycleBackend,
 )
 from repro.errors import ConfigError, FormatError
+from repro.formats.csr import CsrMatrix
 from repro.kernels.spgemm import run_spgemm
 from repro.multicluster import run_multicluster
 from repro.workloads import random_csr
@@ -104,3 +105,40 @@ class TestSpgemmMulticluster:
         s8, _ = run_multicluster(a, b, kernel="spgemm", n_clusters=8,
                                  backend="compiled")
         assert s8.cycles < s1.cycles
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+class TestNonFiniteOracle:
+    """The oracle sums only the products of stored entries, as the
+    kernel does, so ±Inf and NaN values check on the cycle backend and
+    on multicluster and come back as the compiled backend's bytes."""
+
+    @staticmethod
+    def operand_pairs():
+        diag = CsrMatrix([0, 1, 2], [0, 1], [2.0, 3.0], (2, 2))
+        for special in (np.inf, -np.inf, np.nan):
+            # ``0 * inf`` of a dense product is a NaN the kernel never
+            # computes
+            yield CsrMatrix([0, 1, 2], [0, 1], [special, 1.0], (2, 2)), diag
+        a = random_csr(8, 8, 28, seed=40)
+        vals = a.vals.copy()
+        vals[::4] = np.resize([np.inf, -np.inf, np.nan], len(vals[::4]))
+        yield CsrMatrix(a.ptr, a.idcs, vals, a.shape), \
+            random_csr(8, 8, 30, seed=42)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_checked_runs_match_compiled(self, variant):
+        for a, b in self.operand_pairs():
+            expect = CompiledBackend().run("spgemm", variant=variant,
+                                           a=a, b=b)[1]
+            runs = [
+                CycleBackend().run("spgemm", variant=variant, check=True,
+                                   a=a, b=b)[1],
+                run_multicluster(a, b, kernel="spgemm", n_clusters=2,
+                                 variant=variant, index_bits=32,
+                                 backend="compiled", check=True)[1],
+            ]
+            for c in runs:
+                assert c.ptr.tobytes() == expect.ptr.tobytes()
+                assert c.idcs.tobytes() == expect.idcs.tobytes()
+                assert c.vals.tobytes() == expect.vals.tobytes()

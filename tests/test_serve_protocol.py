@@ -12,6 +12,7 @@ import pytest
 
 from repro.api.registry import KERNELS
 from repro.errors import RequestError
+from repro.formats.csf import CsfTensor
 from repro.serve.protocol import (
     GENERATORS,
     REQUEST_FIELDS,
@@ -131,7 +132,8 @@ class TestValidateRequest:
     def test_variantless_kernel_forces_variant_none(self):
         req = validate_request({
             "kernel": "ttv", "variant": "issr",
-            "operands": {"tensor": object(), "vector": object()}})
+            "operands": {"tensor": CsfTensor.from_dense(np.ones((2, 3))),
+                         "vector": np.ones(3)}})
         assert req["variant"] is None
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))

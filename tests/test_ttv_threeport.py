@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.errors import FormatError
 from repro.formats import CsfTensor
 from repro.kernels.spvv import run_spvv
@@ -50,7 +51,7 @@ class TestTtv:
 
     def test_type_check(self):
         with pytest.raises(FormatError):
-            run_ttv("nope", np.ones(4))
+            api.run("ttv", backend="cycle", tensor="nope", vector=np.ones(4))
 
     def test_utilization_scales_with_fiber_length(self):
         dense = np.zeros((8, 256))
