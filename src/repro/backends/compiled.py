@@ -19,8 +19,9 @@ staggered accumulation of §III-B/Listing 1 is replayed exactly);
 cycle counts come from the analytic contract
 :mod:`repro.backends.model` documents (the §IV-A issue rates), within
 the documented ``CYCLE_TOLERANCE``. Lowered kernels are cached in the
-shared program cache and their closures are memoized per shape class,
-so steady-state dispatch is two dict hits.
+shared program cache, so steady-state dispatch is a dict hit on the
+program's identity; each call then picks its row replay from the row
+lengths (:meth:`~repro.compiler.templates.CompiledKernel.reduce_rows`).
 """
 
 import numpy as np
@@ -84,7 +85,7 @@ class CompiledBackend(Backend):
                           kernel.index_bits), result
 
     def _exec_csrmv(self, matrix, x, variant, index_bits=32, check=True):
-        """Lower the CsrMV program; run its shape-class closure."""
+        """Lower the CsrMV program; replay its rows."""
         from repro.kernels.csrmv import build_csrmv
 
         kernel = self._lower(build_csrmv, "csrmv", variant, index_bits)
@@ -98,14 +99,14 @@ class CompiledBackend(Backend):
         """Lower the CsrMM program; reduce all k columns in one pass.
 
         The kernel iterates columns outer, but each column's rows replay
-        independently, so the closure takes the (nnz, k) products with
-        a trailing column axis and reproduces every column's order.
+        independently, so the row replay takes the (nnz, k) products
+        with a trailing column axis and reproduces every column's order.
         """
         from repro.kernels.csrmm import build_csrmm
 
         kernel = self._lower(build_csrmm, "csrmm", variant, index_bits)
         k = dense.shape[1]
-        if kernel.n_acc:  # ISSR's stepper gathers whole (k,) rows
+        if kernel.n_acc:  # ISSR replays (nnz, k) products, row-major
             products = np.take(dense, matrix.idcs, axis=0)
             np.multiply(matrix.vals[:, None], products, out=products)
         else:  # cleared rows: one contiguous bincount per column
@@ -116,8 +117,8 @@ class CompiledBackend(Backend):
         if np.isnan(out).any() and pin_nan_products(
                 products, matrix.vals[:, None], dense[matrix.idcs]):
             out = kernel.reduce_rows(products, matrix.ptr, matrix.nrows)
-        # uniform ISSR rows and cleared rows come back as strided views;
-        # callers get a contiguous (nrows, k) array
+        # cleared rows come back as a transposed view; callers get a
+        # contiguous (nrows, k) array
         out = np.ascontiguousarray(out)
         stats = csrmm_stats(matrix.row_lengths(), k, kernel.variant,
                             kernel.index_bits)

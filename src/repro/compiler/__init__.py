@@ -10,9 +10,9 @@ engine runs, without simulating them. The pipeline has three passes:
    structure (variant class, index width, accumulator count, lanes)
    from the decoded SSR/ISSR/intersect register configuration;
 3. :mod:`repro.compiler.templates` — matching against the canonical
-   op templates (the kernel builders' own output, normalized) and
-   emission of a fused vectorized closure
-   (:mod:`repro.compiler.vectorize`).
+   op templates (the kernel builders' own output, normalized), whose
+   match replays rows through the vectorized primitives of
+   :mod:`repro.compiler.vectorize`.
 
 :func:`lower` runs all three and returns a
 :class:`~repro.compiler.templates.CompiledKernel`; results are cached

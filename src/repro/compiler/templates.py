@@ -15,9 +15,9 @@ index_bits)``. Matching is therefore *exact and total*:
    cause wrong execution.
 
 A match yields a :class:`CompiledKernel` that identifies the program's
-family/variant/width and emits fused vectorized closures
-(:mod:`repro.compiler.vectorize`), memoized per shape class. No match
-raises :class:`~repro.errors.LoweringError`.
+family/variant/width and replays its rows with the vectorized
+primitives of :mod:`repro.compiler.vectorize`. No match raises
+:class:`~repro.errors.LoweringError`.
 """
 
 import numpy as np
@@ -26,11 +26,9 @@ from repro.compiler.decode import decode_program
 from repro.compiler.structure import recover_structure
 from repro.compiler.vectorize import (
     accumulate_rows,
-    chain_rows,
     cleared_rows,
+    lane_rows,
     pin_nan_products,
-    settle_nan_rows,
-    staggered_rows,
 )
 from repro.errors import LoweringError
 from repro.isa.introspect import normalize_program
@@ -89,17 +87,26 @@ def _prune(family, variant, index_bits, structure):
     return True
 
 
+#: ISSR rows replay by :func:`~repro.compiler.vectorize.lane_rows` when
+#: ``nnz < LANE_ROWS_PER_POSITION * longest_row``, that is, when fewer
+#: than this many rows are live at an average position of the
+#: length-sorted stepper (:func:`~repro.compiler.vectorize.accumulate_rows`),
+#: which pays one NumPy call pair per position. Fitted on the offline
+#: workload's matrices, constant-length shapes and a streamed tile
+#: (docs/performance.md, *ISSR rows: lanes or the stepper*).
+LANE_ROWS_PER_POSITION = 1024
+
+
 class CompiledKernel:
-    """A lowered program: identity, structure, and fused closures.
+    """A lowered program: identity, structure, and its row replay.
 
     ``family``/``variant``/``index_bits`` are *recovered* from the
     program (template identity), never taken from a caller — the
-    compiled backend derives its timing parameters from them. Closures
-    are memoized per shape class (see :func:`csr_shape_class`).
+    compiled backend derives its timing parameters from them.
     """
 
     __slots__ = ("family", "variant", "index_bits", "n_acc", "structure",
-                 "meta", "_closures")
+                 "meta", "_reducer")
 
     def __init__(self, family, variant, index_bits, structure, meta):
         self.family = family
@@ -108,31 +115,34 @@ class CompiledKernel:
         self.n_acc = (N_ACCUMULATORS[index_bits] if variant == ISSR else 0)
         self.structure = structure
         self.meta = meta
-        self._closures = {}
+        self._reducer = self.reduce_rows
 
     def row_reducer(self, shape_class):
-        """Fused per-row reduction closure for one CSR shape class.
+        """The row reduction for CSR rows of ``shape_class``.
 
-        ``closure(products, ptr, nrows)`` reduces the per-element
-        products into row results in this program's exact FP order;
-        a trailing column axis on ``products`` (CsrMM's k columns)
-        carries through to the result.
+        Every class replays through :meth:`reduce_rows`, which reads
+        the row lengths itself; the bound method is kept, so each call
+        returns the same object.
         """
-        fn = self._closures.get(shape_class)
-        if fn is None:
-            fn = _emit_row_reducer(self, shape_class)
-            self._closures[shape_class] = fn
-        return fn
+        return self._reducer
 
     def reduce_rows(self, products, ptr, nrows):
         """Row results of ``products`` in this program's exact order.
 
-        Cleared accumulators (BASE/SSR) reduce the same way in every
-        shape class, so only ISSR rows pay for :func:`csr_shape_class`.
+        ``products`` is (nnz,) or (nnz, k); the result is (nrows,) or
+        (nrows, k). Cleared accumulators (BASE/SSR) take one bincount
+        per column. ISSR rows with one column take the (row, lane)
+        bincount where few rows share a stepper position
+        (:data:`LANE_ROWS_PER_POSITION`), the stepper otherwise; CsrMM's
+        k > 1 columns ride the stepper's vector updates.
         """
         if self.n_acc == 0:
             return cleared_rows(products, ptr, nrows)
-        return self.row_reducer(csr_shape_class(ptr))(products, ptr, nrows)
+        if products.ndim == 1 or products.shape[1] == 1:
+            longest = int((ptr[1:] - ptr[:-1]).max(initial=0))
+            if len(products) < LANE_ROWS_PER_POSITION * longest:
+                return lane_rows(products, ptr, self.index_bits)
+        return accumulate_rows(products, ptr, self.variant, self.index_bits)
 
     def gather_rows(self, vals, idcs, ptr, x):
         """``vals * x[idcs]`` summed per CSR row in this program's order.
@@ -156,50 +166,15 @@ class CompiledKernel:
 def csr_shape_class(ptr):
     """The shape class of a CSR row partition.
 
-    ``("uniform", L)`` when every row holds exactly ``L`` nonzeros —
-    the ISSR row loop specializes to straight vector passes with no
-    length sort; ``("general",)`` otherwise (the length-sorted
-    stepper). Cleared-accumulator (BASE/SSR) rows replay the same way
-    in every class.
+    ``("uniform", L)`` when every row holds exactly ``L`` nonzeros,
+    ``("general",)`` otherwise. Replay does not depend on it (see
+    :meth:`CompiledKernel.reduce_rows`); the benchmark's traced run
+    still times it (``compiler.shape_class_us``).
     """
     lengths = np.diff(ptr)
     if len(lengths) and lengths.min() == lengths.max():
         return ("uniform", int(lengths[0]))
     return ("general",)
-
-
-def _emit_row_reducer(kernel, shape_class):
-    """Emit the fused row-reduction closure for ``shape_class``."""
-    variant, index_bits = kernel.variant, kernel.index_bits
-    n_acc = kernel.n_acc
-    if n_acc == 0:  # BASE/SSR clear their accumulator: one bincount
-        return cleared_rows
-    if shape_class[0] != "uniform":
-        def general(products, ptr, nrows):
-            return accumulate_rows(products, ptr, variant, index_bits)
-
-        return general
-
-    length = shape_class[1]
-    if length == 0:
-        def empty(products, ptr, nrows):
-            return np.zeros((nrows,) + products.shape[1:], dtype=np.float64)
-
-        return empty
-    if length < n_acc:
-        def uniform_short(products, ptr, nrows):
-            starts = np.asarray(ptr[:-1], dtype=np.int64)
-            out = chain_rows(products, starts, length)
-            return settle_nan_rows(out, products, ptr, variant, index_bits)
-
-        return uniform_short
-
-    def uniform_staggered(products, ptr, nrows):
-        starts = np.asarray(ptr[:-1], dtype=np.int64)
-        out = staggered_rows(products, starts, length, n_acc)
-        return settle_nan_rows(out, products, ptr, variant, index_bits)
-
-    return uniform_staggered
 
 
 #: id(program) -> (program, CompiledKernel). Programs come from the

@@ -18,13 +18,17 @@ orders differ per kernel (§III-B, Listing 1):
   (product ``n_acc + i`` lands on accumulator ``i % n_acc``), then
   combine with the same balanced fadd tree the kernel emits.
 
-Ragged ISSR rows replay in one length-sorted ("jagged-diagonal") pass,
-one vector update per row position while many rows are live. The
-rows still live then finish with one ``np.add.accumulate`` per group
-of rows with as many products left (:func:`finish_rows`). A trailing
-column axis on the products (CsrMM's k columns) rides the same pass.
-ISSR rows holding a NaN product are replayed in Python floats, which
-pins the NaN payload (:func:`settle_nan_rows`).
+ISSR rows replay by one of two primitives. :func:`lane_rows` sums
+every (row, lane) pair in one ``np.bincount`` and then runs the tree;
+it pays per nonzero, whatever the row lengths. The length-sorted
+("jagged-diagonal") stepper :func:`accumulate_rows` makes one vector
+update per row position while many rows are live, then finishes the
+rows still live with one ``np.add.accumulate`` per group of rows with
+as many products left (:func:`finish_rows`); it pays per position, so
+it wins where many rows share each position. A trailing column axis on
+the products (CsrMM's k columns) rides either. ISSR rows holding a NaN
+product are replayed in Python floats, which pins the NaN payload
+(:func:`settle_nan_rows`).
 """
 
 import numpy as np
@@ -39,17 +43,13 @@ def tree_reduce(acc):
     """The kernel's balanced fadd tree over accumulator columns.
 
     ``acc`` has shape (rows, n_acc) or (rows, n_acc, k), a trailing
-    axis holding independent columns; reduces into column 0 with the
-    exact pairing of ``emit_tree_reduction``.
+    axis holding independent columns, with ``n_acc`` a power of two.
+    Each level adds accumulator ``2i + 1`` onto ``2i``, the pairing of
+    ``emit_tree_reduction``, in one vector add. Returns (rows,) or
+    (rows, k).
     """
-    count = acc.shape[1]
-    stride = 1
-    while stride < count:
-        for i in range(0, count, 2 * stride):
-            j = i + stride
-            if j < count:
-                acc[:, i] = acc[:, i] + acc[:, j]
-        stride *= 2
+    while acc.shape[1] > 1:
+        acc = acc[:, 0::2] + acc[:, 1::2]
     return acc[:, 0]
 
 
@@ -131,101 +131,156 @@ def lane_tree(lanes):
     return accs[0]
 
 
-def chain_rows(products, starts, length):
-    """ISSR short rows of one length: ``fmul``, then a chain (vectorized).
+def lane_rows(products, ptr, index_bits):
+    """ISSR rows by one ``np.bincount`` over (row, lane) ids, then the tree.
 
-    ``starts`` indexes each row's first product, which initializes the
-    row's accumulator.
+    Product ``j`` of row ``r`` lands on lane ``r * n_acc + ((j - ptr[r])
+    & (n_acc - 1))``, so each lane is a cleared sum of its products in
+    stream order, and a row of at least ``n_acc`` products ends as the
+    kernel's fadd tree over its lanes. A shorter row chains from its
+    first product (``fmul``), so all of its products go on lane 0, and
+    with no row that long every row is one lane. ``products`` is
+    (nnz,) or (nnz, k), one bincount per column; the result is
+    (nrows,) or (nrows, k).
+
+    A cleared lane computes ``0.0 + p0 + p1 ...`` where the kernel
+    computes ``p0 + p1 ...``: the two differ only for a lane whose
+    products are all -0.0 (+0.0 here, -0.0 there). A sign of zero
+    changes a sum only when the other operand is a zero too, so only a
+    row that ends at ±0 can differ. Those rows are combined again with
+    every all-(-0.0) lane, and every empty lane, set to -0.0, the
+    additive identity. Rows holding a NaN product go through
+    :func:`settle_nan_rows`.
     """
-    cols = starts[:, None] + np.arange(length)
-    p = products[cols]
-    acc = p[:, 0].copy()
-    for j in range(1, length):
-        acc = p[:, j] + acc
-    return acc
+    n_acc = N_ACCUMULATORS[index_bits]
+    ptr = np.asarray(ptr, dtype=np.int64)
+    lengths = ptr[1:] - ptr[:-1]
+    nrows, nnz = len(lengths), len(products)
+    width = n_acc if lengths.max(initial=0) >= n_acc else 1
+    n_lanes = nrows * width
+    ids = np.arange(0, n_lanes, width).repeat(lengths)
+    if width > 1:
+        lane = np.arange(nnz) - ptr[:-1].repeat(lengths)
+        short = lengths < n_acc
+        lane &= (np.where(short, 0, n_acc - 1).repeat(lengths)
+                 if short.any() else n_acc - 1)
+        ids += lane
+    trail = (1,) * (products.ndim - 1)  # a row mask's unit column axis
 
+    def lane_sums(weights):
+        """(nrows, width[, k]) bincounts of ``weights``, one per column."""
+        if weights.ndim == 1:
+            return np.bincount(ids, weights, n_lanes).reshape(nrows, width)
+        sums = np.empty((nrows, width) + weights.shape[1:])
+        flat = sums.reshape(n_lanes, weights.shape[1])
+        for c, column in enumerate(weights.T):
+            flat[:, c] = np.bincount(ids, column, n_lanes)
+        return sums
 
-def staggered_rows(products, starts, length, n_acc):
-    """The ISSR long-row order: unrolled init, staggered FREP, tree."""
-    cols = starts[:, None] + np.arange(length)
-    p = products[cols]
-    acc = p[:, :n_acc].copy()
-    for i in range(length - n_acc):
-        k = i % n_acc
-        acc[:, k] = p[:, n_acc + i] + acc[:, k]
-    return tree_reduce(acc)
+    out = tree_reduce(lane_sums(products))
+    if not out.all():  # some row ends at ±0
+        zero = (out == 0) & (lengths > 0).reshape((nrows,) + trail)
+        if zero.any():
+            negative = (products == 0) & np.signbit(products)
+            if negative.any():
+                lanes = lane_sums(products)
+                count = np.bincount(ids, minlength=n_lanes)
+                count = count.reshape((nrows, width) + trail)
+                lanes[lane_sums(negative) == count] = -0.0
+                out[zero] = tree_reduce(lanes)[zero]
+    return settle_nan_rows(out, products, ptr, ISSR, index_bits)
 
 
 def accumulate_rows(products, ptr, variant, index_bits):
     """Per-row reduction of ``products`` in the kernel's exact order.
 
-    The compiled backend replays ISSR rows here and sends BASE/SSR
-    rows, one cleared accumulator each, to :func:`cleared_rows`,
-    which computes the same order.
+    The compiled backend replays ISSR rows here where many rows share
+    each position, and CsrMM's k > 1 columns always
+    (:meth:`~repro.compiler.templates.CompiledKernel.reduce_rows`);
+    BASE/SSR rows, one cleared accumulator each, go to
+    :func:`cleared_rows`, which computes the same order.
     ``products`` is (nnz,) or (nnz, k): a trailing axis replays k
     independent columns in the same pass, and the result is (nrows,)
-    or (nrows, k). Rows are sorted longest first, so the rows still
-    accumulating at position ``j`` are a prefix ``c`` of that order
-    and each position is one in-place ``np.add(p, acc[:c])``: the
-    element work equals nnz however skewed the row lengths are.
+    or (nrows, k). Rows are sorted longest first (rows already in that
+    order skip the sort), so the rows still accumulating at position
+    ``j`` are a prefix ``c`` of that order and each position is one
+    in-place ``np.add(p, acc[:c])``: the element work equals nnz
+    however skewed the row lengths are.
     The stepper runs while many rows are live; once the chains
     :func:`finish_rows` would accumulate are no more than the positions
     left, that finishes every live row. Extra memory stays O(nrows +
     finished nnz).
     """
-    lengths = np.diff(np.asarray(ptr, dtype=np.int64))
-    out = np.zeros((len(lengths),) + products.shape[1:], dtype=np.float64)
+    ptr = np.asarray(ptr, dtype=np.int64)
+    lengths = ptr[1:] - ptr[:-1]
+    nrows, cols = len(lengths), products.shape[1:]
     n_live = int(np.count_nonzero(lengths))
     if n_live == 0:
-        return out
-    order = np.argsort(-lengths)[:n_live]
-    sorted_len = lengths[order]
-    starts = np.asarray(ptr[:-1], dtype=np.int64)[order]
+        return np.zeros((nrows,) + cols)
+    if (lengths[1:] <= lengths[:-1]).all():  # already longest first
+        order = None
+        sorted_len, starts = lengths[:n_live], ptr[:n_live]
+    else:
+        order = np.argsort(-lengths)[:n_live]
+        sorted_len, starts = lengths[order], ptr[order]
     max_len = int(sorted_len[0])
     # live[j]: rows holding more than j products (a prefix of the order)
-    live = n_live - np.cumsum(np.bincount(sorted_len))[:max_len]
+    live = n_live - np.bincount(sorted_len).cumsum()[:max_len]
     counts = live.tolist()
     n_acc = N_ACCUMULATORS[index_bits] if variant == ISSR else 1
-    n_long = int(np.count_nonzero(sorted_len >= n_acc))
-    acc = np.zeros((n_acc, n_live) + products.shape[1:], dtype=np.float64)
-    step = np.empty((n_live,) + products.shape[1:], dtype=np.float64)
+    n_long = counts[n_acc - 1] if n_acc <= max_len else 0
+    acc = np.empty((n_acc, n_live) + cols, dtype=np.float64)
+    step = np.empty((n_live,) + cols, dtype=np.float64)
 
-    def gather(j):
+    def gather(j, out=None):
         """Products at position ``j`` of the live prefix (CSR order)."""
         c = counts[j]
         # every index is in range; mode="raise" would buffer ``out``
-        return np.take(products[j:], starts[:c], axis=0, out=step[:c],
-                       mode="clip")
+        return products[j:].take(starts[:c], axis=0,
+                                 out=step[:c] if out is None else out,
+                                 mode="clip")
 
     first = 0
-    if variant == ISSR:
-        # Unrolled init: long rows load accumulator j with product j;
-        # short rows (fewer than n_acc products) chain from product 0.
-        for j in range(min(n_acc, max_len)):
+    if variant != ISSR:
+        acc[0] = 0.0
+    elif n_long == n_live:  # unrolled init: accumulator j takes product j
+        for j in range(n_acc):
+            gather(j, acc[j])
+        first = n_acc
+    else:
+        # long rows load accumulator j with product j; short rows
+        # (fewer than n_acc products) chain from product 0
+        gather(0, acc[0])
+        for j in range(1, min(n_acc, max_len)):
             p = gather(j)
-            if j == 0:
-                acc[0, :len(p)] = p
-                continue
-            acc[j, :n_long] = p[:n_long]
+            if n_long:
+                acc[j, :n_long] = p[:n_long]
             chain = acc[0, n_long:len(p)]
             np.add(p[n_long:], chain, out=chain)
         first = n_acc
-    # The stepper pays NumPy's per-call overhead at every position; the
-    # finisher's accumulate pays an inner-loop call per chain, n_acc per
-    # live row and column. Switch at the first position (past the init)
-    # where the chains are no more than the positions left.
-    per_row = n_acc * (products.size // len(products))
-    chains = np.append(live[first:], 0) * per_row
-    switch = first + int(np.argmax(chains <= np.arange(len(chains))[::-1]))
+    switch = first
+    if first < max_len:
+        # The stepper pays NumPy's per-call overhead at every position;
+        # the finisher's accumulate pays an inner-loop call per chain,
+        # n_acc per live row and column. Switch at the first position
+        # (past the init) where the chains are no more than the
+        # positions left.
+        per_row = n_acc * (products.size // len(products))
+        chains = np.append(live[first:], 0) * per_row
+        switch += int(np.argmax(chains <= np.arange(len(chains))[::-1]))
     for j in range(first, switch):
         a = acc[j % n_acc, :counts[j]]
         np.add(gather(j), a, out=a)
     if switch < max_len:
         c = counts[switch]
         finish_rows(products, starts[:c], sorted_len[:c], acc[:, :c], switch)
-    if n_acc > 1:
-        tree_reduce(np.moveaxis(acc[:, :n_long], 0, 1))
-    out[order] = acc[0]
+    if n_acc > 1 and n_long:
+        acc[0, :n_long] = tree_reduce(acc[:, :n_long].swapaxes(0, 1))
+    if order is None and n_live == nrows:
+        out = acc[0]
+    else:
+        out = np.zeros((nrows,) + cols)
+        out[slice(n_live) if order is None else order] = acc[0]
     return settle_nan_rows(out, products, ptr, variant, index_bits)
 
 
@@ -319,6 +374,9 @@ def settle_nan_rows(out, products, ptr, variant, index_bits):
     (``inf - inf`` always yields the same one), so those rows, and only
     those, are replayed in Python floats with the rule applied.
     """
+    # a NaN product leaves its row NaN, so rows that end finite hold none
+    if not np.isnan(out).any():
+        return out
     nan = np.isnan(products)
     if not nan.any():
         return out

@@ -141,8 +141,10 @@ class CsfTensor:
 
     @classmethod
     def from_dense(cls, dense, tol=0.0):
+        """Build from a dense array, dropping ``|v| <= tol`` (NaN entries
+        are kept)."""
         dense = np.asarray(dense, dtype=np.float64)
-        coords = np.argwhere(np.abs(dense) > tol)
+        coords = np.argwhere(~(np.abs(dense) <= tol))
         vals = dense[tuple(coords.T)] if len(coords) else np.zeros(0)
         return cls.from_coo(coords, vals, dense.shape)
 

@@ -113,10 +113,12 @@ class CsrMatrix:
 
     @classmethod
     def from_dense(cls, dense, tol=0.0):
+        """Build from a dense 2-D array, dropping ``|v| <= tol`` (NaN
+        entries are kept)."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2:
             raise FormatError("from_dense expects a 2-D array")
-        keep = np.abs(dense) > tol
+        keep = ~(np.abs(dense) <= tol)
         ptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
         np.cumsum(keep.sum(axis=1), out=ptr[1:])
         rows, cols = np.nonzero(keep)

@@ -60,11 +60,12 @@ class SparseFiber:
 
     @classmethod
     def from_dense(cls, dense, tol=0.0):
-        """Build a fiber from a dense 1-D array, dropping |v| <= tol."""
+        """Build a fiber from a dense 1-D array, dropping ``|v| <= tol``
+        (NaN entries are kept)."""
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 1:
             raise FormatError("from_dense expects a 1-D array")
-        keep = np.abs(dense) > tol
+        keep = ~(np.abs(dense) <= tol)
         idcs = np.nonzero(keep)[0]
         return cls(idcs, dense[idcs], dim=len(dense))
 

@@ -22,8 +22,6 @@ results back into the global result. Supported kernels:
   (:meth:`~repro.multicluster.partition.Partition.combine_sparse`).
 """
 
-import numpy as np
-
 from repro.api.registry import get_kernel
 from repro.backends import get_backend
 from repro.errors import ConfigError
@@ -79,11 +77,16 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
         )
 
     if kernel == "spvv_batch":
-        dim = len(np.asarray(dense))
-        matrix = fibers_to_csr(list(operand), dim=dim)
+        # each fiber is checked as the SpVV it is, then the batch runs
+        # as the CsrMV it lowers to
+        fibers = list(operand)
+        spvv = get_kernel("spvv")
+        for fiber in fibers:
+            dense = spvv.validate_operands({"fiber": fiber, "x": dense},
+                                           variant, index_bits)["x"]
+        matrix = fibers_to_csr(fibers, dim=len(dense))
     else:
         matrix = operand
-    # a fiber batch is checked as the CsrMV it lowers to
     spec = get_kernel("csrmv" if kernel == "spvv_batch" else kernel)
     sparse, other = spec.operands
     dense = spec.validate_operands({sparse: matrix, other: dense}, variant,

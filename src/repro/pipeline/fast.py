@@ -4,8 +4,8 @@ The ``compiled`` backend's pipeline executor. Mirrors
 :mod:`repro.pipeline.cycle` stage for stage:
 
 - **results** — every stage replays the assembled kernel's exact FP
-  rounding order (CsrMV through the shape-class closures of the
-  pipeline's *lowered* CsrMV program, :mod:`repro.compiler`; glue
+  rounding order (CsrMV through the row replay of the pipeline's
+  *lowered* CsrMV program, :mod:`repro.compiler`; glue
   through :func:`repro.kernels.blas1.apply_glue`; reductions through
   the shared :func:`~repro.pipeline.executor.combine_partials`
   order), so outputs, recorded histories, and early-stop decisions are

@@ -291,8 +291,9 @@ def every_path(kernel, operands, variant, index_bits):
 
     Both backends through ``api.run`` (cycle with ``check`` on and
     off), ``repro.stream`` for CsrMV and SpVV, and
-    ``run_multicluster`` for CsrMV (both backends), CsrMM and SpGEMM
-    (compiled, their one multicluster backend), check on and off.
+    ``run_multicluster`` for CsrMV and SpVV (as a one-fiber
+    ``spvv_batch``) on both backends, CsrMM and SpGEMM (compiled, their
+    one multicluster backend), check on and off.
     """
     kw = {"variant": variant, "index_bits": index_bits}
     paths = {
@@ -311,15 +312,18 @@ def every_path(kernel, operands, variant, index_bits):
         paths["stream_spvv"] = lambda: stream_spvv(
             operands["fiber"].indices, operands["fiber"].values,
             operands["x"], chunk_nnz=4, **kw_issr)
-    if kernel in ("csrmv", "csrmm", "spgemm"):
+    if kernel in ("csrmv", "spvv", "csrmm", "spgemm"):
         sparse, dense = get_kernel(kernel).operands
-        backends = ("cycle", "compiled") if kernel == "csrmv" else \
-            ("compiled",)
+        backends = ("cycle", "compiled") if kernel in ("csrmv", "spvv") \
+            else ("compiled",)
+        batch = kernel == "spvv"  # a batch of one fiber
         for backend in backends:
             for check in (True, False):
                 paths[f"multicluster-{backend}-{check}"] = (
                     lambda backend=backend, check=check: run_multicluster(
-                        operands[sparse], operands[dense], kernel=kernel,
+                        [operands[sparse]] if batch else operands[sparse],
+                        operands[dense],
+                        kernel="spvv_batch" if batch else kernel,
                         n_clusters=2, backend=backend, check=check,
                         **kw_issr))
     return paths

@@ -27,10 +27,10 @@ from repro.compiler import (
     recover_structure,
 )
 from repro import api
-from repro.compiler import vectorize
+from repro.compiler import templates, vectorize
 from repro.compiler.templates import csr_shape_class
-from repro.compiler.vectorize import accumulate_rows, spvv_value
-from repro.formats import CsrMatrix, SparseFiber, spgemm_pattern
+from repro.compiler.vectorize import accumulate_rows, lane_rows, spvv_value
+from repro.formats import CsfTensor, CsrMatrix, SparseFiber, spgemm_pattern
 from repro.isa.introspect import fingerprint, normalize_program
 from repro.isa.program import ProgramBuilder
 from repro.kernels.common import PROGRAM_CACHE
@@ -254,6 +254,10 @@ OFF_STRIDE = 11
 #: Shapes whose rows reach the finisher (``vectorize.finish_rows``).
 FINISHER_SHAPES = ["geometric_tail", "narrow_equal", "off_stride"]
 
+#: The exact-order battery's other row-length shapes.
+BATTERY_SHAPES = ["no_rows", "all_empty", "giant_row", "power_law",
+                  "straddle_n_acc", "python_tail", "around_n_acc"]
+
 
 def battery_lengths(shape, rng, per_row=1):
     """Row lengths for one named shape of the exact-order battery.
@@ -273,6 +277,8 @@ def battery_lengths(shape, rng, per_row=1):
         return np.minimum(rng.zipf(1.6, size=300), 400)
     if shape == "straddle_n_acc":  # both sides of 4 and of 8
         return rng.integers(0, 13, size=150)
+    if shape == "around_n_acc":  # n_acc - 1, n_acc and n_acc + 1 rows
+        return rng.permutation(np.repeat([0, 3, 4, 5, 7, 8, 9], 9))
     if shape == "geometric_tail":  # >= 64 short rows, long rows to 3000
         tail = (3000 * 0.6 ** np.arange(10)).astype(np.int64)
         return np.concatenate((rng.integers(0, 12, size=80), tail))
@@ -365,9 +371,7 @@ class TestExactOrderBattery:
     """
 
     @pytest.mark.parametrize("k", [None, 1, 2, 4, 8])
-    @pytest.mark.parametrize("shape", ["no_rows", "all_empty", "giant_row",
-                                       "power_law", "straddle_n_acc",
-                                       "python_tail"])
+    @pytest.mark.parametrize("shape", BATTERY_SHAPES)
     @pytest.mark.parametrize("variant,bits", SERIES)
     def test_stepper_matches_the_scalar_reference(self, variant, bits,
                                                   shape, k):
@@ -407,6 +411,145 @@ class TestExactOrderBattery:
                               or positions == [OFF_STRIDE])
         assert got.shape == want.shape == (len(lengths),) + products.shape[1:]
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 4, 8])
+    @pytest.mark.parametrize("shape", BATTERY_SHAPES + FINISHER_SHAPES)
+    @pytest.mark.parametrize("bits", [32, 16])
+    def test_lanes_match_the_scalar_reference(self, bits, shape, k):
+        """Every shape forced through the (row, lane) bincount; BASE/SSR
+        rows have one primitive, checked by
+        ``test_cleared_rows_match_the_scalar_reference``."""
+        rng = stable_rng("lanes", bits, shape, k)
+        lengths = battery_lengths(shape, rng, {16: 8, 32: 4}[bits] * (k or 1))
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        products = salted_products(rng, int(ptr[-1]), k)
+        got = lane_rows(products, ptr, bits)
+        want = reference_rows(products, ptr, "issr", bits)
+        assert got.shape == want.shape == (len(lengths),) + products.shape[1:]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 4, 8])
+    @pytest.mark.parametrize("shape", BATTERY_SHAPES + FINISHER_SHAPES)
+    @pytest.mark.parametrize("bits", [32, 16])
+    def test_issr_api_run_matches_the_scalar_reference(self, bits, shape, k):
+        """ISSR CsrMV (``k`` None) and CsrMM on the compiled backend,
+        where ``reduce_rows`` picks the primitive."""
+        rng = stable_rng("api", bits, shape, k)
+        lengths = battery_lengths(shape, rng, {16: 8, 32: 4}[bits] * (k or 1))
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        ncols = int(lengths.max(initial=1))
+        idcs = np.concatenate([np.arange(n) for n in lengths] + [[]])
+        matrix = CsrMatrix(ptr, idcs, salted_products(rng, int(ptr[-1])),
+                           (len(lengths), ncols))
+        kw = {"backend": "compiled", "variant": "issr", "index_bits": bits,
+              "matrix": matrix}
+        if k is None:
+            x = rng.standard_normal(ncols)
+            _stats, got = api.run("csrmv", x=x, **kw)
+            products = matrix.vals * x[matrix.idcs]
+        else:
+            dense = rng.standard_normal((ncols, k))
+            _stats, got = api.run("csrmm", dense=dense, **kw)
+            products = matrix.vals[:, None] * dense[matrix.idcs]
+        want = reference_rows(products, ptr, "issr", bits)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [None, 1, 4])
+    @pytest.mark.parametrize("bits", [32, 16])
+    def test_signed_zero_rows_and_lanes(self, bits, k):
+        """Rows whose products are all -0.0 end at -0.0; rows where
+        some lanes hold only -0.0 and the others cancel end at +0.0.
+        A cleared bin starts at +0.0 where the kernel's ``fmul`` init
+        keeps -0.0, so the lane path must fix these rows up."""
+        n_acc = {16: 8, 32: 4}[bits]
+        rng = stable_rng("zeros", bits, k)
+        lengths = rng.permutation(np.tile(
+            [1, n_acc - 1, n_acc, n_acc + 1, 2 * n_acc, 3 * n_acc + 1], 6))
+        ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+        shape = (int(ptr[-1]),) + (() if k is None else (k,))
+        products = np.full(shape, -0.0)
+        for r, n in enumerate(lengths):
+            row = products[ptr[r]:ptr[r + 1]]
+            mode = r % 4
+            if mode == 1:  # one lane holds ±0 only, the rest cancel
+                lane = int(rng.integers(n_acc))
+                for t in range(n_acc):
+                    sel = row[t::n_acc]
+                    if t != lane and len(sel) >= 2:
+                        sel[0], sel[1] = 1.5, -1.5
+            elif mode == 2:  # both signed zeros at random
+                row[...] = rng.choice(np.array([-0.0, 0.0]), row.shape)
+            elif mode == 3:  # a nonzero sum
+                row[...] = rng.standard_normal(row.shape)
+        want = reference_rows(products, ptr, "issr", bits)
+        assert np.signbit(want[::4]).all()  # the all-(-0.0) rows
+        for got in (lane_rows(products, ptr, bits),
+                    accumulate_rows(products, ptr, "issr", bits)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,k,primitive", [
+        ("e2", None, "lane_rows"), ("e2", 1, "lane_rows"),
+        ("e2", 4, "accumulate_rows"),
+        ("psmigr_1", None, "accumulate_rows"),
+        ("psmigr_1", 1, "accumulate_rows"),
+    ])
+    def test_rule_picks_the_primitive(self, monkeypatch, shape, k,
+                                      primitive):
+        """Few rows per stepper position (E2: 96 rows of ~128) take the
+        lane bincount; many (psmigr_1: ~2,500 per position on average)
+        and CsrMM's k > 1 columns keep the stepper."""
+        calls = []
+        for name in ("lane_rows", "accumulate_rows"):
+            real = getattr(templates, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(templates, name, spy)
+        if shape == "e2":
+            matrix = random_csr(96, 2048, 96 * 128, seed=5)
+        else:
+            matrix = random_csr(3000, 512, 3000 * 160, seed=6)
+        lengths = matrix.row_lengths()
+        lanes = matrix.nnz < templates.LANE_ROWS_PER_POSITION * lengths.max()
+        assert lanes == (shape == "e2")
+        rng = stable_rng("rule", shape, k)
+        for bits in (32, 16):
+            if k is None:
+                api.run("csrmv", backend="compiled", variant="issr",
+                        index_bits=bits, matrix=matrix,
+                        x=rng.standard_normal(matrix.ncols))
+            else:
+                api.run("csrmm", backend="compiled", variant="issr",
+                        index_bits=bits, matrix=matrix,
+                        dense=rng.standard_normal((matrix.ncols, k)))
+        assert calls == [primitive, primitive]
+
+    @pytest.mark.parametrize("bits", [32, 16])
+    def test_cycle_engine_matches_on_a_skewed_shape(self, bits):
+        """ISSR ``csrmv``, ``cluster_csrmv`` and ``ttv`` return the cycle
+        engine's bytes on power-law rows, which take the lane path."""
+        rng = stable_rng("cycle", bits)
+        m = random_csr(40, 128, 40 * 6, distribution="powerlaw", seed=7)
+        matrix = CsrMatrix(m.ptr, m.idcs, salted_products(rng, m.nnz, rate=0.1),
+                           m.shape)
+        assert matrix.nnz < (templates.LANE_ROWS_PER_POSITION
+                             * matrix.row_lengths().max())
+        x = rng.standard_normal(matrix.ncols)
+        coords = np.stack(np.divmod(np.repeat(np.arange(40), m.row_lengths()),
+                                    5) + (m.idcs,), axis=1)
+        tensor = CsfTensor.from_coo(coords, matrix.vals, (8, 5, 128))
+        cases = [("csrmv", {"variant": "issr", "matrix": matrix, "x": x}),
+                 ("cluster_csrmv", {"variant": "issr", "matrix": matrix,
+                                    "x": x}),
+                 ("ttv", {"tensor": tensor, "vector": x})]
+        for kernel, operands in cases:
+            results = [api.run(kernel, backend=backend, index_bits=bits,
+                               **operands)[1].tobytes()
+                       for backend in ("cycle", "compiled")]
+            assert results[0] == results[1], kernel
 
     @pytest.mark.parametrize("variant,bits", SERIES)
     def test_zero_columns_give_zero_columns(self, variant, bits):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError
-from repro.formats import CscMatrix, CsrMatrix, convert
+from repro.formats import CscMatrix, CsfTensor, CsrMatrix, SparseFiber, convert
 from repro.workloads import random_csr
 
 
@@ -92,6 +92,33 @@ class TestCsrConstruction:
     def test_nnz_per_row(self):
         m = CsrMatrix.from_dense(small_dense())
         assert m.nnz_per_row == pytest.approx(5 / 4)
+
+
+#: A quiet NaN with a payload of its own, and each format's dense rank.
+PAYLOAD_NAN = np.array([0x7FF8_0000_0000_1234], dtype=np.uint64).view(
+    np.float64)[0]
+FROM_DENSE = {CsrMatrix: 2, SparseFiber: 1, CsfTensor: 3}
+
+
+class TestFromDense:
+    """``from_dense`` keeps every entry but ``|v| <= tol``: NaN too."""
+
+    @pytest.mark.parametrize("fmt", list(FROM_DENSE), ids=lambda f: f.__name__)
+    def test_nan_entries_round_trip_with_their_payload(self, fmt):
+        dense = np.array([PAYLOAD_NAN, 1.0, 0.0, np.inf, np.nan, -0.0, 2.0,
+                          -np.inf]).reshape((2,) * (FROM_DENSE[fmt] - 1)
+                                            + (-1,))
+        got = fmt.from_dense(dense).to_dense()
+        assert got.tobytes() == np.where(dense == 0, 0.0, dense).tobytes()
+
+    @pytest.mark.parametrize("fmt", list(FROM_DENSE), ids=lambda f: f.__name__)
+    def test_tol_drops_small_finite_values(self, fmt):
+        dense = np.array([1e-9, -1e-7, np.nan, 0.5, -2e-6, 3.0, 0.0, -1e-6]
+                         ).reshape((2,) * (FROM_DENSE[fmt] - 1) + (-1,))
+        got = fmt.from_dense(dense, tol=1e-6).to_dense()
+        want = np.where(np.abs(dense) <= 1e-6, 0.0, dense)
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).sum() == 1
 
 
 class TestCsrOps:
