@@ -573,60 +573,42 @@ def _dma_cycles(words, n_transfers=1, words_per_cycle=8.0):
     return math.ceil(words / words_per_cycle) + 2 * n_transfers
 
 
-def overlap_schedule_cycles(prefetch_cycles, compute_cycles,
-                            initial_cycles, final_cycles):
-    """Total cycles of the §IV-B double-buffered schedule skeleton.
+#: Counters a worker share adds to its core, and a core to its cluster.
+CORE_COUNTERS = ("retired", "fpu_compute_ops", "fpu_mac_ops",
+                 "fpu_issued_ops", "mem_reads", "mem_writes")
 
-    The exposed initial transfer, then per tile
-    ``max(compute, next prefetch)`` plus a barrier, with the final
-    writeback exposed at the end. Shared by the cluster CsrMV model
-    below and the CsrMM model in :mod:`repro.multicluster.model`, so a
-    schedule change propagates to both.
+
+def cluster_schedule(ptr, idx_bytes, resident_words, writeback_words,
+                     share_stats, n_workers, tcdm_words, dma_words_per_cycle):
+    """Predicted :class:`ClusterStats` of §IV-B's double-buffered schedule.
+
+    Follows :class:`repro.cluster.runtime.ClusterCsrmv`, for every
+    kernel the cluster models run. ``resident_words`` stay in the TCDM
+    for the whole run (CsrMV's ``x``, CsrMM's ``B``, SpGEMM's B and
+    accumulator); :func:`plan_tiles` splits the rows of ``ptr`` into
+    tiles around them. The resident transfer and the first tile
+    prefetch are exposed; afterwards each tile costs ``max(compute,
+    next prefetch)`` plus a barrier, with the last tile's writeback of
+    ``writeback_words(r0, r1)`` exposed at the end. A tile's compute is
+    its slowest worker: ``share_stats(w0, w1)``, the kernel's single-CC
+    model on the worker's block of rows, plus the DMCC start stagger.
+
+    ``dma_words_per_cycle`` scales every DMA transfer (8 is a lone
+    cluster's full 512-bit beat); the scale-out model passes the
+    contended HBM share here (:mod:`repro.multicluster.model`). Returns
+    ``(stats, compute_cycles)`` with one compute entry per tile.
     """
-    total = initial_cycles
-    if prefetch_cycles:
-        total += prefetch_cycles[0]
-    for t in range(len(prefetch_cycles)):
-        nxt = prefetch_cycles[t + 1] if t + 1 < len(prefetch_cycles) else 0
-        total += max(compute_cycles[t], nxt) + BARRIER_CYCLES
-    if prefetch_cycles:
-        total += final_cycles
-    return total
-
-
-def cluster_csrmv_stats(matrix, variant, index_bits, n_workers=8,
-                        tcdm_words=256 * 1024 // 8, tile_rows=None,
-                        dma_words_per_cycle=8.0):
-    """Predicted :class:`ClusterStats` for a cluster CsrMV run.
-
-    Follows the double-buffered schedule of
-    :class:`repro.cluster.runtime.ClusterCsrmv`: the initial ``x``
-    transfer and the first tile prefetch are exposed; afterwards each
-    tile costs ``max(compute, next prefetch)`` plus a barrier, with the
-    final writeback exposed at the end. Worker compute is the
-    single-CC model on the worker's row share, inflated by the bank-
-    conflict factor and the DMCC start stagger.
-
-    ``dma_words_per_cycle`` scales every DMA transfer (default 8 — a
-    lone cluster's full 512-bit beat); the multi-cluster model passes
-    the contended HBM share here (:mod:`repro.multicluster.hbm`).
-    """
-    idx_bytes = index_bits // 8
-    lengths = matrix.row_lengths()
-    ptr = matrix.ptr
-    tiles = plan_tiles(ptr, matrix.nrows, idx_bytes, tcdm_words,
-                       matrix.ncols, tile_rows=tile_rows)
-    conflict = _conflict_factor(variant, matrix.nnz, matrix.nrows)
-
+    tiles = plan_tiles(ptr, len(ptr) - 1, idx_bytes, tcdm_words,
+                       resident_words)
     per_core = [RunStats() for _ in range(n_workers)]
     compute_cycles = []
     prefetch_cycles = []
-    dma_words = max(matrix.ncols, 1)  # the initial x transfer
+    dma_words = max(resident_words, 1)  # the initial resident transfer
     for (r0, r1) in tiles:
         # prefetched words = the tile's buffer footprint minus the
-        # y slots (which travel back as the writeback instead)
+        # result slots (the writeback carries the result instead)
         words = tile_words(ptr, r0, r1, idx_bytes) - (r1 - r0)
-        dma_words += words + (r1 - r0)  # prefetch + y writeback
+        dma_words += words + writeback_words(r0, r1)
         prefetch_cycles.append(
             _dma_cycles(words, n_transfers=3,
                         words_per_cycle=dma_words_per_cycle))
@@ -634,38 +616,66 @@ def cluster_csrmv_stats(matrix, variant, index_bits, n_workers=8,
         for w, (w0, w1) in enumerate(worker_shares(r0, r1, n_workers)):
             if w1 == w0:
                 continue
-            share = csrmv_stats(lengths[w0:w1], variant, index_bits)
-            for attr in ("retired", "fpu_compute_ops", "fpu_mac_ops",
-                         "fpu_issued_ops", "mem_reads", "mem_writes"):
-                setattr(per_core[w], attr,
-                        getattr(per_core[w], attr) + getattr(share, attr))
+            share = share_stats(w0, w1)
+            core = per_core[w]
+            for attr in CORE_COUNTERS:
+                setattr(core, attr, getattr(core, attr) + getattr(share, attr))
             for name, lane in share.lanes.items():
-                agg = per_core[w].lanes.setdefault(name, LaneStats())
+                agg = core.lanes.setdefault(name, LaneStats())
                 agg.elements_read += lane.elements_read
+                agg.elements_written += lane.elements_written
                 agg.mem_reads += lane.mem_reads
+                agg.mem_writes += lane.mem_writes
                 agg.idx_reads += lane.idx_reads
-            worst = max(worst, int(share.cycles * conflict)
-                        + WORKER_START_STAGGER * w)
+            worst = max(worst, share.cycles + WORKER_START_STAGGER * w)
         compute_cycles.append(worst)
 
-    # the initial x transfer cannot be overlapped with computation
-    total = overlap_schedule_cycles(
-        prefetch_cycles, compute_cycles,
-        _dma_cycles(max(matrix.ncols, 1),
-                    words_per_cycle=dma_words_per_cycle),
-        _dma_cycles(tiles[-1][1] - tiles[-1][0],
-                    words_per_cycle=dma_words_per_cycle) if tiles else 0)
+    # the resident transfer cannot be overlapped with computation
+    total = _dma_cycles(max(resident_words, 1),
+                        words_per_cycle=dma_words_per_cycle)
+    if tiles:
+        following = prefetch_cycles[1:] + [0]  # no prefetch after the last
+        total += (prefetch_cycles[0]
+                  + sum(max(c, p) for c, p in zip(compute_cycles, following))
+                  + BARRIER_CYCLES * len(tiles)
+                  + _dma_cycles(writeback_words(*tiles[-1]),
+                                words_per_cycle=dma_words_per_cycle))
 
     stats = ClusterStats(cycles=total)
     for core in per_core:
         core.cycles = total
         stats.per_core.append(core)
-        for attr in ("retired", "fpu_compute_ops", "fpu_mac_ops",
-                     "fpu_issued_ops", "mem_reads", "mem_writes"):
+        for attr in CORE_COUNTERS:
             setattr(stats, attr, getattr(stats, attr) + getattr(core, attr))
     stats.dma_words = dma_words
-    stats.dma_busy_cycles = min(total, math.ceil(dma_words / dma_words_per_cycle))
+    stats.dma_busy_cycles = min(total,
+                                math.ceil(dma_words / dma_words_per_cycle))
+    return stats, compute_cycles
+
+
+def cluster_csrmv_stats(matrix, variant, index_bits, n_workers=8,
+                        tcdm_words=256 * 1024 // 8, dma_words_per_cycle=8.0):
+    """Predicted :class:`ClusterStats` for a cluster CsrMV run.
+
+    :func:`cluster_schedule` with ``x`` resident and one ``y`` word per
+    row written back. A worker's share costs the single-CC model
+    inflated by the bank-conflict factor; that factor and the I-cache
+    misses are this model's calibration against the cycle-stepped
+    cluster. ``dma_words_per_cycle`` is the DMA bandwidth (default 8, a
+    lone cluster's full 512-bit beat).
+    """
+    lengths = matrix.row_lengths()
+    conflict = _conflict_factor(variant, matrix.nnz, matrix.nrows)
+
+    def share_stats(w0, w1):
+        share = csrmv_stats(lengths[w0:w1], variant, index_bits)
+        share.cycles = int(share.cycles * conflict)
+        return share
+
+    stats, compute_cycles = cluster_schedule(
+        matrix.ptr, index_bits // 8, matrix.ncols, lambda r0, r1: r1 - r0,
+        share_stats, n_workers, tcdm_words, dma_words_per_cycle)
     stats.tcdm_conflicts = int((conflict - 1.0) * sum(compute_cycles)
                                * max(n_workers, 1))
-    stats.icache_misses = 8 * n_workers + 2 * max(len(tiles) - 1, 0)
+    stats.icache_misses = 8 * n_workers + 2 * max(len(compute_cycles) - 1, 0)
     return stats

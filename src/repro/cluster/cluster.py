@@ -73,6 +73,7 @@ class SnitchCluster:
             self.engine.add(l1)
 
     def reset_stats(self):
+        """Zero every core, TCDM-conflict and DMA counter before a run."""
         for cc in self.ccs:
             cc.reset_stats()
         self.tcdm.conflict_cycles = 0
@@ -81,4 +82,5 @@ class SnitchCluster:
 
     @property
     def workers_idle(self):
+        """Whether every worker core has halted."""
         return all(cc.idle for cc in self.ccs)

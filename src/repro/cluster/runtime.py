@@ -55,6 +55,9 @@ def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
 
     This is the pure planning core of the double-buffered runtime; the
     compiled backend reuses it so both backends agree on the tile schedule.
+    Each tile is the longest run of rows from its first whose
+    :func:`tile_words` fits; a row that does not fit alone raises
+    :class:`ConfigError`.
     """
     budget = tcdm_words - x_words - 64  # spare words for alignment
     if budget <= 0:
@@ -63,20 +66,23 @@ def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
     if tile_rows is not None:
         bounds = list(range(0, nrows, tile_rows)) + [nrows]
         return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    # 8 * tile_words(r0, r1) is cost[r1] - cost[r0] + 34 less the two
+    # rounding remainders (0..14), and cost rises by >= 12 per row, so
+    # one search per tile lands at most two rows past the last fit
+    cost = (np.asarray(ptr[:nrows + 1], dtype=np.int64) * (8 + idx_bytes)
+            + 12 * np.arange(nrows + 1, dtype=np.int64))
     tiles = []
     r0 = 0
     while r0 < nrows:
-        r1 = r0
-        while r1 < nrows:
-            words = tile_words(ptr, r0, r1 + 1, idx_bytes)
-            if words > half and r1 > r0:
-                break
-            if words > half:
-                raise ConfigError(
-                    f"row {r0} alone exceeds the tile buffer "
-                    f"({words} > {half} words)"
-                )
-            r1 += 1
+        r1 = int(np.searchsorted(cost, cost[r0] + 8 * half - 20,
+                                 side="right")) - 1
+        while r1 > r0 and tile_words(ptr, r0, r1, idx_bytes) > half:
+            r1 -= 1
+        if r1 <= r0:
+            raise ConfigError(
+                f"row {r0} alone exceeds the tile buffer "
+                f"({tile_words(ptr, r0, r0 + 1, idx_bytes)} > {half} words)"
+            )
         tiles.append((r0, r1))
         r0 = r1
     return tiles
@@ -285,6 +291,7 @@ class ClusterCsrmv:
     # -- main state machine -----------------------------------------------------------
 
     def tick(self):
+        """Advance the DMCC schedule one cycle: DMA, tile starts, barriers."""
         if self.done:
             return IDLE  # nothing restarts a finished job
         cycle = self.engine.cycle
@@ -357,6 +364,7 @@ class ClusterCsrmv:
     # -- results -----------------------------------------------------------
 
     def result(self):
+        """The result vector ``y``, read back from main memory."""
         return np.array(
             self.cluster.mainmem.storage.read_floats(self.mm_y, self.matrix.nrows)
         )

@@ -95,6 +95,8 @@ def _eval_alu_imm(op, value, imm):
         return None
     if op == "addi":
         return value + imm
+    if op in ("slli", "srli") and imm < 0:
+        return None                   # no encodable shift: not a constant
     if op == "slli":
         return value << imm
     if op == "srli":
@@ -111,6 +113,8 @@ def _eval_alu_imm(op, value, imm):
 def _eval_alu(op, lhs, rhs):
     """Constant-fold a register-register ALU op (None on unknown)."""
     if not isinstance(lhs, int) or not isinstance(rhs, int):
+        return None
+    if op in ("sll", "srl") and rhs < 0:
         return None
     if op == "add":
         return lhs + rhs

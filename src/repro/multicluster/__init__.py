@@ -12,7 +12,9 @@ multi-cluster accelerators behind HBM, see PAPERS.md):
 - :mod:`~repro.multicluster.runtime` — N cycle-accurate clusters
   stepped by one engine behind an :class:`HbmFabric`;
 - :mod:`~repro.multicluster.model` — the compiled backend's analytic
-  per-cluster prediction (max over clusters + combine cost);
+  scale-out, :func:`~repro.multicluster.model.scale_out_stats`: each
+  shard's §IV-B cluster model at its share of the HBM bandwidth, max
+  over clusters plus the combine cost;
 - :mod:`~repro.multicluster.dispatch` — :func:`run_multicluster`, the
   single entry point used by the scaling experiments
   (:mod:`repro.eval.scaling`).
@@ -29,10 +31,6 @@ from repro.multicluster.hbm import (
     SYNC_CYCLES,
     HbmConfig,
     HbmFabric,
-)
-from repro.multicluster.model import (
-    multicluster_csrmm_stats,
-    multicluster_csrmv_stats,
 )
 from repro.multicluster.partition import (
     PARTITIONER_NAMES,
@@ -61,8 +59,6 @@ __all__ = [
     "Shard",
     "fibers_to_csr",
     "get_partitioner",
-    "multicluster_csrmm_stats",
-    "multicluster_csrmv_stats",
     "partition_cyclic",
     "partition_nnz_balanced",
     "partition_row_block",

@@ -6,9 +6,9 @@ invocation across N simulated clusters with a chosen partitioner,
 executes every shard on the selected backend — ``cycle`` steps N
 :class:`~repro.cluster.cluster.SnitchCluster` instances in one engine
 behind a shared HBM fabric; ``compiled`` replays each shard's lowered
-program and predicts each cluster analytically at the contended
-bandwidth — and scatters the per-cluster
-results back into the global result. Supported kernels:
+program and predicts the run with
+:func:`~repro.multicluster.model.scale_out_stats` — and scatters the
+per-cluster results back into the global result. Supported kernels:
 
 - ``csrmv`` — both backends, bit-identical results;
 - ``spvv_batch`` — a batch of SpVV fibers against one dense vector,
@@ -22,16 +22,23 @@ results back into the global result. Supported kernels:
   (:meth:`~repro.multicluster.partition.Partition.combine_sparse`).
 """
 
+import functools
+
+import numpy as np
+
 from repro.api.registry import get_kernel
 from repro.backends import get_backend
+from repro.backends.model import cluster_csrmv_stats
 from repro.errors import ConfigError
+from repro.formats.builder import spgemm_pattern
+from repro.formats.csr import CsrMatrix
 from repro.kernels.common import check_reference
 from repro.kernels.spgemm import spgemm_reference
 from repro.multicluster.hbm import HbmConfig
 from repro.multicluster.model import (
-    multicluster_csrmm_fast,
-    multicluster_csrmv_fast,
-    multicluster_spgemm_fast,
+    cluster_csrmm_stats,
+    cluster_spgemm_stats,
+    scale_out_stats,
 )
 from repro.multicluster.partition import fibers_to_csr, get_partitioner
 from repro.multicluster.runtime import run_multicluster_cycle
@@ -92,39 +99,71 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
     dense = spec.validate_operands({sparse: matrix, other: dense}, variant,
                                    index_bits)[other]
     partition = get_partitioner(partitioner)(matrix, n_clusters)
-
-    tcdm_words = tcdm_bytes // 8
-    if kernel == "spgemm":
-        # A's rows shard; B broadcasts whole (like CsrMM's dense B)
-        stats, c = multicluster_spgemm_fast(
-            partition, dense, variant, index_bits, hbm=hbm,
-            n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
-        if check:
-            expect = spgemm_reference(matrix, dense)
-            check_reference(c.to_dense(), expect,
-                            f"multicluster {kernel} {variant}/{index_bits}")
-        return stats, c
-
-    if kernel == "csrmm":
-        stats, out = multicluster_csrmm_fast(
-            partition, dense, variant, index_bits, hbm=hbm,
-            n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
-        if check:
-            expect = matrix.spmm(dense)
-            check_reference(out, expect,
-                            f"multicluster {kernel} {variant}/{index_bits}")
-        return stats, out
-
-    if backend_name == "cycle":
+    if backend_name == "cycle":  # csrmv and spvv_batch (refused above)
         return run_multicluster_cycle(
             partition, dense, variant=variant, index_bits=index_bits,
             hbm=hbm, n_workers=n_workers, tcdm_bytes=tcdm_bytes,
             check=check, max_cycles=max_cycles, watchdog=watchdog)
-    stats, y = multicluster_csrmv_fast(
-        partition, dense, variant, index_bits, hbm=hbm,
-        n_workers=n_workers, tcdm_words=tcdm_words, backend=backend)
+
+    run = functools.partial(backend.run, spec.name, variant=variant,
+                            index_bits=index_bits)
+    model_kwargs = {"variant": variant, "index_bits": index_bits,
+                    "n_workers": n_workers, "tcdm_words": tcdm_bytes // 8}
+    result_words = None  # one per result row
+    if kernel == "spgemm":
+        # A's rows shard; B broadcasts whole (like CsrMM's dense B)
+        result, pattern_ptrs = _replay_spgemm(partition, dense, run)
+        models = [functools.partial(cluster_spgemm_stats, shard.matrix,
+                                    dense, pptr, **model_kwargs)
+                  for shard, pptr in zip(partition.shards, pattern_ptrs)]
+        result_words = sum(int(pptr[-1]) for pptr in pattern_ptrs)
+    else:
+        result = _replay_rows(partition, spec.operands, dense, run)
+        model = cluster_csrmv_stats
+        if kernel == "csrmm":
+            model = functools.partial(cluster_csrmm_stats, k=dense.shape[1])
+            result_words = partition.nrows * dense.shape[1]
+        models = [functools.partial(model, shard.matrix, **model_kwargs)
+                  for shard in partition.shards]
+    stats = scale_out_stats(partition, models, hbm, result_words)
     if check:
-        expect = matrix.spmv(dense)
-        check_reference(y, expect,
-                        f"multicluster {kernel} {variant}/{index_bits}")
-    return stats, y
+        label = f"multicluster {kernel} {variant}/{index_bits}"
+        if kernel == "spgemm":
+            check_reference(result.to_dense(),
+                            spgemm_reference(matrix, dense), label)
+        else:
+            check_reference(result, matrix.spmm(dense) if kernel == "csrmm"
+                            else matrix.spmv(dense), label)
+    return stats, result
+
+
+def _replay_rows(partition, operands, dense, run):
+    """CsrMV or CsrMM: replay every shard, scatter its rows back.
+
+    ``run`` executes the kernel whose ``operands`` names are (sparse,
+    dense). The combine is a pure row scatter, so the result is
+    bit-identical to a single-cluster run.
+    """
+    sparse, other = operands
+    parts = [run(**{sparse: shard.matrix, other: dense})[1] if shard.nrows
+             else np.zeros((0,) + dense.shape[1:])
+             for shard in partition.shards]
+    return partition.combine(parts)
+
+
+def _replay_spgemm(partition, b, run):
+    """SpGEMM: replay every shard's Gustavson order; ``(C, pattern ptrs)``.
+
+    Each shard's symbolic pattern is computed once, for its replay and
+    for its cluster model; the rows scatter back losslessly, so C equals
+    a single-cluster run bit for bit.
+    """
+    parts = []
+    pattern_ptrs = []
+    for shard in partition.shards:
+        pattern = spgemm_pattern(shard.matrix, b)
+        pattern_ptrs.append(pattern[0])
+        parts.append(run(a=shard.matrix, b=b, pattern=pattern)[1]
+                     if shard.nrows else
+                     CsrMatrix(np.zeros(1, np.int64), [], [], (0, b.ncols)))
+    return partition.combine_sparse(parts, b.ncols), pattern_ptrs

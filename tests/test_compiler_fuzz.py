@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import LoweringError, lower
+from repro.compiler.decode import _eval_alu, _eval_alu_imm
 from repro.errors import ConfigError
 from repro.isa.introspect import normalize_program
 from repro.isa.isa import ALL_OPS, Instr
@@ -159,3 +160,19 @@ def test_truncated_program_is_rejected():
 def test_empty_program_is_rejected():
     with pytest.raises((LoweringError, ConfigError)):
         lower(Program([], {}, name="empty"))
+
+
+
+@pytest.mark.parametrize("op", ["slli", "srli"])
+def test_negative_shift_mutant_is_rejected(op):
+    """A shift by a negative amount is no constant: lowering rejects the
+    program loudly instead of failing inside the constant folder."""
+    program, _meta = _template_families()["csrmm"]("issr", 16)
+    instrs = list(program.instrs)
+    i = next(i for i, ins in enumerate(instrs) if ins.op == "slli")
+    instrs[i] = _copy_instr(instrs[i], op=op, imm=-1)
+    mutant = Program(instrs, dict(program.labels), name="negative-shift")
+    with pytest.raises((LoweringError, ConfigError)):
+        lower(mutant, family_hint="csrmm")
+    assert _eval_alu_imm(op, 3, -1) is None
+    assert _eval_alu(op[:-1], 3, -1) is None  # the register form

@@ -21,7 +21,8 @@ DOC_FILES = sorted(
 )
 
 #: Packages whose docstring coverage is enforced (satellite of ISSUE 2).
-DOCUMENTED_PACKAGES = ("repro.backends", "repro.multicluster")
+DOCUMENTED_PACKAGES = ("repro.backends", "repro.cluster",
+                       "repro.multicluster")
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 

@@ -199,6 +199,58 @@ class TestDegenerateSingleCluster:
         assert y_multi.tobytes() == y_single.tobytes()
         assert s_multi.cycles == s_single.cycles
 
+    def test_n1_csrmm_equals_single_cluster_model(self):
+        from repro.backends import CompiledBackend
+        from repro.multicluster.model import cluster_csrmm_stats
+
+        matrix = skewed_matrix(nrows=40, npr=6)
+        dense = random_dense_matrix(matrix.ncols, 4, seed=12)
+        single = cluster_csrmm_stats(matrix, 4, "issr", 16)
+        s_multi, c_multi = run_multicluster(matrix, dense, kernel="csrmm",
+                                            n_clusters=1, backend="compiled")
+        _, c_single = CompiledBackend().run(
+            "csrmm", variant="issr", index_bits=16, matrix=matrix,
+            dense=dense)
+        assert c_multi.tobytes() == c_single.tobytes()
+        assert s_multi.cycles == single.cycles  # full bandwidth, no combine
+        assert s_multi.dma_words == single.dma_words
+        assert s_multi.combine_cycles == 0
+
+    def test_n1_spgemm_equals_single_cluster_model(self):
+        from repro.backends import CompiledBackend
+        from repro.formats.builder import spgemm_pattern
+        from repro.multicluster.model import cluster_spgemm_stats
+
+        a = skewed_matrix(nrows=40, ncols=48, npr=4, seed=13)
+        b = random_csr(48, 40, 48 * 3, seed=14)
+        single = cluster_spgemm_stats(a, b, spgemm_pattern(a, b)[0],
+                                      "issr", 16)
+        s_multi, c_multi = run_multicluster(a, b, kernel="spgemm",
+                                            n_clusters=1, backend="compiled")
+        _, c_single = CompiledBackend().run("spgemm", variant="issr",
+                                            index_bits=16, a=a, b=b)
+        assert c_multi.vals.tobytes() == c_single.vals.tobytes()
+        assert np.array_equal(c_multi.idcs, c_single.idcs)
+        assert s_multi.cycles == single.cycles
+        assert s_multi.dma_words == single.dma_words
+        assert s_multi.combine_cycles == 0
+
+    def test_n1_spvv_batch_equals_cluster_csrmv(self):
+        from repro.backends import CompiledBackend
+
+        fibers = [random_sparse_vector(96, n, seed=20 + n)
+                  for n in (0, 3, 8, 17, 40)]
+        x = random_dense_vector(96, seed=15)
+        s_single, y_single = CompiledBackend().run(
+            "cluster_csrmv", variant="issr", index_bits=16,
+            matrix=fibers_to_csr(fibers, dim=96), x=x)
+        s_multi, y_multi = run_multicluster(fibers, x, kernel="spvv_batch",
+                                            n_clusters=1, backend="compiled")
+        assert y_multi.tobytes() == y_single.tobytes()
+        assert s_multi.cycles == s_single.cycles
+        assert s_multi.dma_words == s_single.dma_words
+        assert s_multi.combine_cycles == 0
+
 
 class TestHbmModel:
     def test_config_validation(self):

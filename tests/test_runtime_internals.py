@@ -1,11 +1,15 @@
 """Unit tests for cluster-runtime internals and counters."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import SnitchCluster
-from repro.cluster.runtime import ClusterCsrmv, tile_words
+from repro.cluster.runtime import ClusterCsrmv, plan_tiles, tile_words
+from repro.errors import ConfigError
 from repro.sim.counters import RunStats
-from repro.workloads import random_csr, random_dense_vector
+from repro.workloads import get_spec, random_csr, random_dense_vector
 
 
 def make_job(nrows=64, ncols=256, npr=4, tile_rows=None, seed=1):
@@ -40,6 +44,86 @@ class TestTilePlanning:
     def test_single_tile_when_small(self):
         _, job, _, _ = make_job(nrows=16, npr=2)
         assert len(job.tiles) == 1
+
+
+def plan_tiles_by_row(ptr, nrows, idx_bytes, tcdm_words, x_words):
+    """The reference plan: grow each tile one row at a time."""
+    half = (tcdm_words - x_words - 64) // 2
+    tiles = []
+    r0 = 0
+    while r0 < nrows:
+        r1 = r0
+        while r1 < nrows:
+            words = tile_words(ptr, r0, r1 + 1, idx_bytes)
+            if words > half and r1 > r0:
+                break
+            if words > half:
+                raise ConfigError(f"row {r0} alone exceeds the tile buffer "
+                                  f"({words} > {half} words)")
+            r1 += 1
+        tiles.append((r0, r1))
+        r0 = r1
+    return tiles
+
+
+def _plan_or_error(plan, *args):
+    try:
+        return plan(*args)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+class TestPlanTilesMatchesTheRowLoop:
+    """``plan_tiles`` searches per tile; the row loop is its reference."""
+
+    # short rows put a tile's end within a few words of the budget often;
+    # an optional long row exercises the single-row error
+    @given(lengths=st.lists(st.integers(0, 12), min_size=20, max_size=400),
+           giant=st.one_of(st.none(), st.tuples(st.integers(0, 400),
+                                                st.integers(13, 3000))),
+           idx_bytes=st.sampled_from((2, 4)),
+           tcdm_words=st.integers(64, 2048),
+           x_words=st.integers(0, 256))
+    @settings(max_examples=300, deadline=None)
+    def test_random_rows(self, lengths, giant, idx_bytes, tcdm_words,
+                         x_words):
+        if giant is not None:
+            lengths.insert(giant[0], giant[1])
+        ptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        args = (ptr, len(lengths), idx_bytes, tcdm_words, x_words)
+        if tcdm_words - x_words - 64 <= 0:
+            with pytest.raises(ConfigError, match="does not fit"):
+                plan_tiles(*args)
+            return
+        assert _plan_or_error(plan_tiles, *args) == \
+            _plan_or_error(plan_tiles_by_row, *args)
+
+    def test_seeded_short_rows(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            lengths = rng.integers(0, rng.integers(1, 40), rng.integers(1, 400))
+            ptr = np.concatenate(([0], np.cumsum(lengths)))
+            args = (ptr, len(lengths), int(rng.choice([2, 4])),
+                    int(rng.integers(200, 3000)), int(rng.integers(0, 100)))
+            assert _plan_or_error(plan_tiles, *args) == \
+                _plan_or_error(plan_tiles_by_row, *args)
+
+    @pytest.mark.parametrize("name", ["psmigr_1", "psmigr_2", "dense3k",
+                                      "powerlaw-sorted-2k"])
+    @pytest.mark.parametrize("tcdm_words", [4096, 32768])
+    def test_catalog_matrices(self, name, tcdm_words):
+        m = get_spec(name).generate(seed=1, scale=0.25)
+        for idx_bytes in (2, 4):
+            args = (m.ptr, m.nrows, idx_bytes, tcdm_words,
+                    min(m.ncols, tcdm_words // 4))
+            assert _plan_or_error(plan_tiles, *args) == \
+                _plan_or_error(plan_tiles_by_row, *args)
+
+    def test_single_row_error_names_the_row(self):
+        ptr = np.array([0, 3, 4000, 4001])
+        with pytest.raises(ConfigError,
+                           match=r"row 1 alone exceeds the tile buffer"):
+            plan_tiles(ptr, 3, 2, 4096, 0)
 
 
 class TestRowDistribution:
