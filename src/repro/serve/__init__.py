@@ -3,8 +3,8 @@
 The batch CLI runs one sweep per invocation; :mod:`repro.serve` turns
 the same kernel surface into a long-running service. A
 :class:`~repro.serve.service.Service` accepts kernel requests — JSON
-over a local socket, or the in-process
-:class:`~repro.serve.service.Client` — and:
+over a local socket, or in process through
+:meth:`Service.submit <repro.serve.service.Service.submit>` — and:
 
 - **dedupes** them against the shared on-disk point cache
   (:class:`repro.eval.parallel.PointCache`, the same KEY_SCHEMA
@@ -39,7 +39,6 @@ from repro.serve.protocol import (
 from repro.serve import shm
 from repro.serve.scheduler import Scheduler, TenantQuota, Ticket
 from repro.serve.service import (
-    Client,
     ServeConfig,
     Service,
     ServiceThread,
@@ -47,7 +46,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "Client",
     "REQUEST_FIELDS",
     "Scheduler",
     "ServeConfig",

@@ -30,9 +30,8 @@ A :class:`Service` wires the deterministic
   (:mod:`repro.serve.protocol` frames) for out-of-process clients.
 
 :class:`ServiceThread` hosts a service on a dedicated loop thread for
-synchronous callers (benchmarks, tests); :class:`Client` is the
-in-process async API; :class:`SocketClient` the blocking JSON-over-
-socket client.
+synchronous callers (benchmarks, tests); :class:`SocketClient` is the
+blocking JSON-over-socket client.
 """
 
 import asyncio
@@ -784,19 +783,6 @@ class Service:
             pass
         finally:
             writer.close()
-
-
-class Client:
-    """In-process async client bound to one :class:`Service`."""
-
-    def __init__(self, service, tenant="anon"):
-        self.service = service
-        self.tenant = tenant
-
-    async def run(self, kernel, **fields):
-        """Submit one request and await its response dict."""
-        payload = {"kernel": kernel, "tenant": self.tenant, **fields}
-        return await self.service.submit(payload)
 
 
 class ServiceThread:

@@ -57,7 +57,6 @@ idle windows (which execute no steps) never trip it.
 """
 
 import heapq
-import os
 
 from repro.errors import ConfigError, DeadlockError
 from repro.telemetry import metrics as _metrics
@@ -93,9 +92,8 @@ IDLE = _IdleSentinel()
 #: costs more than the no-op ticks it saves.
 SLEEP_HYSTERESIS = 4
 
-#: Default engine mode; overridable for experiments via the
-#: environment and per-scope via :class:`engine_mode`.
-DEFAULT_MODE = os.environ.get("REPRO_ENGINE_MODE", EVENT)
+#: Default engine mode; scoped per block by :class:`engine_mode`.
+DEFAULT_MODE = EVENT
 
 
 class engine_mode:

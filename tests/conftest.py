@@ -1,6 +1,17 @@
-"""Shared fixtures: per-test isolation of process-global registries."""
+"""Shared fixtures and the hypothesis profiles of the test tiers.
+
+Tier-1 loads the derandomized ``tier1`` profile: every ``@given`` test
+draws the same examples on every run, so a failure reproduces in any
+checkout. ``--hypothesis-profile=fuzz`` draws fresh random examples
+(CI's coverage job runs tier-1 that way).
+"""
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

@@ -581,6 +581,18 @@ class TestFastExperiments:
                            specs=[get_spec("bcsstk13")], scale=0.02)
         assert r.rows[0][6] > 1.3  # energy gain
 
+    def test_large_matrix_on_compiled(self):
+        """A 65536-row, 1M-nonzero matrix, far beyond cycle-stepping
+        reach, still gets its predicted ISSR-16 gain on one CC."""
+        matrix = get_spec("webgraph64k").generate(seed=1)
+        x = random_dense_vector(matrix.ncols, seed=1)
+        comp = get_backend("compiled")
+        issr, _ = comp.run("csrmv", variant="issr", index_bits=16,
+                           matrix=matrix, x=x)
+        base, _ = comp.run("csrmv", variant="base", index_bits=32,
+                           matrix=matrix, x=x)
+        assert base.cycles / issr.cycles > 1.5
+
 
 class TestParallelRunner:
     def test_map_matches_serial(self, tmp_path):

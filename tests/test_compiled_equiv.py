@@ -130,6 +130,25 @@ class TestSparseSparse:
         assert cycles_within_tolerance(s_comp.cycles, s_cyc.cycles,
                                        "spgemm"), label
 
+    def test_quick_spgemm_grid(self, compiled, cycle):
+        """Three shapes x three series: equal CSR outputs point for point,
+        and the model's summed cycles within 10% of the simulator's."""
+        grid = [(16, 24, 16, 96, 140), (24, 24, 24, 200, 200),
+                (32, 48, 32, 380, 500)]
+        modeled = simulated = 0
+        for seed, (m, k, n, nnz_a, nnz_b) in enumerate(grid):
+            a = random_csr(m, k, nnz_a, seed=seed)
+            b = random_csr(k, n, nnz_b, seed=seed + 50)
+            for variant, bits in (("issr", 16), ("issr", 32), ("base", 32)):
+                kw = dict(variant=variant, index_bits=bits, a=a, b=b)
+                s_comp, c_comp = compiled.run("spgemm", **kw)
+                s_cyc, c_cyc = cycle.run("spgemm", **kw)
+                assert c_comp == c_cyc
+                modeled += s_comp.cycles
+                simulated += s_cyc.cycles
+        rel = abs(modeled - simulated) / simulated
+        assert rel < 0.10, f"aggregate modeled cycles off by {rel:.1%}"
+
 
 class TestCluster:
     @pytest.mark.parametrize("variant,bits", [("base", 32), ("issr", 16)])
@@ -192,3 +211,74 @@ class TestSolvers:
                                  (s_cyc, out_cyc[name]), "pipeline",
                                  f"cg-pipeline/{variant}{bits}/{name}")
         assert s_comp.history == s_cyc.history
+
+    def test_twenty_iteration_cg(self):
+        """A TCDM-resident CG run for 20 iterations: the residual history
+        and the iterate bit-identical, cycles in the pipeline tolerance."""
+        m = random_spd_csr(64, offdiag_per_row=4, seed=3, dominance=2.0)
+        b = random_dense_vector(64, seed=5)
+
+        def go(backend):
+            return solve_cg(m, b, variant="issr", index_bits=16, n_iters=20,
+                            tol=0.0, backend=backend)
+
+        comp, cyc = go("compiled"), go("cycle")
+        assert comp.iterations == cyc.iterations == 20
+        assert comp.history["rr"] == cyc.history["rr"]
+        assert comp.x.tobytes() == cyc.x.tobytes()
+        assert cycles_within_tolerance(comp.stats.cycles, cyc.stats.cycles,
+                                       "pipeline")
+
+
+@pytest.mark.stress
+class TestBusyPoints:
+    """The busiest single-CC points, where the event engine runs longest:
+    every result bit-identical, summed cycles within tolerance."""
+
+    @staticmethod
+    def _dual_run(compiled, cycle, points, tolerance_key):
+        comp_cycles, comp_bytes = points(compiled)
+        sim_cycles, sim_bytes = points(cycle)
+        assert comp_bytes == sim_bytes, "results not bit-identical"
+        assert cycles_within_tolerance(comp_cycles, sim_cycles,
+                                       tolerance_key), \
+            f"predicted {comp_cycles} vs simulated {sim_cycles}"
+
+    def test_e2_point_in_four_series(self, compiled, cycle):
+        """Fig. 4b's 96x2048 point at 128 nnz/row."""
+        matrix = random_csr(96, 2048, 96 * 128, seed=1 + 128)
+        x = random_dense_vector(2048, seed=1)
+
+        def points(backend):
+            cycles, digest = 0, b""
+            for variant, bits in ALL_VARIANTS:
+                stats, y = backend.run("csrmv", variant=variant,
+                                       index_bits=bits, matrix=matrix, x=x)
+                cycles += stats.cycles
+                digest += np.asarray(y).tobytes()
+            return cycles, digest
+
+        self._dual_run(compiled, cycle, points, "single")
+
+    def test_sparse_sparse_point(self, compiled, cycle):
+        """Masked SpVV (two series) plus an ISSR SpGEMM; the summed
+        cycles take the spgemm tolerance."""
+        fa, fb = random_fiber_pair(4096, 512, 512, 0.2, seed=2)
+        a = random_csr(48, 64, 480, seed=3)
+        b = random_csr(64, 48, 512, seed=4)
+
+        def points(backend):
+            cycles, digest = 0, b""
+            for variant, bits in (("base", 32), ("issr", 16)):
+                stats, r = backend.run("masked_spvv", variant=variant,
+                                       index_bits=bits, fiber_a=fa,
+                                       fiber_b=fb)
+                cycles += stats.cycles
+                digest += np.float64(r).tobytes()
+            stats, c = backend.run("spgemm", variant="issr", index_bits=32,
+                                   a=a, b=b)
+            cycles += stats.cycles
+            digest += c.to_dense().tobytes()
+            return cycles, digest
+
+        self._dual_run(compiled, cycle, points, "spgemm")

@@ -8,7 +8,7 @@ DONTNEED``) is what keeps the mmap pages from accumulating.
 
 Marked ``slow`` + ``stress``: the matrix generation and full pass take
 tens of seconds, and RSS is a process-wide measurement that the rest
-of tier-1 would pollute — CI runs this in the dedicated stress job.
+of tier-1 would pollute — CI runs this in the tier-2 job.
 """
 
 import os

@@ -1,6 +1,6 @@
 """Concurrency stress + fault-injection battery for the serve stack.
 
-Marked ``stress`` (excluded from tier-1; CI's serve job runs it with
+Marked ``stress`` (excluded from tier-1; CI's tier-2 job runs it with
 an explicit ``-m stress`` override). The contract under test is the
 acceptance criterion of the serving layer: under many concurrent
 clients, mixed request kinds, deliberate worker kills, timeout storms,
