@@ -21,7 +21,8 @@ cycle counts come from the analytic contract
 the documented ``CYCLE_TOLERANCE``. Lowered kernels are cached in the
 shared program cache, so steady-state dispatch is a dict hit on the
 program's identity; each call then picks its row replay from the row
-lengths (:meth:`~repro.compiler.templates.CompiledKernel.reduce_rows`).
+lengths and column count
+(:meth:`~repro.compiler.templates.CompiledKernel.reduce_rows`).
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ from repro.compiler.vectorize import (
 from repro.core.intersect import MergeProfile
 from repro.errors import ConfigError, LoweringError
 from repro.formats.csr import CsrMatrix
-from repro.kernels.ttv import _nonleaf_coords
+from repro.kernels.ttv import leaf_fiber_coords
 
 
 class CompiledBackend(Backend):
@@ -96,7 +97,7 @@ class CompiledBackend(Backend):
 
     def _exec_csrmm(self, matrix, dense, variant, index_bits=32,
                     check=True):
-        """Lower the CsrMM program; reduce all k columns in one pass.
+        """Lower the CsrMM program; replay all k columns in one pass.
 
         The kernel iterates columns outer, but each column's rows replay
         independently, so the row replay takes the (nnz, k) products
@@ -105,23 +106,9 @@ class CompiledBackend(Backend):
         from repro.kernels.csrmm import build_csrmm
 
         kernel = self._lower(build_csrmm, "csrmm", variant, index_bits)
-        k = dense.shape[1]
-        if kernel.n_acc:  # ISSR replays (nnz, k) products, row-major
-            products = np.take(dense, matrix.idcs, axis=0)
-            np.multiply(matrix.vals[:, None], products, out=products)
-        else:  # cleared rows: one contiguous bincount per column
-            products = np.take(dense.T, matrix.idcs, axis=1)
-            np.multiply(matrix.vals, products, out=products)
-            products = products.T
-        out = kernel.reduce_rows(products, matrix.ptr, matrix.nrows)
-        if np.isnan(out).any() and pin_nan_products(
-                products, matrix.vals[:, None], dense[matrix.idcs]):
-            out = kernel.reduce_rows(products, matrix.ptr, matrix.nrows)
-        # cleared rows come back as a transposed view; callers get a
-        # contiguous (nrows, k) array
-        out = np.ascontiguousarray(out)
-        stats = csrmm_stats(matrix.row_lengths(), k, kernel.variant,
-                            kernel.index_bits)
+        out = kernel.gather_rows(matrix.vals, matrix.idcs, matrix.ptr, dense)
+        stats = csrmm_stats(matrix.row_lengths(), dense.shape[1],
+                            kernel.variant, kernel.index_bits)
         return stats, out
 
     def _exec_ttv(self, tensor, vector, index_bits=32, check=True):
@@ -138,8 +125,7 @@ class CompiledBackend(Backend):
         fiber_results = kernel.gather_rows(tensor.vals, tensor.idcs[-1],
                                            leaf_ptr, vector)
         out = np.zeros(tensor.shape[:-1], dtype=np.float64)
-        for node, coord in enumerate(_nonleaf_coords(tensor)):
-            out[coord] = fiber_results[node]
+        out[leaf_fiber_coords(tensor)] = fiber_results
         stats = csrmv_stats(np.diff(leaf_ptr), kernel.variant,
                             kernel.index_bits)
         return stats, out

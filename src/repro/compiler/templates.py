@@ -88,11 +88,12 @@ def _prune(family, variant, index_bits, structure):
 
 
 #: ISSR rows replay by :func:`~repro.compiler.vectorize.lane_rows` when
-#: ``nnz < LANE_ROWS_PER_POSITION * longest_row``, that is, when fewer
-#: than this many rows are live at an average position of the
-#: length-sorted stepper (:func:`~repro.compiler.vectorize.accumulate_rows`),
-#: which pays one NumPy call pair per position. Fitted on the offline
-#: workload's matrices, constant-length shapes and a streamed tile
+#: ``nnz * k < LANE_ROWS_PER_POSITION * longest_row`` for products in
+#: ``k`` columns, that is, when fewer than this many (row, column)
+#: chains are live at an average position of the length-sorted stepper
+#: (:func:`~repro.compiler.vectorize.accumulate_rows`), which pays one
+#: NumPy call pair per position. Fitted on the offline workload's
+#: matrices, constant-length shapes and a streamed tile
 #: (docs/performance.md, *ISSR rows: lanes or the stepper*).
 LANE_ROWS_PER_POSITION = 1024
 
@@ -131,32 +132,60 @@ class CompiledKernel:
 
         ``products`` is (nnz,) or (nnz, k); the result is (nrows,) or
         (nrows, k). Cleared accumulators (BASE/SSR) take one bincount
-        per column. ISSR rows with one column take the (row, lane)
-        bincount where few rows share a stepper position
-        (:data:`LANE_ROWS_PER_POSITION`), the stepper otherwise; CsrMM's
-        k > 1 columns ride the stepper's vector updates.
+        per column. ISSR rows take the (row, lane) bincount where few
+        (row, column) chains share a stepper position
+        (:data:`LANE_ROWS_PER_POSITION`), the stepper otherwise.
         """
+        k = products.shape[1] if products.ndim == 2 else 1
+        return self._reduce(products, ptr, nrows,
+                            self._lanes(ptr, len(products), k))
+
+    def _lanes(self, ptr, nnz, k):
+        """True when ISSR rows of ``nnz`` products in ``k`` columns
+        replay by :func:`~repro.compiler.vectorize.lane_rows`."""
+        if self.n_acc == 0:
+            return False
+        longest = int((ptr[1:] - ptr[:-1]).max(initial=0))
+        return nnz * k < LANE_ROWS_PER_POSITION * longest
+
+    def _reduce(self, products, ptr, nrows, lanes):
+        """``products`` through the primitive :meth:`_lanes` picked."""
         if self.n_acc == 0:
             return cleared_rows(products, ptr, nrows)
-        if products.ndim == 1 or products.shape[1] == 1:
-            longest = int((ptr[1:] - ptr[:-1]).max(initial=0))
-            if len(products) < LANE_ROWS_PER_POSITION * longest:
-                return lane_rows(products, ptr, self.index_bits)
+        if lanes:
+            return lane_rows(products, ptr, self.index_bits)
         return accumulate_rows(products, ptr, self.variant, self.index_bits)
 
     def gather_rows(self, vals, idcs, ptr, x):
         """``vals * x[idcs]`` summed per CSR row in this program's order.
 
-        A product of two NaNs keeps the value's payload, as ``fmul.d``
-        does (:func:`~repro.compiler.vectorize.pin_nan_products`); only
-        a NaN result pays for that rule.
+        ``x`` is a vector (CsrMV) or an (ncols, k) block (CsrMM, whose
+        k columns each replay the CsrMV order); the result is a
+        C-contiguous (nrows,) or (nrows, k). A block's products are
+        built in the layout their primitive reads: column-major for
+        the bincounts, one contiguous column each, and row-major for
+        the stepper, whose every vector update covers a position's k
+        columns. A product of two NaNs keeps the value's payload, as
+        ``fmul.d`` does (:func:`~repro.compiler.vectorize.pin_nan_products`);
+        only a NaN result pays for that rule.
         """
         nrows = len(ptr) - 1
-        products = vals * x[idcs]
-        out = self.reduce_rows(products, ptr, nrows)
-        if np.isnan(out).any() and pin_nan_products(products, vals, x[idcs]):
-            out = self.reduce_rows(products, ptr, nrows)
-        return out
+        k = x.shape[1] if x.ndim == 2 else 1
+        lanes = self._lanes(ptr, len(idcs), k)
+        left = vals if x.ndim == 1 else vals[:, None]
+        if x.ndim == 1:
+            products = vals * x[idcs]
+        elif self.n_acc and not lanes:  # the stepper reads rows
+            products = np.take(x, idcs, axis=0)
+            np.multiply(left, products, out=products)
+        else:  # each bincount reads one row of the (k, nnz) transpose
+            products = np.take(x.T, idcs, axis=1)
+            np.multiply(vals, products, out=products)
+            products = products.T
+        out = self._reduce(products, ptr, nrows, lanes)
+        if np.isnan(out).any() and pin_nan_products(products, left, x[idcs]):
+            out = self._reduce(products, ptr, nrows, lanes)
+        return np.ascontiguousarray(out)
 
     def __repr__(self):
         return (f"CompiledKernel({self.family}, {self.variant}, "

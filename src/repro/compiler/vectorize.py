@@ -19,15 +19,17 @@ orders differ per kernel (§III-B, Listing 1):
   combine with the same balanced fadd tree the kernel emits.
 
 ISSR rows replay by one of two primitives. :func:`lane_rows` sums
-every (row, lane) pair in one ``np.bincount`` and then runs the tree;
-it pays per nonzero, whatever the row lengths. The length-sorted
-("jagged-diagonal") stepper :func:`accumulate_rows` makes one vector
-update per row position while many rows are live, then finishes the
-rows still live with one ``np.add.accumulate`` per group of rows with
-as many products left (:func:`finish_rows`); it pays per position, so
-it wins where many rows share each position. A trailing column axis on
-the products (CsrMM's k columns) rides either. ISSR rows holding a NaN
-product are replayed in Python floats, which pins the NaN payload
+every (row, lane) pair in one ``np.bincount`` per column and then runs
+the tree; it pays per nonzero and column, whatever the row lengths.
+The length-sorted ("jagged-diagonal") stepper :func:`accumulate_rows`
+makes one vector update per row position while many rows are live,
+then finishes the rows still live with one ``np.add.accumulate`` per
+group of rows with as many products left (:func:`finish_rows`); it
+pays per position, so it wins where many (row, column) chains share
+each position. A trailing column axis on the products (CsrMM's k
+columns) rides either: column-major for the bincounts, row-major for
+the stepper's vector updates. ISSR rows holding a NaN product are
+replayed in Python floats, which pins the NaN payload
 (:func:`settle_nan_rows`).
 """
 
@@ -140,8 +142,10 @@ def lane_rows(products, ptr, index_bits):
     kernel's fadd tree over its lanes. A shorter row chains from its
     first product (``fmul``), so all of its products go on lane 0, and
     with no row that long every row is one lane. ``products`` is
-    (nnz,) or (nnz, k), one bincount per column; the result is
-    (nrows,) or (nrows, k).
+    (nnz,) or (nnz, k), one bincount per column, each reading its
+    column in place when the products are column-major (CsrMM's
+    ``(k, nnz)`` block, transposed); the result is (nrows,) or
+    (nrows, k).
 
     A cleared lane computes ``0.0 + p0 + p1 ...`` where the kernel
     computes ``p0 + p1 ...``: the two differ only for a lane whose
@@ -168,14 +172,14 @@ def lane_rows(products, ptr, index_bits):
     trail = (1,) * (products.ndim - 1)  # a row mask's unit column axis
 
     def lane_sums(weights):
-        """(nrows, width[, k]) bincounts of ``weights``, one per column."""
+        """(nrows, width[, k]) bincounts of ``weights``, one per column,
+        stored column-major: each bincount fills one contiguous row."""
         if weights.ndim == 1:
             return np.bincount(ids, weights, n_lanes).reshape(nrows, width)
-        sums = np.empty((nrows, width) + weights.shape[1:])
-        flat = sums.reshape(n_lanes, weights.shape[1])
+        sums = np.empty((weights.shape[1], n_lanes))
         for c, column in enumerate(weights.T):
-            flat[:, c] = np.bincount(ids, column, n_lanes)
-        return sums
+            sums[c] = np.bincount(ids, column, n_lanes)
+        return sums.T.reshape(nrows, width, weights.shape[1])
 
     out = tree_reduce(lane_sums(products))
     if not out.all():  # some row ends at ±0
@@ -194,8 +198,8 @@ def lane_rows(products, ptr, index_bits):
 def accumulate_rows(products, ptr, variant, index_bits):
     """Per-row reduction of ``products`` in the kernel's exact order.
 
-    The compiled backend replays ISSR rows here where many rows share
-    each position, and CsrMM's k > 1 columns always
+    The compiled backend replays ISSR rows here where many (row,
+    column) chains share each position
     (:meth:`~repro.compiler.templates.CompiledKernel.reduce_rows`);
     BASE/SSR rows, one cleared accumulator each, go to
     :func:`cleared_rows`, which computes the same order.

@@ -1,4 +1,4 @@
-"""Experiment drivers: one per paper figure/claim (see DESIGN.md §4)."""
+"""Experiment drivers: one per paper figure/claim (see docs/experiments.md)."""
 
 from repro.eval.experiments import EXPERIMENTS, run_all, run_experiment
 from repro.eval.report import ExperimentResult, ascii_plot, render_table

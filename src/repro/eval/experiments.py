@@ -1,6 +1,6 @@
 """Experiment registry: every paper artifact mapped to a driver.
 
-``EXPERIMENTS`` maps experiment ids (see DESIGN.md §4) to callables
+``EXPERIMENTS`` maps experiment ids (see docs/experiments.md) to callables
 returning :class:`~repro.eval.report.ExperimentResult`. ``run_all``
 executes the whole reproduction at a chosen fidelity.
 
@@ -62,7 +62,8 @@ DESCRIPTIONS = {
     "E1": "Fig. 4a — single-CC SpVV FPU utilization vs nonzero count",
     "E2": "Fig. 4b — single-CC CsrMV utilization vs row density",
     "E3": "Fig. 4c — 8-core cluster CsrMV utilization (double-buffered)",
-    "E4": "Fig. 4d — CsrMV speedups over BASE across the matrix set",
+    "E4": "Fig. 4d — cluster CsrMV power, energy per MAC and energy "
+          "gain, BASE vs ISSR-16",
     "E5": "Table I — ISSR lane area breakdown (static model)",
     "E6": "timing/frequency static model",
     "E8": "paper headline claims (speedup/utilization) on one CC",

@@ -72,7 +72,8 @@ def run(specs=None, scale=DEFAULT_SCALE, seed=1, index_bits=16,
                        "whole-run utilization": best_run_util}
     if scale != 1.0:
         result.notes.append(
-            f"matrices scaled by {scale} preserving nnz/row (see DESIGN.md)"
+            f"matrices scaled by {scale} preserving nnz/row "
+            "(see docs/experiments.md)"
         )
     if backend_name != "cycle":
         result.notes.append(f"executed on the {backend_name!r} backend")

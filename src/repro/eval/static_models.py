@@ -1,7 +1,7 @@
 """E5/E6/E9 — the static model experiments: area, timing, related work.
 
 These reproduce the paper's synthesized/measured constants from our
-calibrated component models (substitution documented in DESIGN.md §5).
+calibrated component models (docs/experiments.md, *E5 / E6*).
 """
 
 from repro.eval.report import ExperimentResult

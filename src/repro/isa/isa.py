@@ -135,7 +135,7 @@ CSR_SSR = 0x7C0
 CSR_CYCLE = 0xC00
 
 
-# --- Timing constants (see DESIGN.md §3) ---
+# --- Timing constants (see docs/ARCHITECTURE.md, *Core timing*) ---
 
 #: Cycles from load request to data availability (TCDM-class memory).
 LOAD_LATENCY = 2

@@ -56,30 +56,25 @@ def run_ttv(tensor, vector, index_bits=32, sim=None, check=True):
     # Host-side upper-axis iteration: place fiber results at their
     # upper coordinates (order matches the CSF level traversal).
     out = np.zeros(tensor.shape[:-1], dtype=np.float64)
-    for node, coord in enumerate(_nonleaf_coords(tensor)):
-        out[coord] = fiber_results[node]
+    out[leaf_fiber_coords(tensor)] = fiber_results
     if check:
         expect = tensor.ttv(vector)
         check_reference(out, expect, "TTV")
     return stats, out
 
 
-def _nonleaf_coords(tensor):
-    """Coordinates of each leaf fiber, in leaf-pointer order."""
-    order = tensor.order
-    if order == 2:
-        for i in range(len(tensor.idcs[0])):
-            yield (int(tensor.idcs[0][i]),)
-        return
+def leaf_fiber_coords(tensor):
+    """Upper-axis coordinates of every leaf fiber, in leaf-pointer order.
 
-    def walk(level, node, prefix):
-        coord = prefix + (int(tensor.idcs[level][node]),)
-        if level == order - 2:
-            yield coord
-            return
-        for child in range(tensor.ptrs[level][node],
-                           tensor.ptrs[level][node + 1]):
-            yield from walk(level + 1, child, coord)
-
-    for root in range(len(tensor.idcs[0])):
-        yield from walk(0, root, ())
+    A tuple of ``order - 1`` index arrays, one per upper axis, ready to
+    index ``tensor.shape[:-1]``. Node ``j`` of level ``l + 1`` is a
+    child of node ``i`` of level ``l`` when ``ptrs[l][i] <= j <
+    ptrs[l][i + 1]``, so repeating level ``l``'s coordinates by its
+    child counts lines them up with level ``l + 1``'s nodes.
+    """
+    coords = (tensor.idcs[0],)
+    for level in range(1, tensor.order - 1):
+        counts = np.diff(tensor.ptrs[level - 1])
+        coords = tuple(np.repeat(c, counts) for c in coords)
+        coords += (tensor.idcs[level],)
+    return coords

@@ -7,10 +7,10 @@ memory addresses and integer operands (pseudo-dual issue), and the
 streamer is configured through ``scfgw``/``scfgr`` and enabled through
 the SSR CSR — matching the programming model of §III.
 
-Timing notes (DESIGN.md §3): single-cycle ALU; 2-cycle load-use
-latency; branches resolve in one cycle (the paper's §I cycle counting
-assumes no taken-branch bubble); ``mul``/``div`` write back after
-``MUL_LATENCY``/``DIV_LATENCY``.
+Timing notes (docs/ARCHITECTURE.md, *Core timing*): single-cycle
+ALU; 2-cycle load-use latency; branches resolve in one cycle (the
+paper's §I cycle counting assumes no taken-branch bubble);
+``mul``/``div`` write back after ``MUL_LATENCY``/``DIV_LATENCY``.
 """
 
 import operator

@@ -303,6 +303,47 @@ def battery_lengths(shape, rng, per_row=1):
                            np.full(66, 10)))
 
 
+def api_battery_lengths(bits, shape, k):
+    """``(rng, lengths)`` of one ISSR ``api.run`` battery case; ``rng``
+    then salts its values."""
+    rng = stable_rng("api", bits, shape, k)
+    return rng, battery_lengths(shape, rng, {16: 8, 32: 4}[bits] * (k or 1))
+
+
+def rule_primitive(lengths, k):
+    """The ISSR primitive ``reduce_rows`` should pick for rows of
+    ``lengths`` with ``k`` columns: the (row, lane) bincount when fewer
+    than ``LANE_ROWS_PER_POSITION`` (row, column) chains share an
+    average stepper position."""
+    longest = int(np.max(lengths, initial=0))
+    lanes = (int(np.sum(lengths)) * k
+             < templates.LANE_ROWS_PER_POSITION * longest)
+    return "lane_rows" if lanes else "accumulate_rows"
+
+
+def spy_on_primitives(monkeypatch):
+    """Record ``(name, layout)`` of every row-replay primitive call.
+
+    ``layout`` is ``"columns"`` when each column of the products is
+    contiguous, ``"rows"`` when the products are C-contiguous, and
+    ``"both"`` for one column.
+    """
+    calls = []
+    for name in ("cleared_rows", "lane_rows", "accumulate_rows"):
+        real = getattr(templates, name)
+
+        def spy(products, *args, _real=real, _name=name):
+            rows = products.flags.c_contiguous
+            columns = products.T.flags.c_contiguous
+            calls.append((_name, "both" if rows and columns
+                          else "rows" if rows
+                          else "columns" if columns else "strided"))
+            return _real(products, *args)
+
+        monkeypatch.setattr(templates, name, spy)
+    return calls
+
+
 def reference_fiber(products, variant, bits):
     """SpVV's order in Python floats: ``n_acc`` lanes (one for BASE/SSR)
     cleared, product ``i`` chained onto lane ``i % n_acc``, then the
@@ -431,11 +472,12 @@ class TestExactOrderBattery:
     @pytest.mark.parametrize("k", [None, 1, 2, 4, 8])
     @pytest.mark.parametrize("shape", BATTERY_SHAPES + FINISHER_SHAPES)
     @pytest.mark.parametrize("bits", [32, 16])
-    def test_issr_api_run_matches_the_scalar_reference(self, bits, shape, k):
+    def test_issr_api_run_matches_the_scalar_reference(self, monkeypatch,
+                                                       bits, shape, k):
         """ISSR CsrMV (``k`` None) and CsrMM on the compiled backend,
-        where ``reduce_rows`` picks the primitive."""
-        rng = stable_rng("api", bits, shape, k)
-        lengths = battery_lengths(shape, rng, {16: 8, 32: 4}[bits] * (k or 1))
+        where the rule picks the primitive (checked by a spy)."""
+        calls = spy_on_primitives(monkeypatch)
+        rng, lengths = api_battery_lengths(bits, shape, k)
         ptr = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
         ncols = int(lengths.max(initial=1))
         idcs = np.concatenate([np.arange(n) for n in lengths] + [[]])
@@ -454,6 +496,20 @@ class TestExactOrderBattery:
         want = reference_rows(products, ptr, "issr", bits)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert [name for name, _layout in calls] \
+            == [rule_primitive(lengths, k or 1)]
+
+    @pytest.mark.parametrize("bits", [32, 16])
+    def test_issr_api_battery_reaches_both_primitives(self, bits):
+        """With k = 2, 4 and 8 columns the rule sends some battery shapes
+        to the (row, lane) bincount and others to the stepper, so
+        ``test_issr_api_run_matches_the_scalar_reference`` checks both
+        CsrMM paths byte for byte."""
+        for k in (2, 4, 8):
+            picks = {rule_primitive(api_battery_lengths(bits, shape, k)[1],
+                                    k)
+                     for shape in BATTERY_SHAPES + FINISHER_SHAPES}
+            assert picks == {"lane_rows", "accumulate_rows"}, k
 
     @pytest.mark.parametrize("k", [None, 1, 4])
     @pytest.mark.parametrize("bits", [32, 16])
@@ -490,31 +546,28 @@ class TestExactOrderBattery:
 
     @pytest.mark.parametrize("shape,k,primitive", [
         ("e2", None, "lane_rows"), ("e2", 1, "lane_rows"),
-        ("e2", 4, "accumulate_rows"),
+        ("e2", 4, "lane_rows"),
+        ("uniform300", None, "lane_rows"), ("uniform300", 1, "lane_rows"),
+        ("uniform300", 4, "accumulate_rows"),
         ("psmigr_1", None, "accumulate_rows"),
         ("psmigr_1", 1, "accumulate_rows"),
     ])
     def test_rule_picks_the_primitive(self, monkeypatch, shape, k,
                                       primitive):
-        """Few rows per stepper position (E2: 96 rows of ~128) take the
-        lane bincount; many (psmigr_1: ~2,500 per position on average)
-        and CsrMM's k > 1 columns keep the stepper."""
-        calls = []
-        for name in ("lane_rows", "accumulate_rows"):
-            real = getattr(templates, name)
-
-            def spy(*args, _real=real, _name=name):
-                calls.append(_name)
-                return _real(*args)
-
-            monkeypatch.setattr(templates, name, spy)
+        """The rule counts (row, column) chains per stepper position.
+        E2 (96 rows of ~128) keeps few even with k = 4 columns and takes
+        the lane bincount; 300 rows of 16 (300 per position) take it
+        with one column, but 1,200 chains per position with k = 4 keep
+        the stepper, as psmigr_1 (~2,500 per position) always does."""
+        calls = spy_on_primitives(monkeypatch)
         if shape == "e2":
             matrix = random_csr(96, 2048, 96 * 128, seed=5)
+        elif shape == "uniform300":
+            matrix = random_csr(300, 512, 300 * 16, seed=8,
+                                distribution="constant")
         else:
             matrix = random_csr(3000, 512, 3000 * 160, seed=6)
-        lengths = matrix.row_lengths()
-        lanes = matrix.nnz < templates.LANE_ROWS_PER_POSITION * lengths.max()
-        assert lanes == (shape == "e2")
+        assert rule_primitive(matrix.row_lengths(), k or 1) == primitive
         rng = stable_rng("rule", shape, k)
         for bits in (32, 16):
             if k is None:
@@ -525,23 +578,48 @@ class TestExactOrderBattery:
                 api.run("csrmm", backend="compiled", variant="issr",
                         index_bits=bits, matrix=matrix,
                         dense=rng.standard_normal((matrix.ncols, k)))
-        assert calls == [primitive, primitive]
+        assert [name for name, _layout in calls] == [primitive, primitive]
+
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    @pytest.mark.parametrize("shape", ["e10", "uniform300"])
+    def test_products_reach_each_primitive_in_its_layout(
+            self, monkeypatch, variant, bits, shape):
+        """CsrMM builds its (nnz, k) products in the layout the chosen
+        primitive reads: column-major (each column contiguous) for the
+        bincounts, ``cleared_rows`` and ``lane_rows``, and C-contiguous
+        rows for the stepper's vector updates."""
+        calls = spy_on_primitives(monkeypatch)
+        if shape == "e10":
+            matrix = random_csr(96, 1024, 96 * 24, seed=9)
+        else:
+            matrix = random_csr(300, 512, 300 * 16, seed=8,
+                                distribution="constant")
+        dense = stable_rng("layout", shape).standard_normal((matrix.ncols, 4))
+        api.run("csrmm", backend="compiled", variant=variant,
+                index_bits=bits, matrix=matrix, dense=dense)
+        want = ("cleared_rows" if variant != "issr"
+                else rule_primitive(matrix.row_lengths(), 4))
+        assert calls == [(want, "rows" if want == "accumulate_rows"
+                          else "columns")]
 
     @pytest.mark.parametrize("bits", [32, 16])
     def test_cycle_engine_matches_on_a_skewed_shape(self, bits):
-        """ISSR ``csrmv``, ``cluster_csrmv`` and ``ttv`` return the cycle
-        engine's bytes on power-law rows, which take the lane path."""
+        """ISSR ``csrmv``, ``csrmm`` (k = 4), ``cluster_csrmv`` and
+        ``ttv`` return the cycle engine's bytes on power-law rows, which
+        take the lane path."""
         rng = stable_rng("cycle", bits)
         m = random_csr(40, 128, 40 * 6, distribution="powerlaw", seed=7)
         matrix = CsrMatrix(m.ptr, m.idcs, salted_products(rng, m.nnz, rate=0.1),
                            m.shape)
-        assert matrix.nnz < (templates.LANE_ROWS_PER_POSITION
-                             * matrix.row_lengths().max())
+        assert rule_primitive(matrix.row_lengths(), 4) == "lane_rows"
         x = rng.standard_normal(matrix.ncols)
+        dense = rng.standard_normal((matrix.ncols, 4))
         coords = np.stack(np.divmod(np.repeat(np.arange(40), m.row_lengths()),
                                     5) + (m.idcs,), axis=1)
         tensor = CsfTensor.from_coo(coords, matrix.vals, (8, 5, 128))
         cases = [("csrmv", {"variant": "issr", "matrix": matrix, "x": x}),
+                 ("csrmm", {"variant": "issr", "matrix": matrix,
+                            "dense": dense}),
                  ("cluster_csrmv", {"variant": "issr", "matrix": matrix,
                                     "x": x}),
                  ("ttv", {"tensor": tensor, "vector": x})]

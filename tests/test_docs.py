@@ -46,6 +46,20 @@ def test_markdown_links_resolve(md):
     assert not missing, f"{md.name}: broken relative links {missing}"
 
 
+#: A Markdown path as ``src/`` names one (``docs/serve.md``, ``PAPERS.md``).
+_MD_PATH = re.compile(r"[\w./-]+\.md\b")
+
+
+def test_markdown_paths_named_in_src_exist():
+    """Every ``*.md`` path a ``src/`` file names, in a docstring, comment
+    or string, is a file of the repo, so a reader sent there finds it."""
+    missing = [f"{py.relative_to(REPO)}: {name}"
+               for py in sorted((REPO / "src").rglob("*.py"))
+               for name in _MD_PATH.findall(py.read_text())
+               if not (REPO / name).is_file()]
+    assert not missing, f"named but missing: {missing}"
+
+
 def test_architecture_doc_exists_and_linked():
     arch = REPO / "docs" / "ARCHITECTURE.md"
     assert arch.exists()

@@ -34,7 +34,7 @@ class TestReport:
 
 class TestDrivers:
     def test_registry_complete(self):
-        # every DESIGN.md experiment except E7 (folded into E4) is here
+        # every docs/experiments.md entry except E7 (folded into E4) is here
         for eid in ("E1", "E2", "E3", "E4", "E5", "E6", "E8", "E9", "E10"):
             assert eid in EXPERIMENTS
 
@@ -82,6 +82,13 @@ class TestDrivers:
         r = run_experiment("E4", specs=[get_spec("bcsstk13")], scale=0.02)
         gain = r.rows[0][6]
         assert gain > 1.3
+
+    def test_e4_description_names_energy(self):
+        """E4 reports power and energy, and its one-line summary (the
+        CLI epilog and the docs registry table) says so."""
+        from repro.eval.experiments import DESCRIPTIONS
+        assert "energy" in DESCRIPTIONS["E4"]
+        assert "speedup" not in DESCRIPTIONS["E4"]
 
     def test_e5_e6_static(self):
         area = run_experiment("E5")

@@ -44,6 +44,36 @@ class TestTtv:
         stats, out = run_ttv(t, np.ones(8))
         assert np.all(out == 0)
 
+    @pytest.mark.parametrize("shape", [(12, 48), (6, 7, 32), (4, 5, 6, 16),
+                                       (2, 3, 8)])
+    def test_leaf_scatter_matches_the_reference(self, shape):
+        """Every leaf fiber's result lands at its upper coordinates on
+        both backends, byte for byte against ``tensor.ttv``. Small
+        nonzero integers sum exactly in any order, so the kernel's
+        staggered order and ``np.dot`` agree. Each level drops random
+        subtrees, so upper-level nodes hold different numbers of
+        children; ``(2, 3, 8)`` is empty."""
+        rng = np.random.default_rng(0)
+        density = np.full(shape[:-1] + (1,), 0.0 if shape == (2, 3, 8)
+                          else 0.5)
+        for level in range(len(shape) - 1):
+            keep = rng.random(shape[:level + 1]) < 0.75
+            density *= keep.reshape(keep.shape + (1,) * (len(shape) - 1
+                                                         - level))
+        values = rng.integers(1, 5, shape) * rng.choice([-1.0, 1.0], shape)
+        values[rng.random(shape) >= density] = 0.0
+        tensor = CsfTensor.from_dense(values)
+        assert tensor.nnz or shape == (2, 3, 8)
+        for ptr in tensor.ptrs[:-1] if tensor.nnz else ():
+            assert len(set(np.diff(ptr))) > 1  # uneven child counts
+        vector = rng.integers(1, 9, shape[-1]) * 1.0
+        want = tensor.ttv(vector).tobytes()
+        for backend in ("cycle", "compiled"):
+            for bits in (32, 16):
+                _stats, out = api.run("ttv", backend=backend, index_bits=bits,
+                                      tensor=tensor, vector=vector)
+                assert out.tobytes() == want, (backend, bits)
+
     def test_short_vector_rejected(self):
         t, _ = random_tensor((4, 16), 0.5, 7)
         with pytest.raises(FormatError):
