@@ -133,7 +133,7 @@ class KernelSpec:
                 self._reject(f"{name} of length {len(value)} is shorter "
                              f"than the index range of {first}")
             k = value.shape[-1]
-            if value.ndim == 2 and k & (k - 1):
+            if value.ndim == 2 and (k < 1 or k & (k - 1)):
                 self._reject(f"dense column count {k} must be a power of two")
         a, b = operands.get("a"), operands.get("b")
         if self.name == "spgemm" and a.ncols != b.nrows:

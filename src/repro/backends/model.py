@@ -25,6 +25,7 @@ approximates TCDM bank conflicts and DMA overlap.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from repro.cluster.runtime import (
     WORKER_START_STAGGER,
     ClusterStats,
     plan_tiles,
+    share_bounds,
     tile_words,
-    worker_shares,
 )
 from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
 from repro.sim.counters import LaneStats, RunStats
@@ -168,63 +169,113 @@ def row_cycles(lengths, variant, index_bits):
                     np.where(lengths < n_acc, short_cost, long_cost))
 
 
-def _issr_row_classes(lengths, n_acc):
-    """(n_empty, n_short, n_long) row counts for the ISSR row loop."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    n_empty = int(np.count_nonzero(lengths == 0))
-    n_long = int(np.count_nonzero(lengths >= n_acc))
-    n_short = len(lengths) - n_empty - n_long
-    return n_empty, n_short, n_long
+def csrmv_row_terms(lengths, variant, index_bits):
+    """Per-row terms a CsrMV share's cost sums: an int64 ``(5, nrows)``.
+
+    In order: the row loop's cycles (:func:`row_cycles`), one per row,
+    the row's nonzeros, and for ISSR (zero otherwise) one per empty row
+    and one per row long enough for the FREP case (at least
+    ``N_ACCUMULATORS`` nonzeros).
+    """
+    terms = np.zeros((5, len(lengths)), dtype=np.int64)
+    terms[0] = row_cycles(lengths, variant, index_bits)
+    terms[1] = 1
+    terms[2] = lengths
+    if variant == ISSR:
+        terms[3] = lengths == 0
+        terms[4] = lengths >= N_ACCUMULATORS[index_bits]
+    return terms
+
+
+def _csrmv_sums(lengths, variant, index_bits):
+    """:func:`csrmv_row_terms` summed over all rows, as Python ints.
+
+    Rows of one length cost the same, so each distinct length's terms
+    are computed once and weighted by its row count.
+    """
+    counts = np.bincount(lengths)
+    present = (counts > 0).nonzero()[0]
+    return (csrmv_row_terms(present, variant, index_bits)
+            @ counts[present]).tolist()
+
+
+def _ceil(value):
+    """``math.ceil``, element-wise (as int64) on an array."""
+    if isinstance(value, np.ndarray):
+        return np.ceil(value).astype(np.int64)
+    return math.ceil(value)
+
+
+def _minimum(a, b):
+    """``min``, element-wise when ``a`` is an array."""
+    return np.minimum(a, b) if isinstance(a, np.ndarray) else min(a, b)
+
+
+#: Counters a worker share adds to its core, and a core to its cluster.
+CORE_COUNTERS = ("retired", "fpu_compute_ops", "fpu_mac_ops",
+                 "fpu_issued_ops", "mem_reads", "mem_writes")
+#: Counters a worker share adds to each of its core's stream lanes.
+LANE_COUNTERS = ("elements_read", "elements_written", "mem_reads",
+                 "mem_writes", "idx_reads")
+
+#: The single-CC costs of row blocks (worker shares): ``cycles``;
+#: ``counters``, one value per :data:`CORE_COUNTERS` entry; ``lanes``,
+#: ``{lane: one value per LANE_COUNTERS entry}``. Each value is a
+#: scalar for one share, or an array with one entry per share.
+ShareCosts = namedtuple("ShareCosts", "cycles counters lanes")
+
+
+def _one_share(costs):
+    """The :class:`RunStats` of one share's :class:`ShareCosts` in ints."""
+    stats = RunStats(cycles=costs.cycles)
+    vars(stats).update(zip(CORE_COUNTERS, costs.counters))
+    for name, fields in costs.lanes.items():
+        stats.lanes[name] = LaneStats(*fields)
+    return stats
+
+
+def csrmv_share_costs(sums, variant, index_bits):
+    """Single-CC CsrMV :class:`ShareCosts` of row blocks.
+
+    ``sums`` holds the blocks' :func:`csrmv_row_terms`, summed over
+    each block's rows.
+    """
+    loop, rows, nnz, n_empty, n_long = sums
+    cycles = _FIXED[variant] + _LAUNCH[variant] * (nnz > 0) + loop
+    if variant in (BASE, SSR):
+        per_elem = 3 if variant == BASE else 2
+        counters = (cycles, nnz, nnz, per_elem * nnz + 2 * rows + 1,
+                    3 * nnz + rows + 1, rows)
+        lanes = {"ssr": (nnz, 0, nnz, 0, 0)} if variant == SSR else {}
+        return ShareCosts(cycles, counters, lanes)
+    n_acc = N_ACCUMULATORS[index_bits]
+    n_short = rows - n_empty - n_long
+    # short rows: 1 fmul + (l-1) fmadd; long: n_acc fmul +
+    # (l - n_acc) FREP'd fmadd + (n_acc - 1) tree fadd
+    compute = nnz + (n_acc - 1) * n_long
+    per_row_ret = 21 if index_bits == 32 else 29
+    retired = _minimum(
+        cycles, 23 + per_row_ret * (n_short + n_long) + 9 * n_empty)
+    idx_reads = (nnz * (index_bits // 8) + 7) // 8
+    counters = (retired, compute, nnz - n_short - n_acc * n_long,
+                compute + rows + 1, 2 * nnz + idx_reads + rows + 1, rows)
+    lanes = {"ssr": (nnz, 0, nnz, 0, 0),
+             "issr": (nnz, 0, nnz, 0, idx_reads)}
+    return ShareCosts(cycles, counters, lanes)
 
 
 def csrmv_cycles(lengths, variant, index_bits):
-    """Predicted single-CC CsrMV cycles for the given row structure.
-
-    Rows of one length cost the same, so each distinct length is priced
-    once (:func:`row_cycles`) and weighted by its row count.
-    """
-    counts = np.bincount(np.asarray(lengths, dtype=np.int64))
-    present = np.nonzero(counts > 0)[0]
-    fixed = _FIXED[variant] + (_LAUNCH[variant] if len(counts) > 1 else 0)
-    return fixed + int(counts[present]
-                       @ row_cycles(present, variant, index_bits))
+    """Predicted single-CC CsrMV cycles for the given row structure."""
+    return csrmv_stats(lengths, variant, index_bits).cycles
 
 
 def csrmv_stats(lengths, variant, index_bits):
-    """Predicted :class:`RunStats` for a single-CC CsrMV run."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    nrows = len(lengths)
-    nnz = int(lengths.sum())
-    idx_bytes = index_bits // 8
-    stats = RunStats(cycles=csrmv_cycles(lengths, variant, index_bits))
+    """Predicted :class:`RunStats` for a single-CC CsrMV run.
 
-    if variant in (BASE, SSR):
-        stats.fpu_mac_ops = nnz
-        stats.fpu_compute_ops = nnz
-        per_elem = 3 if variant == BASE else 2
-        stats.fpu_issued_ops = per_elem * nnz + 2 * nrows + 1
-        stats.retired = stats.cycles
-        stats.mem_reads = 3 * nnz + nrows + 1
-    else:
-        n_acc = N_ACCUMULATORS[index_bits]
-        n_empty, n_short, n_long = _issr_row_classes(lengths, n_acc)
-        # short rows: 1 fmul + (l-1) fmadd; long: n_acc fmul +
-        # (l - n_acc) FREP'd fmadd + (n_acc - 1) tree fadd
-        stats.fpu_mac_ops = nnz - n_short - n_acc * n_long
-        stats.fpu_compute_ops = nnz + (n_acc - 1) * n_long
-        stats.fpu_issued_ops = stats.fpu_compute_ops + nrows + 1
-        per_row_ret = 21 if index_bits == 32 else 29
-        stats.retired = min(
-            stats.cycles,
-            23 + per_row_ret * (n_short + n_long) + 9 * n_empty)
-        idx_reads = (nnz * idx_bytes + 7) // 8
-        stats.mem_reads = 2 * nnz + idx_reads + nrows + 1
-        stats.lanes["ssr"] = LaneStats(elements_read=nnz, mem_reads=nnz)
-        stats.lanes["issr"] = LaneStats(elements_read=nnz, mem_reads=nnz,
-                                        idx_reads=idx_reads)
-    if variant == SSR:
-        stats.lanes["ssr"] = LaneStats(elements_read=nnz, mem_reads=nnz)
-    stats.mem_writes = nrows
+    The one-share case of :func:`csrmv_share_costs`.
+    """
+    stats = _one_share(csrmv_share_costs(
+        _csrmv_sums(lengths, variant, index_bits), variant, index_bits))
     stats.first_mac_cycle = _FIXED[variant] + 10
     stats.last_mac_cycle = max(stats.cycles - _MAC_TAIL[(variant, index_bits)], 0)
     return stats
@@ -273,29 +324,32 @@ def spvv_stats(nnz, variant, index_bits):
     return stats
 
 
+def csrmm_share_costs(sums, k, variant, index_bits):
+    """Single-CC CsrMM :class:`ShareCosts` of row blocks.
+
+    The kernel iterates the CsrMV row loop once per dense column, so
+    every per-column counter is the CsrMV counter of the same ``sums``
+    (:func:`csrmv_share_costs`) scaled by ``k``, plus the column-loop
+    overhead.
+    """
+    per_col = csrmv_share_costs(sums, variant, index_bits)
+    fixed, col_ovh = _MM_OVERHEAD[(variant, index_bits)]
+    cycles = fixed + k * (col_ovh + sums[0])
+    retired, *rest = per_col.counters
+    counters = (_minimum(cycles, k * retired), *(k * c for c in rest))
+    lanes = {name: tuple(k * f for f in fields)
+             for name, fields in per_col.lanes.items()}
+    return ShareCosts(cycles, counters, lanes)
+
+
 def csrmm_stats(lengths, k, variant, index_bits):
     """Predicted :class:`RunStats` for a single-CC CsrMM run.
 
-    The kernel iterates the CsrMV row loop once per dense column, so
-    every per-column counter is the CsrMV counter scaled by ``k`` plus
-    the column-loop overhead.
+    The one-share case of :func:`csrmm_share_costs`.
     """
-    per_col = csrmv_stats(lengths, variant, index_bits)
-    fixed, col_ovh = _MM_OVERHEAD[(variant, index_bits)]
-    col_body = per_col.cycles - _FIXED[variant] \
-        - (_LAUNCH[variant] if per_col.fpu_compute_ops else 0)
-    stats = RunStats(cycles=fixed + k * (col_ovh + col_body))
-    for attr in ("fpu_mac_ops", "fpu_compute_ops", "fpu_issued_ops",
-                 "mem_reads", "mem_writes"):
-        setattr(stats, attr, k * getattr(per_col, attr))
-    stats.retired = min(stats.cycles, k * per_col.retired)
-    for name, lane in per_col.lanes.items():
-        stats.lanes[name] = LaneStats(
-            elements_read=k * lane.elements_read,
-            mem_reads=k * lane.mem_reads,
-            idx_reads=k * lane.idx_reads,
-        )
-    stats.first_mac_cycle = per_col.first_mac_cycle
+    stats = _one_share(csrmm_share_costs(
+        _csrmv_sums(lengths, variant, index_bits), k, variant, index_bits))
+    stats.first_mac_cycle = _FIXED[variant] + 10
     stats.last_mac_cycle = max(
         stats.cycles - _MAC_TAIL[(variant, index_bits)], 0)
     return stats
@@ -452,48 +506,62 @@ def masked_csrmv_stats(profiles, row_lengths, nnz_x, variant, index_bits):
     return stats
 
 
-def spgemm_cycles(n_pattern_rows, n_skip_rows, out_nnz, n_a_elems,
-                  n_b_visits, flops, variant, index_bits):
-    """Predicted SpGEMM numeric-phase cycles from the row structure.
+def spgemm_row_terms(a, b, pattern_ptr):
+    """Per-row terms a SpGEMM share's cost sums: an int64 ``(6, a.nrows)``.
 
-    ``n_pattern_rows``/``n_skip_rows`` split the output rows by
-    empty/nonempty pattern; ``n_a_elems`` counts A nonzeros in pattern
-    rows, ``n_b_visits`` the nonempty B rows they select, and
-    ``flops`` the total multiply-accumulates.
+    For each row of ``a`` against ``b``, in :func:`spgemm_share_costs`'
+    order: one if its output pattern (row pointer ``pattern_ptr``) is
+    nonempty, one if it is empty, its output nonzeros, and — in
+    pattern rows only, the rows the kernel walks — its A nonzeros, the
+    nonempty B rows they select and its flops.
     """
+    out_nnz = np.diff(pattern_ptr)
+    b_lengths = b.row_lengths()[a.idcs]
+    visits = _running(np.stack((b_lengths > 0, b_lengths)))
+    visits = visits[:, a.ptr[1:]] - visits[:, a.ptr[:-1]]
+    pattern = out_nnz > 0
+    return np.stack((pattern, ~pattern, out_nnz,
+                     a.row_lengths() * pattern, *(visits * pattern)))
+
+
+def spgemm_share_costs(sums, variant, index_bits):
+    """Single-CC SpGEMM numeric-phase :class:`ShareCosts` of row blocks.
+
+    ``sums`` holds each block's row structure: rows with a nonempty
+    and an empty output pattern, output nonzeros, the A nonzeros in
+    pattern rows, the nonempty B rows they select, and the total
+    multiply-accumulates (flops).
+    """
+    n_pattern, n_skip, out_nnz, n_a, n_b, flops = sums
     fixed, row, skip, per_z, per_a, per_k, per_f = \
         _SPGEMM_COST[(variant, index_bits)]
-    return int(math.ceil(fixed + row * n_pattern_rows + skip * n_skip_rows
-                         + per_z * out_nnz + per_a * n_a_elems
-                         + per_k * n_b_visits + per_f * flops))
+    cycles = _ceil(fixed + row * n_pattern + skip * n_skip
+                   + per_z * out_nnz + per_a * n_a + per_k * n_b
+                   + per_f * flops)
+    idx_reads = ((flops + n_a + 2 * out_nnz) * (index_bits // 8) + 7) // 8
+    counters = (cycles, flops, flops, flops + 2 * out_nnz + n_a,
+                2 * flops + n_a * 2 + out_nnz + idx_reads,
+                2 * out_nnz + flops)
+    lanes = {}
+    if variant == ISSR:
+        lanes = {"ssr": (flops + out_nnz, out_nnz, flops, out_nnz, 0),
+                 "issr": (flops + out_nnz, 0, flops + out_nnz, 0, 0),
+                 "issr2": (0, flops + out_nnz, 0, flops + out_nnz, 0)}
+    return ShareCosts(cycles, counters, lanes)
 
 
 def spgemm_stats(n_pattern_rows, n_skip_rows, out_nnz, n_a_elems,
                  n_b_visits, flops, variant, index_bits):
-    """Predicted :class:`RunStats` for a single-CC SpGEMM run."""
-    stats = RunStats(cycles=spgemm_cycles(
-        n_pattern_rows, n_skip_rows, out_nnz, n_a_elems, n_b_visits,
-        flops, variant, index_bits))
-    stats.fpu_mac_ops = flops
-    stats.fpu_compute_ops = flops
-    stats.fpu_issued_ops = flops + 2 * out_nnz + n_a_elems
-    stats.retired = stats.cycles
-    idx_bytes = index_bits // 8
-    idx_reads = ((flops + n_a_elems + 2 * out_nnz) * idx_bytes + 7) // 8
-    stats.mem_reads = 2 * flops + n_a_elems * 2 + out_nnz + idx_reads
-    stats.mem_writes = 2 * out_nnz + flops
+    """Predicted :class:`RunStats` for a single-CC SpGEMM run.
+
+    The one-share case of :func:`spgemm_share_costs`.
+    """
+    stats = _one_share(spgemm_share_costs(
+        (n_pattern_rows, n_skip_rows, out_nnz, n_a_elems, n_b_visits,
+         flops), variant, index_bits))
     if flops:
         stats.first_mac_cycle = _SPGEMM_COST[(variant, index_bits)][0] + 20
         stats.last_mac_cycle = max(stats.cycles - 2 * out_nnz // 3 - 8, 0)
-    if variant == ISSR:
-        stats.lanes["ssr"] = LaneStats(elements_read=flops + out_nnz,
-                                       mem_reads=flops,
-                                       elements_written=out_nnz,
-                                       mem_writes=out_nnz)
-        stats.lanes["issr"] = LaneStats(elements_read=flops + out_nnz,
-                                        mem_reads=flops + out_nnz)
-        stats.lanes["issr2"] = LaneStats(elements_written=flops + out_nnz,
-                                         mem_writes=flops + out_nnz)
     return stats
 
 
@@ -568,114 +636,187 @@ def _dma_cycles(words, n_transfers=1, words_per_cycle=8.0):
 
     ``words_per_cycle`` is the effective DMA bandwidth — 8 (one
     512-bit beat) for a lone cluster, possibly fractional under shared
-    HBM contention (see :mod:`repro.multicluster.hbm`).
+    HBM contention (see :mod:`repro.multicluster.hbm`). Element-wise
+    on an array of word counts.
     """
-    return math.ceil(words / words_per_cycle) + 2 * n_transfers
+    return _ceil(words / words_per_cycle) + 2 * n_transfers
 
 
-#: Counters a worker share adds to its core, and a core to its cluster.
-CORE_COUNTERS = ("retired", "fpu_compute_ops", "fpu_mac_ops",
-                 "fpu_issued_ops", "mem_reads", "mem_writes")
+def _running(values):
+    """Running sums of ``values`` along its last axis, from a zero."""
+    cum = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,),
+                   dtype=np.int64)
+    values.cumsum(axis=-1, out=cum[..., 1:])
+    return cum
 
 
-def cluster_schedule(ptr, idx_bytes, resident_words, writeback_words,
-                     share_stats, n_workers, tcdm_words, dma_words_per_cycle):
+def cluster_schedule(ptr, bounds, terms, price, writeback_words,
+                     idx_bytes, resident_words, n_workers, tcdm_words,
+                     dma_words_per_cycle):
     """Predicted :class:`ClusterStats` of §IV-B's double-buffered schedule.
 
     Follows :class:`repro.cluster.runtime.ClusterCsrmv`, for every
-    kernel the cluster models run. ``resident_words`` stay in the TCDM
-    for the whole run (CsrMV's ``x``, CsrMM's ``B``, SpGEMM's B and
-    accumulator); :func:`plan_tiles` splits the rows of ``ptr`` into
-    tiles around them. The resident transfer and the first tile
-    prefetch are exposed; afterwards each tile costs ``max(compute,
-    next prefetch)`` plus a barrier, with the last tile's writeback of
-    ``writeback_words(r0, r1)`` exposed at the end. A tile's compute is
-    its slowest worker: ``share_stats(w0, w1)``, the kernel's single-CC
-    model on the worker's block of rows, plus the DMCC start stagger.
+    kernel the cluster models run, on every shard of a partitioned run
+    in one pass. ``ptr`` is the CSR row pointer of every shard's rows,
+    shard after shard; shard ``s`` owns rows ``bounds[s]:bounds[s +
+    1]``. ``resident_words`` stay in each shard's TCDM for the whole
+    run (CsrMV's ``x``, CsrMM's ``B``, SpGEMM's B and accumulator);
+    :func:`plan_tiles` splits a shard's rows into tiles around them and
+    :func:`share_bounds` each tile's rows among the workers. The
+    resident transfer and the first tile prefetch are exposed;
+    afterwards each tile costs ``max(compute, next prefetch)`` plus a
+    barrier, with the last tile's writeback exposed at the end.
+
+    ``terms`` holds the kernel's int64 cost terms, one column per row;
+    their running sums give every share's and every tile's summed terms
+    at once. ``price(sums, shard)`` maps the shares' sums (one column
+    per share; ``shard`` holds each share's shard index) to the
+    kernel's single-CC :class:`ShareCosts`, and ``writeback_words(sums)``
+    the tiles' sums to the words each tile writes back. A tile's
+    compute is its slowest worker's share plus the DMCC start stagger;
+    a core's counters and lanes are the sums of its shares.
 
     ``dma_words_per_cycle`` scales every DMA transfer (8 is a lone
     cluster's full 512-bit beat); the scale-out model passes the
     contended HBM share here (:mod:`repro.multicluster.model`). Returns
-    ``(stats, compute_cycles)`` with one compute entry per tile.
+    ``(stats, compute, tiles)``: one :class:`ClusterStats` per shard,
+    and each shard's summed compute cycles and tile count.
     """
-    tiles = plan_tiles(ptr, len(ptr) - 1, idx_bytes, tcdm_words,
-                       resident_words)
-    per_core = [RunStats() for _ in range(n_workers)]
-    compute_cycles = []
-    prefetch_cycles = []
-    dma_words = max(resident_words, 1)  # the initial resident transfer
-    for (r0, r1) in tiles:
-        # prefetched words = the tile's buffer footprint minus the
-        # result slots (the writeback carries the result instead)
-        words = tile_words(ptr, r0, r1, idx_bytes) - (r1 - r0)
-        dma_words += words + writeback_words(r0, r1)
-        prefetch_cycles.append(
-            _dma_cycles(words, n_transfers=3,
-                        words_per_cycle=dma_words_per_cycle))
-        worst = 0
-        for w, (w0, w1) in enumerate(worker_shares(r0, r1, n_workers)):
-            if w1 == w0:
-                continue
-            share = share_stats(w0, w1)
-            core = per_core[w]
-            for attr in CORE_COUNTERS:
-                setattr(core, attr, getattr(core, attr) + getattr(share, attr))
-            for name, lane in share.lanes.items():
-                agg = core.lanes.setdefault(name, LaneStats())
-                agg.elements_read += lane.elements_read
-                agg.elements_written += lane.elements_written
-                agg.mem_reads += lane.mem_reads
-                agg.mem_writes += lane.mem_writes
-                agg.idx_reads += lane.idx_reads
-            worst = max(worst, share.cycles + WORKER_START_STAGGER * w)
-        compute_cycles.append(worst)
+    ptr = np.asarray(ptr, dtype=np.int64)
+    bounds = [int(b) for b in bounds]
+    tiles, n_tiles = [], []
+    for b0, b1 in zip(bounds, bounds[1:]):
+        planned = plan_tiles(ptr[b0:b1 + 1], b1 - b0, idx_bytes, tcdm_words,
+                             resident_words)
+        n_tiles.append(len(planned))
+        tiles += [(b0 + r0, b0 + r1, r0 == 0, r1 == b1 - b0)
+                  for r0, r1 in planned]
+    t0, t1, first, last = np.array(tiles, dtype=np.int64).reshape(-1, 4).T
+    n_tiles = np.array(n_tiles, dtype=np.int64)
+    tile_bounds = _running(n_tiles)
+
+    # every share, tile-major: its summed terms and its costs; a tile's
+    # compute is its slowest share plus the share's start stagger
+    starts, ends = share_bounds(t0, t1, n_workers)
+    served = ends > starts
+    cum = _running(terms)
+    costs = price(cum[:, ends.ravel()] - cum[:, starts.ravel()],
+                  np.repeat(np.arange(len(n_tiles)), n_workers * n_tiles))
+    compute = ((np.reshape(costs.cycles, served.shape)
+                + WORKER_START_STAGGER * np.arange(n_workers))
+               * served).max(axis=1)
+
+    # each core's counters and lanes, summed over its shard's tiles, and
+    # how many shares it ran
+    lanes = list(costs.lanes)
+    values = (*costs.counters,
+              *(value for name in lanes for value in costs.lanes[name]))
+    fields = np.zeros((len(values) + 1, served.size), dtype=np.int64)
+    for row, value in enumerate(values):
+        if isinstance(value, np.ndarray):  # a literal 0 stays 0
+            fields[row] = value
+    fields[-1] = 1
+    fields *= served.ravel()
+    cores = _running(fields.reshape(len(fields), -1, n_workers)
+                     .transpose(0, 2, 1))
+    cores = cores[..., tile_bounds[1:]] - cores[..., tile_bounds[:-1]]
+
+    # prefetched words = the tile's buffer footprint minus the result
+    # slots (the writeback carries the result instead). Each tile costs
+    # max(compute, the next tile's prefetch; none after a shard's last
+    # tile) plus a barrier; a shard's first prefetch and its last
+    # writeback are exposed.
+    words = tile_words(ptr, t0, t1, idx_bytes) - (t1 - t0)
+    writeback = writeback_words(cum[:, t1] - cum[:, t0])
+    prefetch = _dma_cycles(words, n_transfers=3,
+                           words_per_cycle=dma_words_per_cycle)
+    exposed = first * prefetch
+    following = np.zeros(len(prefetch), dtype=np.int64)
+    following[:-1] = (prefetch - exposed)[1:]
+    per_tile = np.array((
+        compute,
+        np.maximum(compute, following) + BARRIER_CYCLES + exposed
+        + last * _dma_cycles(writeback,
+                             words_per_cycle=dma_words_per_cycle),
+        words + writeback), dtype=np.int64)
+    per_shard = _running(per_tile)
+    per_shard = per_shard[:, tile_bounds[1:]] - per_shard[:, tile_bounds[:-1]]
 
     # the resident transfer cannot be overlapped with computation
-    total = _dma_cycles(max(resident_words, 1),
-                        words_per_cycle=dma_words_per_cycle)
-    if tiles:
-        following = prefetch_cycles[1:] + [0]  # no prefetch after the last
-        total += (prefetch_cycles[0]
-                  + sum(max(c, p) for c, p in zip(compute_cycles, following))
-                  + BARRIER_CYCLES * len(tiles)
-                  + _dma_cycles(writeback_words(*tiles[-1]),
-                                words_per_cycle=dma_words_per_cycle))
+    resident = max(resident_words, 1)
+    total = per_shard[1] + _dma_cycles(
+        resident, words_per_cycle=dma_words_per_cycle)
+    dma_words = per_shard[2] + resident
+    busy = _minimum(total, _ceil(dma_words / dma_words_per_cycle))
 
-    stats = ClusterStats(cycles=total)
-    for core in per_core:
-        core.cycles = total
-        stats.per_core.append(core)
-        for attr in CORE_COUNTERS:
-            setattr(stats, attr, getattr(stats, attr) + getattr(core, attr))
-    stats.dma_words = dma_words
-    stats.dma_busy_cycles = min(total,
-                                math.ceil(dma_words / dma_words_per_cycle))
-    return stats, compute_cycles
+    at = len(CORE_COUNTERS)
+    width = len(LANE_COUNTERS)
+    spans = [(name, slice(at + width * i, at + width * (i + 1)))
+             for i, name in enumerate(lanes)]
+    stats = []
+    for cycles, shard_cores, shard_sums, words_s, busy_s in zip(
+            total.tolist(), cores.transpose(2, 1, 0).tolist(),
+            cores[:at].sum(axis=1).T.tolist(), dma_words.tolist(),
+            busy.tolist()):
+        cluster = ClusterStats(cycles=cycles, dma_words=words_s,
+                               dma_busy_cycles=busy_s)
+        vars(cluster).update(zip(CORE_COUNTERS, shard_sums))
+        for row in shard_cores:
+            core = RunStats(cycles=cycles)
+            vars(core).update(zip(CORE_COUNTERS, row))
+            if row[-1]:  # the core ran at least one share
+                core.lanes = {name: LaneStats(*row[span])
+                              for name, span in spans}
+            cluster.per_core.append(core)
+        stats.append(cluster)
+    return stats, per_shard[0], n_tiles
+
+
+def cluster_csrmv_shards(ptr, bounds, ncols, variant, index_bits,
+                         n_workers=8, tcdm_words=256 * 1024 // 8,
+                         dma_words_per_cycle=8.0):
+    """Predicted :class:`ClusterStats` of CsrMV shards, one per shard.
+
+    :func:`cluster_schedule` over the row pointer ``ptr`` and shard
+    ``bounds``, with the ``ncols`` words of ``x`` resident and one
+    ``y`` word per row written back. A worker's share costs the
+    single-CC model (:func:`csrmv_share_costs`) inflated by its shard's
+    bank-conflict factor; that factor and the I-cache misses are this
+    model's calibration against the cycle-stepped cluster.
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    conflict = np.array([
+        _conflict_factor(variant, int(ptr[b1] - ptr[b0]), int(b1 - b0))
+        for b0, b1 in zip(bounds[:-1], bounds[1:])])
+
+    def price(sums, shard):
+        costs = csrmv_share_costs(sums, variant, index_bits)
+        # int(cycles * conflict), share by share
+        return costs._replace(
+            cycles=(costs.cycles * conflict[shard]).astype(np.int64))
+
+    stats, compute, n_tiles = cluster_schedule(
+        ptr, bounds, csrmv_row_terms(ptr[1:] - ptr[:-1], variant,
+                                     index_bits),
+        price, lambda sums: sums[1], index_bits // 8, ncols, n_workers,
+        tcdm_words, dma_words_per_cycle)
+    conflicts = ((conflict - 1.0) * compute * max(n_workers, 1)).astype(
+        np.int64)
+    for cluster, tcdm, tiles in zip(stats, conflicts.tolist(),
+                                    n_tiles.tolist()):
+        cluster.tcdm_conflicts = tcdm
+        cluster.icache_misses = 8 * n_workers + 2 * max(tiles - 1, 0)
+    return stats
 
 
 def cluster_csrmv_stats(matrix, variant, index_bits, n_workers=8,
                         tcdm_words=256 * 1024 // 8, dma_words_per_cycle=8.0):
     """Predicted :class:`ClusterStats` for a cluster CsrMV run.
 
-    :func:`cluster_schedule` with ``x`` resident and one ``y`` word per
-    row written back. A worker's share costs the single-CC model
-    inflated by the bank-conflict factor; that factor and the I-cache
-    misses are this model's calibration against the cycle-stepped
-    cluster. ``dma_words_per_cycle`` is the DMA bandwidth (default 8, a
-    lone cluster's full 512-bit beat).
+    The one-shard case of :func:`cluster_csrmv_shards`.
+    ``dma_words_per_cycle`` is the DMA bandwidth (default 8, a lone
+    cluster's full 512-bit beat).
     """
-    lengths = matrix.row_lengths()
-    conflict = _conflict_factor(variant, matrix.nnz, matrix.nrows)
-
-    def share_stats(w0, w1):
-        share = csrmv_stats(lengths[w0:w1], variant, index_bits)
-        share.cycles = int(share.cycles * conflict)
-        return share
-
-    stats, compute_cycles = cluster_schedule(
-        matrix.ptr, index_bits // 8, matrix.ncols, lambda r0, r1: r1 - r0,
-        share_stats, n_workers, tcdm_words, dma_words_per_cycle)
-    stats.tcdm_conflicts = int((conflict - 1.0) * sum(compute_cycles)
-                               * max(n_workers, 1))
-    stats.icache_misses = 8 * n_workers + 2 * max(len(compute_cycles) - 1, 0)
-    return stats
+    return cluster_csrmv_shards(
+        matrix.ptr, (0, matrix.nrows), matrix.ncols, variant, index_bits,
+        n_workers, tcdm_words, dma_words_per_cycle)[0]

@@ -41,8 +41,11 @@ WORKER_START_STAGGER = 2
 
 
 def tile_words(ptr, r0, r1, idx_bytes):
-    """TCDM words needed to hold rows [r0, r1) of a CSR matrix."""
-    nnz = int(ptr[r1] - ptr[r0])
+    """TCDM words needed to hold rows [r0, r1) of a CSR matrix.
+
+    Element-wise when ``r0`` and ``r1`` are arrays of tile bounds.
+    """
+    nnz = ptr[r1] - ptr[r0]
     vals_w = nnz
     idcs_w = (nnz * idx_bytes + 15) // 8  # +1 word alignment slop
     ptr_w = ((r1 - r0 + 1) * 4 + 15) // 8
@@ -74,8 +77,8 @@ def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
     tiles = []
     r0 = 0
     while r0 < nrows:
-        r1 = int(np.searchsorted(cost, cost[r0] + 8 * half - 20,
-                                 side="right")) - 1
+        r1 = int(cost.searchsorted(cost[r0] + 8 * half - 20,
+                                   side="right")) - 1
         while r1 > r0 and tile_words(ptr, r0, r1, idx_bytes) > half:
             r1 -= 1
         if r1 <= r0:
@@ -88,17 +91,25 @@ def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
     return tiles
 
 
+def share_bounds(r0, r1, n_workers):
+    """Contiguous block row distribution of many tiles' rows at once.
+
+    ``r0`` and ``r1`` are arrays of tile bounds; returns ``(starts,
+    ends)``, one row per tile and one column per worker. Each worker
+    gets ``rows // n_workers`` rows, and the first ``rows % n_workers``
+    workers one more.
+    """
+    r0 = np.asarray(r0, dtype=np.int64)
+    base, rem = np.divmod(np.asarray(r1, dtype=np.int64) - r0, n_workers)
+    counts = base[:, None] + (np.arange(n_workers) < rem[:, None])
+    ends = r0[:, None] + counts.cumsum(axis=1)
+    return ends - counts, ends
+
+
 def worker_shares(r0, r1, n_workers):
     """Contiguous block row distribution of tile rows among workers."""
-    rows = r1 - r0
-    shares = []
-    base, rem = divmod(rows, n_workers)
-    lo = r0
-    for w in range(n_workers):
-        cnt = base + (1 if w < rem else 0)
-        shares.append((lo, lo + cnt))
-        lo += cnt
-    return shares
+    starts, ends = share_bounds([r0], [r1], n_workers)
+    return list(zip(starts[0].tolist(), ends[0].tolist()))
 
 
 class ClusterStats(RunStats):

@@ -209,7 +209,9 @@ def csr_shape_class(ptr):
 #: id(program) -> (program, CompiledKernel). Programs come from the
 #: kernel builders' own cache, so the set is small and the object
 #: reference kept here pins the id against reuse. Skips the
-#: per-call decode (fingerprinting) on the serve hot path.
+#: per-call decode (fingerprinting) on the serve hot path. Held to the
+#: program cache's size: a program that cache evicted or cleared must
+#: not stay alive here.
 _LOWERED_BY_ID = {}
 
 
@@ -236,6 +238,8 @@ def lower(program, family_hint=None):
 
     kernel = PROGRAM_CACHE.get_or_build(("compiled", decoded.fingerprint),
                                         build)
+    if len(_LOWERED_BY_ID) >= PROGRAM_CACHE.maxsize:
+        _LOWERED_BY_ID.clear()
     _LOWERED_BY_ID[id(program)] = (program, kernel)
     return kernel
 

@@ -16,13 +16,14 @@ line (arXiv:2502.11353) — is:
 round-trip through the :mod:`repro.formats` API, and
 :func:`spgemm_pattern` is the host-side *symbolic* phase computing the
 exact output pattern the numeric kernels (see
-:mod:`repro.kernels.spgemm`) fill in.
+:mod:`repro.kernels.spgemm`) fill in. Each output row is one sparse
+fiber of §III-A, built and compacted like any CSR row.
 """
 
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.csr import CsrMatrix
+from repro.formats.csr import CsrMatrix, first_of_runs
 
 
 class CsrBuilder:
@@ -176,7 +177,8 @@ def spgemm_pairs(a, b):
 
 def pattern_of_keys(keys, nrows, ncols):
     """The CSR pattern ``(ptr, idcs)`` of entries ``row * ncols + col``."""
-    keys = np.unique(keys)
+    keys = np.sort(keys)
+    keys = keys[first_of_runs(keys)]
     rows, idcs = np.divmod(keys, max(ncols, 1))
     ptr = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=nrows), out=ptr[1:])

@@ -1,6 +1,7 @@
 """Compressed sparse columns (CSC): column fibers + column pointers.
 
-CSC is the transpose-dual of CSR (paper refs [9]); we implement it as a
+CSC is the transpose-dual of CSR (paper refs [9]), one of the
+fiber-based formats the ISSR accelerates (§III-A); we implement it as a
 thin structure of its own rather than "CSR of the transpose" so kernels
 that multiply from the right can address it naturally.
 """
@@ -44,10 +45,12 @@ class CscMatrix:
 
     @property
     def shape(self):
+        """``(nrows, ncols)``."""
         return (self.nrows, self.ncols)
 
     @property
     def nnz(self):
+        """Stored nonzeros."""
         return len(self.vals)
 
     def col(self, c):
@@ -70,6 +73,7 @@ class CscMatrix:
         return CsrMatrix.from_coo(rows, cols, self.vals, self.shape)
 
     def to_dense(self):
+        """The matrix as a dense float64 array."""
         out = np.zeros(self.shape, dtype=np.float64)
         for c in range(self.ncols):
             lo, hi = self.ptr[c], self.ptr[c + 1]

@@ -71,10 +71,12 @@ class CsfTensor:
 
     @property
     def order(self):
+        """Number of tensor modes (levels)."""
         return len(self.shape)
 
     @property
     def nnz(self):
+        """Stored nonzeros (leaf-level entries)."""
         return len(self.vals)
 
     @classmethod
@@ -149,6 +151,7 @@ class CsfTensor:
         return cls.from_coo(coords, vals, dense.shape)
 
     def to_dense(self):
+        """The tensor as a dense float64 array."""
         out = np.zeros(self.shape, dtype=np.float64)
         for coord, v in zip(self.iter_coords(), self.vals):
             out[coord] = v

@@ -1,14 +1,28 @@
 """Compressed sparse rows (CSR): concatenated row fibers + row pointers.
 
-Mirrors the paper's description: ``vals`` stores nonzeros row-by-row,
-``idcs`` their column positions, and ``ptr`` (length nrows+1) delimits
-rows, exactly as in the Yale sparse matrix package [8].
+Mirrors the paper's description (§III-A): ``vals`` stores nonzeros
+row-by-row, ``idcs`` their column positions, and ``ptr`` (length
+nrows+1) delimits rows, exactly as in the Yale sparse matrix package
+[8]. Each row is one sparse fiber, and CsrMV streams them back to back
+(§III-B).
 """
 
 import numpy as np
 
 from repro.errors import FormatError
 from repro.formats.fiber import SparseFiber
+
+
+def first_of_runs(sorted_keys):
+    """Boolean mask of each run's first entry in the sorted ``sorted_keys``.
+
+    ``sorted_keys[mask]`` is ``np.unique(sorted_keys)`` and
+    ``mask.nonzero()[0]`` its ``return_index``, from one
+    adjacent-difference pass instead of NumPy's own sort or hash pass.
+    """
+    mask = np.ones(len(sorted_keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=mask[1:])
+    return mask
 
 
 class CsrMatrix:
@@ -48,10 +62,12 @@ class CsrMatrix:
 
     @property
     def shape(self):
+        """``(nrows, ncols)``."""
         return (self.nrows, self.ncols)
 
     @property
     def nnz(self):
+        """Stored nonzeros."""
         return len(self.vals)
 
     @property
@@ -61,6 +77,7 @@ class CsrMatrix:
 
     @property
     def density(self):
+        """Stored nonzeros over ``nrows * ncols`` (0.0 when empty)."""
         total = self.nrows * self.ncols
         return self.nnz / total if total else 0.0
 
@@ -142,7 +159,8 @@ class CsrMatrix:
         rows, cols, vals = rows[order], cols[order], vals[order]
         if len(rows):
             key = rows * ncols + cols
-            uniq, start = np.unique(key, return_index=True)
+            start = first_of_runs(key).nonzero()[0]
+            uniq = key[start]
             summed = np.add.reduceat(vals, start) if len(start) else vals
             rows, cols, vals = uniq // ncols, uniq % ncols, summed
         ptr = np.zeros(nrows + 1, dtype=np.int64)
@@ -151,6 +169,7 @@ class CsrMatrix:
         return cls(ptr, cols, vals, shape)
 
     def to_dense(self):
+        """The matrix as a dense float64 array."""
         out = np.zeros(self.shape, dtype=np.float64)
         for r in range(self.nrows):
             lo, hi = self.ptr[r], self.ptr[r + 1]

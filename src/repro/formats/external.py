@@ -1,7 +1,7 @@
 """External real-matrix ingestion: binary CSR cache + mmap-backed views.
 
-The paper's matrix set comes from SuiteSparse, whose files are Matrix
-Market text — fine for the paper-sized matrices, hopeless for the
+The paper's matrix set (§IV, Fig. 4c) comes from SuiteSparse, whose
+files are Matrix Market text — fine for the paper-sized matrices, hopeless for the
 million-row inputs ROADMAP item 3 targets. This layer converts any
 source (a ``.mtx`` file, an in-memory :class:`CsrMatrix`, or a
 streaming generator) **once** into an on-disk binary CSR cache and

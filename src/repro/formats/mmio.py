@@ -1,7 +1,7 @@
 """Matrix Market I/O.
 
-The paper's matrix set comes from the SuiteSparse collection, which ships
-matrices in the Matrix Market exchange format. We implement a reader and
+The paper's matrix set (§IV, Fig. 4c) comes from the SuiteSparse
+collection, which ships matrices in the Matrix Market exchange format. We implement a reader and
 writer for the coordinate and array formats (real/integer/pattern fields,
 general/symmetric/skew-symmetric symmetries) so real SuiteSparse files
 can be dropped into our benchmarks when available.

@@ -5,10 +5,11 @@
 invocation across N simulated clusters with a chosen partitioner,
 executes every shard on the selected backend — ``cycle`` steps N
 :class:`~repro.cluster.cluster.SnitchCluster` instances in one engine
-behind a shared HBM fabric; ``compiled`` replays each shard's lowered
-program and predicts the run with
-:func:`~repro.multicluster.model.scale_out_stats` — and scatters the
-per-cluster results back into the global result. Supported kernels:
+behind a shared HBM fabric and scatters the per-cluster results back
+into the global result; ``compiled`` replays the whole operand's
+lowered program once (rows replay independently, so that is every
+shard's replay, bit for bit) and prices every shard in one pass of
+:func:`~repro.multicluster.model.scale_out_stats`. Supported kernels:
 
 - ``csrmv`` — both backends, bit-identical results;
 - ``spvv_batch`` — a batch of SpVV fibers against one dense vector,
@@ -18,8 +19,8 @@ per-cluster results back into the global result. Supported kernels:
   CsrMM runtime to validate against yet);
 - ``spgemm`` — sparse-sparse CSR x CSR (compiled only): A's rows
   shard through the same partitioners, B broadcasts whole through the
-  HBM model, and the combine stays a pure row scatter
-  (:meth:`~repro.multicluster.partition.Partition.combine_sparse`).
+  HBM model, and each shard's model reads its rows' output pattern
+  from the one replay's result.
 """
 
 import functools
@@ -28,16 +29,14 @@ import numpy as np
 
 from repro.api.registry import get_kernel
 from repro.backends import get_backend
-from repro.backends.model import cluster_csrmv_stats
+from repro.backends.model import cluster_csrmv_shards, spgemm_row_terms
 from repro.errors import ConfigError
-from repro.formats.builder import spgemm_pattern
-from repro.formats.csr import CsrMatrix
 from repro.kernels.common import check_reference
 from repro.kernels.spgemm import spgemm_reference
 from repro.multicluster.hbm import HbmConfig
 from repro.multicluster.model import (
-    cluster_csrmm_stats,
-    cluster_spgemm_stats,
+    cluster_csrmm_shards,
+    cluster_spgemm_shards,
     scale_out_stats,
 )
 from repro.multicluster.partition import fibers_to_csr, get_partitioner
@@ -105,27 +104,31 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
             hbm=hbm, n_workers=n_workers, tcdm_bytes=tcdm_bytes,
             check=check, max_cycles=max_cycles, watchdog=watchdog)
 
-    run = functools.partial(backend.run, spec.name, variant=variant,
-                            index_bits=index_bits)
+    # rows replay independently, so one replay of the whole operand is
+    # each shard's replay, bit for bit
+    result = backend.run(spec.name, variant=variant, index_bits=index_bits,
+                         **{sparse: matrix, other: dense})[1]
+    rows, bounds = partition.row_order()
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(matrix.row_lengths()[rows], out=ptr[1:])
     model_kwargs = {"variant": variant, "index_bits": index_bits,
                     "n_workers": n_workers, "tcdm_words": tcdm_bytes // 8}
     result_words = None  # one per result row
     if kernel == "spgemm":
         # A's rows shard; B broadcasts whole (like CsrMM's dense B)
-        result, pattern_ptrs = _replay_spgemm(partition, dense, run)
-        models = [functools.partial(cluster_spgemm_stats, shard.matrix,
-                                    dense, pptr, **model_kwargs)
-                  for shard, pptr in zip(partition.shards, pattern_ptrs)]
-        result_words = sum(int(pptr[-1]) for pptr in pattern_ptrs)
+        terms = spgemm_row_terms(matrix, dense, result.ptr)[:, rows]
+        model = functools.partial(cluster_spgemm_shards, ptr, terms,
+                                  bounds, dense, **model_kwargs)
+        result_words = result.nnz
+    elif kernel == "csrmm":
+        model = functools.partial(cluster_csrmm_shards, ptr, bounds,
+                                  matrix.ncols, dense.shape[1],
+                                  **model_kwargs)
+        result_words = partition.nrows * dense.shape[1]
     else:
-        result = _replay_rows(partition, spec.operands, dense, run)
-        model = cluster_csrmv_stats
-        if kernel == "csrmm":
-            model = functools.partial(cluster_csrmm_stats, k=dense.shape[1])
-            result_words = partition.nrows * dense.shape[1]
-        models = [functools.partial(model, shard.matrix, **model_kwargs)
-                  for shard in partition.shards]
-    stats = scale_out_stats(partition, models, hbm, result_words)
+        model = functools.partial(cluster_csrmv_shards, ptr, bounds,
+                                  matrix.ncols, **model_kwargs)
+    stats = scale_out_stats(partition, model, hbm, result_words)
     if check:
         label = f"multicluster {kernel} {variant}/{index_bits}"
         if kernel == "spgemm":
@@ -135,35 +138,3 @@ def run_multicluster(operand, dense, kernel="csrmv", n_clusters=8,
             check_reference(result, matrix.spmm(dense) if kernel == "csrmm"
                             else matrix.spmv(dense), label)
     return stats, result
-
-
-def _replay_rows(partition, operands, dense, run):
-    """CsrMV or CsrMM: replay every shard, scatter its rows back.
-
-    ``run`` executes the kernel whose ``operands`` names are (sparse,
-    dense). The combine is a pure row scatter, so the result is
-    bit-identical to a single-cluster run.
-    """
-    sparse, other = operands
-    parts = [run(**{sparse: shard.matrix, other: dense})[1] if shard.nrows
-             else np.zeros((0,) + dense.shape[1:])
-             for shard in partition.shards]
-    return partition.combine(parts)
-
-
-def _replay_spgemm(partition, b, run):
-    """SpGEMM: replay every shard's Gustavson order; ``(C, pattern ptrs)``.
-
-    Each shard's symbolic pattern is computed once, for its replay and
-    for its cluster model; the rows scatter back losslessly, so C equals
-    a single-cluster run bit for bit.
-    """
-    parts = []
-    pattern_ptrs = []
-    for shard in partition.shards:
-        pattern = spgemm_pattern(shard.matrix, b)
-        pattern_ptrs.append(pattern[0])
-        parts.append(run(a=shard.matrix, b=b, pattern=pattern)[1]
-                     if shard.nrows else
-                     CsrMatrix(np.zeros(1, np.int64), [], [], (0, b.ncols)))
-    return partition.combine_sparse(parts, b.ncols), pattern_ptrs

@@ -142,38 +142,16 @@ class Partition:
                 out[shard.rows] = part
         return out
 
-    def combine_sparse(self, parts, ncols):
-        """Scatter per-cluster CSR results into one global CSR matrix.
+    def row_order(self):
+        """Every shard's global row ids, shard after shard.
 
-        The sparse-output analogue of :meth:`combine` (used by the
-        multi-cluster SpGEMM): ``parts`` holds one
-        :class:`~repro.formats.csr.CsrMatrix` per shard whose rows map
-        back through ``shard.rows``. Pure row movement — no arithmetic
-        — so the combined matrix is bit-identical to a single-cluster
-        run.
+        Returns ``(rows, bounds)``: shard ``s`` holds rows
+        ``rows[bounds[s]:bounds[s + 1]]``, the row order the analytic
+        cluster models price in one pass.
         """
-        from repro.formats.csr import CsrMatrix
-
-        if len(parts) != len(self.shards):
-            raise ConfigError(
-                f"combine expects {len(self.shards)} parts, got {len(parts)}"
-            )
-        lengths = np.zeros(self.nrows, dtype=np.int64)
-        for shard, part in zip(self.shards, parts):
-            if shard.nrows:
-                lengths[shard.rows] = part.row_lengths()
-        ptr = np.zeros(self.nrows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=ptr[1:])
-        idcs = np.empty(int(ptr[-1]), dtype=np.int64)
-        vals = np.empty(int(ptr[-1]), dtype=np.float64)
-        for shard, part in zip(self.shards, parts):
-            if not shard.nrows:
-                continue
-            for i, r in enumerate(shard.rows):
-                lo, hi = int(part.ptr[i]), int(part.ptr[i + 1])
-                idcs[ptr[r]:ptr[r + 1]] = part.idcs[lo:hi]
-                vals[ptr[r]:ptr[r + 1]] = part.vals[lo:hi]
-        return CsrMatrix(ptr, idcs, vals, (self.nrows, ncols))
+        bounds = np.zeros(len(self.shards) + 1, dtype=np.int64)
+        np.cumsum([shard.nrows for shard in self.shards], out=bounds[1:])
+        return np.concatenate([shard.rows for shard in self.shards]), bounds
 
     def combine_cycles(self, hbm, result_words=None):
         """Modeled merge cost: gather every shard's result region.
@@ -198,16 +176,16 @@ class Partition:
 
 
 def _contiguous(matrix, bounds, scheme):
-    """Build a :class:`Partition` from contiguous row boundaries."""
+    """Build a :class:`Partition` from contiguous row boundaries.
+
+    Each shard is a :meth:`CsrMatrix.row_block` view: a row range of a
+    valid matrix is valid, so it is not checked again.
+    """
     shards = []
     for c in range(len(bounds) - 1):
         r0, r1 = int(bounds[c]), int(bounds[c + 1])
-        rows = np.arange(r0, r1, dtype=np.int64)
-        lo, hi = int(matrix.ptr[r0]), int(matrix.ptr[r1])
-        ptr = np.asarray(matrix.ptr[r0:r1 + 1], dtype=np.int64) - matrix.ptr[r0]
-        sub = CsrMatrix(ptr, matrix.idcs[lo:hi], matrix.vals[lo:hi],
-                        (r1 - r0, matrix.ncols))
-        shards.append(Shard(c, rows, sub))
+        shards.append(Shard(c, np.arange(r0, r1, dtype=np.int64),
+                            matrix.row_block(r0, r1)))
     return Partition(scheme, shards, matrix.nrows)
 
 

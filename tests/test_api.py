@@ -272,6 +272,8 @@ def broken_cases():
                 case(kernel, "short-dense", FormatError, dense=value[:2])
                 case(kernel, "3-column-dense", FormatError,
                      dense=np.ones((len(value), 3)))
+                case(kernel, "0-column-dense", FormatError,
+                     dense=np.ones((len(value), 0)))
             else:
                 case(kernel, f"ndarray-{name}", FormatError,
                      **{name: value.to_dense()})

@@ -5,8 +5,12 @@ while leaving its results right, and checks that the work behind
 them never happens:
 
 - compiled: a kernel, sharded run or solver that cycle-steps the
-  event engine, or a lowering cache that stops hitting (every call
-  decodes its program again);
+  event engine, a lowering cache that stops hitting (every call
+  decodes its program again) or that keeps every program it ever
+  lowered alive, a cluster model that calls the
+  single-CC model once per (tile, worker) share instead of pricing
+  every share in one pass, or a sharded run that replays each shard
+  instead of the whole operand once;
 - serve: a point-cache hit that still creates a ticket, or a worker
   pool that respawns its workers under plain traffic (operand arrays
   back on the pipes are ``test_serve_shm.py::TestZeroCopyContract``);
@@ -23,10 +27,13 @@ import pytest
 
 from repro import api
 from repro.backends import CompiledBackend
+from repro.backends import compiled as compiled_backend
+from repro.backends import model
 from repro.compiler import templates
 from repro.formats import external
 from repro.formats.csf import CsfTensor
 from repro.formats.csr import CsrMatrix
+from repro.multicluster import model as multicluster_model
 from repro.multicluster import run_multicluster
 from repro.serve import ServeConfig, ServiceThread
 from repro.serve.protocol import result_digest
@@ -94,6 +101,22 @@ def _series(kernel):
     return [(None, 32), (None, 16)]
 
 
+#: The single-CC models a cluster model could call once per share.
+SINGLE_CC_MODELS = ("csrmv_stats", "csrmm_stats", "spgemm_stats")
+
+
+def _multicluster_operands(kernel):
+    matrix = random_csr(64, 128, 640, seed=11)
+    dense = {"csrmv": random_dense_vector(128, seed=12),
+             "spvv_batch": random_dense_vector(128, seed=12),
+             "csrmm": random_dense_matrix(128, 4, seed=13),
+             "spgemm": random_csr(128, 32, 400, seed=14)}[kernel]
+    if kernel == "spvv_batch":
+        return [random_sparse_vector(128, 20, seed=s) for s in range(8)], \
+            dense
+    return matrix, dense
+
+
 class TestCompiledPath:
     @pytest.fixture
     def engines(self, monkeypatch):
@@ -115,15 +138,7 @@ class TestCompiledPath:
     @pytest.mark.parametrize("kernel", ["csrmv", "csrmm", "spvv_batch",
                                         "spgemm"])
     def test_run_multicluster_steps_no_engine(self, kernel, engines):
-        matrix = random_csr(64, 128, 640, seed=11)
-        dense = {"csrmv": random_dense_vector(128, seed=12),
-                 "spvv_batch": random_dense_vector(128, seed=12),
-                 "csrmm": random_dense_matrix(128, 4, seed=13),
-                 "spgemm": random_csr(128, 32, 400, seed=14)}[kernel]
-        operand = matrix
-        if kernel == "spvv_batch":
-            operand = [random_sparse_vector(128, 20, seed=s)
-                       for s in range(8)]
+        operand, dense = _multicluster_operands(kernel)
         run_multicluster(operand, dense, kernel=kernel, n_clusters=4,
                          backend="compiled")
         assert engines == []
@@ -147,12 +162,90 @@ class TestCompiledPath:
                     index_bits=bits, **ops)
         assert decodes == []
 
+    def test_lowered_programs_do_not_outlive_the_program_cache(
+            self, monkeypatch):
+        """Rebuilding every program after each clear of the program
+        cache (as each benchmark set-up does) keeps the lowering memo
+        within the cache's size."""
+        from repro.kernels.common import PROGRAM_CACHE
+
+        monkeypatch.setattr(templates, "_LOWERED_BY_ID", {})
+        ops = _operands("csrmv")
+        for _ in range(PROGRAM_CACHE.maxsize):
+            PROGRAM_CACHE.clear()
+            for variant, bits in SERIES:
+                api.run("csrmv", backend="compiled", variant=variant,
+                        index_bits=bits, **ops)
+        assert 0 < len(templates._LOWERED_BY_ID) <= PROGRAM_CACHE.maxsize
+
     def test_the_spy_sees_a_cold_lowering(self, monkeypatch):
         monkeypatch.setattr(templates, "_LOWERED_BY_ID", {})
         decodes = _spy(monkeypatch, templates, "decode_program")
         api.run("csrmv", backend="compiled", variant="issr", index_bits=16,
                 **_operands("csrmv"))
         assert decodes
+
+
+class TestOnePassPricing:
+    """Cluster and sharded models price every share in one pass, and a
+    compiled sharded run replays the whole operand once."""
+
+    @pytest.fixture
+    def single_cc(self, monkeypatch):
+        """Every call of a single-CC model, wherever a caller binds it."""
+        calls = []
+        for module in (model, compiled_backend, multicluster_model):
+            for name in SINGLE_CC_MODELS:
+                if hasattr(module, name):
+                    original = getattr(module, name)
+
+                    def spy(*args, _original=original, _name=name,
+                            **kwargs):
+                        calls.append(_name)
+                        return _original(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("variant,bits", SERIES)
+    def test_cluster_csrmv_calls_no_single_cc_model(self, variant, bits,
+                                                    single_cc):
+        ops = _operands("cluster_csrmv")
+        api.run("cluster_csrmv", backend="compiled", variant=variant,
+                index_bits=bits, **ops)
+        assert single_cc == []
+
+    @pytest.mark.parametrize("kernel", ["csrmv", "csrmm", "spvv_batch",
+                                        "spgemm"])
+    def test_run_multicluster_prices_no_share_alone(self, kernel,
+                                                    single_cc):
+        """Only the one replay's own single-CC stats: no call per share."""
+        operand, dense = _multicluster_operands(kernel)
+        run_multicluster(operand, dense, kernel=kernel, n_clusters=4,
+                         backend="compiled")
+        assert len(single_cc) == 1
+
+    def test_the_model_spy_sees_a_single_cc_call(self, single_cc):
+        ops = _operands("csrmv")
+        model.csrmv_stats(ops["matrix"].row_lengths(), "issr", 16)
+        api.run("csrmv", backend="compiled", variant="issr", index_bits=16,
+                **ops)
+        assert single_cc == ["csrmv_stats", "csrmv_stats"]
+
+    @pytest.mark.parametrize("kernel", ["csrmv", "csrmm", "spvv_batch",
+                                        "spgemm"])
+    def test_run_multicluster_replays_once(self, kernel, monkeypatch):
+        runs = _spy(monkeypatch, CompiledBackend, "run")
+        operand, dense = _multicluster_operands(kernel)
+        run_multicluster(operand, dense, kernel=kernel, n_clusters=4,
+                         backend="compiled")
+        assert len(runs) == 1
+
+    def test_the_replay_spy_sees_a_single_cc_call(self, monkeypatch):
+        runs = _spy(monkeypatch, CompiledBackend, "run")
+        api.run("csrmv", backend="compiled", variant="issr", index_bits=16,
+                **_operands("csrmv"))
+        assert len(runs) == 1
 
 
 class TestServeFastPath:
