@@ -3,12 +3,12 @@
 The non-cycle execution backend (``fast`` is an accepted alias).
 Where ``cycle`` simulates every instruction, the compiled backend
 starts from the *same assembled ISA program* the cycle engine would
-run, pushes it through the :mod:`repro.compiler` pass pipeline
-(decode -> structure recovery -> template match), and executes the
-resulting fused vectorized closure. Everything downstream of the
-program is **recovered, not assumed**: the variant, index width, and
-accumulator count that parameterize both the closure and the analytic
-timing derivation come from the lowered
+run, lowers it through :mod:`repro.compiler` (one exact match of its
+normalized instruction stream against the canonical op templates),
+and executes the resulting fused vectorized closure. Everything
+downstream of the program is **recovered, not assumed**: the variant,
+index width, and accumulator count that parameterize both the closure
+and the analytic timing derivation come from the lowered
 :class:`~repro.compiler.templates.CompiledKernel`, and a program only
 executes if its normalized instruction stream exactly matches a
 canonical op template (otherwise :class:`~repro.errors.LoweringError`).
@@ -59,7 +59,7 @@ class CompiledBackend(Backend):
     def _lower(build, family, variant, index_bits):
         """Build the canonical program and lower it (both cached).
 
-        The recovered identity must round-trip to the requested one —
+        The matched identity must round-trip to the requested one —
         a mismatch would mean the builder and the template set have
         diverged, which is a programming error worth failing loudly on.
         """

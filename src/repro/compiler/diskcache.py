@@ -1,19 +1,19 @@
-"""Persistent cross-process compiled-kernel cache.
+"""Persistent cross-process hints for lowering the §III kernel programs.
 
 :func:`repro.compiler.lower` memoizes lowered programs in the shared
 in-process :data:`~repro.kernels.common.PROGRAM_CACHE`, so each
 distinct program lowers once *per process* — but a freshly forked or
-respawned serve worker starts with that cache empty and pays the full
-template scan again. This module spills each successful match's
+respawned serve worker starts with that cache empty and walks the
+template set again. This module spills each successful match's
 *identity* — ``(family, variant, index_bits)`` keyed by the program's
-structural fingerprint — to disk, so a cold process can rebuild the
-exact candidate, verify it by normalized-stream comparison, and skip
-the whole candidate scan.
+normalized instruction stream (its ``fingerprint`` here) — to disk, so
+a cold process can rebuild the exact candidate, verify it by
+normalized-stream comparison, and skip the walk.
 
 Soundness is unchanged: a disk entry is only ever a *hint*. The hinted
 candidate is rebuilt canonically and compared by normalized
-instruction stream exactly like any scanned candidate; a stale or
-corrupt entry simply falls through to the full scan. Entries are
+instruction stream exactly like any walked candidate; a stale or
+corrupt entry simply falls through to the walk. Entries are
 versioned by ``git describe`` (:func:`repro.eval.parallel.code_version`)
 and written atomically (temp file + ``os.replace``, the ``.csrbin``
 discipline), so torn writes and cross-version reuse are impossible.

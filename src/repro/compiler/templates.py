@@ -1,20 +1,19 @@
-"""Pass 3: match recovered structure against canonical op templates.
+"""Lowering: an exact match against the canonical op templates (§III).
 
 The template set is the kernel builders themselves: every program the
 backends can hand the engine comes from one of the canonical builders
-in :mod:`repro.kernels`, each a pure function of ``(variant,
-index_bits)``. Matching is therefore *exact and total*:
+in :mod:`repro.kernels` (the §III kernels, Listing 1's staggered ISSR
+CsrMV among them), each a pure function of ``(variant, index_bits)``.
+:func:`lower` normalizes a program once
+(:func:`repro.isa.introspect.normalize_program`), then walks every
+``(family, variant, index_bits)`` the set offers, the hinted family
+first, building each candidate through the kernels' own program cache.
+The first candidate whose normalized stream equals the program's is
+the program's identity: equality is the *only* way a program gets
+executed. The canonical streams are pairwise distinct, so the walk's
+order cannot change which identity a program gets.
 
-1. the recovered :class:`~repro.compiler.structure.ProgramStructure`
-   prunes the candidate set (wrong variant class, index width,
-   accumulator count, or intersection use can never match);
-2. each surviving candidate is built canonically (hitting the kernels'
-   own program cache) and compared by normalized instruction stream
-   (:func:`repro.isa.introspect.normalize_program`) — equality is the
-   *only* way a program gets executed, so decode imprecision cannot
-   cause wrong execution.
-
-A match yields a :class:`CompiledKernel` that identifies the program's
+A match yields a :class:`CompiledKernel` that names the program's
 family/variant/width and replays its rows with the vectorized
 primitives of :mod:`repro.compiler.vectorize`. No match raises
 :class:`~repro.errors.LoweringError`.
@@ -22,8 +21,6 @@ primitives of :mod:`repro.compiler.vectorize`. No match raises
 
 import numpy as np
 
-from repro.compiler.decode import decode_program
-from repro.compiler.structure import recover_structure
 from repro.compiler.vectorize import (
     accumulate_rows,
     cleared_rows,
@@ -63,30 +60,6 @@ def _template_families():
     }
 
 
-#: Families whose ISSR variants use the staggered-accumulator FREP
-#: (the others' FREPs are unstaggered drains/reductions).
-_STAGGERED_FAMILIES = frozenset({"spvv", "csrmv", "csrmm"})
-
-#: Families whose ISSR variants run on the intersection unit.
-_INTERSECT_FAMILIES = frozenset({"masked_spvv", "masked_csrmv"})
-
-
-def _prune(family, variant, index_bits, structure):
-    """True when (family, variant, index_bits) could match ``structure``."""
-    if variant != structure.variant_class:
-        return False
-    if structure.index_bits is not None and index_bits != structure.index_bits:
-        return False
-    if variant == ISSR:
-        if structure.uses_intersection != (family in _INTERSECT_FAMILIES):
-            return False
-        expected_acc = (N_ACCUMULATORS[index_bits]
-                        if family in _STAGGERED_FAMILIES else 0)
-        if structure.n_acc != expected_acc:
-            return False
-    return True
-
-
 #: ISSR rows replay by :func:`~repro.compiler.vectorize.lane_rows` when
 #: ``nnz * k < LANE_ROWS_PER_POSITION * longest_row`` for products in
 #: ``k`` columns, that is, when fewer than this many (row, column)
@@ -99,23 +72,20 @@ LANE_ROWS_PER_POSITION = 1024
 
 
 class CompiledKernel:
-    """A lowered program: identity, structure, and its row replay.
+    """A lowered program: its template identity and its row replay.
 
-    ``family``/``variant``/``index_bits`` are *recovered* from the
-    program (template identity), never taken from a caller — the
-    compiled backend derives its timing parameters from them.
+    ``family``/``variant``/``index_bits`` name the template the
+    program equals, never a caller's request — the compiled backend
+    derives its timing parameters from them.
     """
 
-    __slots__ = ("family", "variant", "index_bits", "n_acc", "structure",
-                 "meta", "_reducer")
+    __slots__ = ("family", "variant", "index_bits", "n_acc", "_reducer")
 
-    def __init__(self, family, variant, index_bits, structure, meta):
+    def __init__(self, family, variant, index_bits):
         self.family = family
         self.variant = variant
         self.index_bits = index_bits
         self.n_acc = (N_ACCUMULATORS[index_bits] if variant == ISSR else 0)
-        self.structure = structure
-        self.meta = meta
         self._reducer = self.reduce_rows
 
     def row_reducer(self, shape_class):
@@ -208,82 +178,71 @@ def csr_shape_class(ptr):
 
 #: id(program) -> (program, CompiledKernel). Programs come from the
 #: kernel builders' own cache, so the set is small and the object
-#: reference kept here pins the id against reuse. Skips the
-#: per-call decode (fingerprinting) on the serve hot path. Held to the
-#: program cache's size: a program that cache evicted or cleared must
-#: not stay alive here.
+#: reference kept here pins the id against reuse. Skips the per-call
+#: normalization and cache-key hashing on the serve hot path. Held to
+#: the program cache's size: a program that cache evicted or cleared
+#: must not stay alive here.
 _LOWERED_BY_ID = {}
 
 
 def lower(program, family_hint=None):
     """Lower ``program`` to a :class:`CompiledKernel` (cached).
 
-    Decodes the stream, recovers its structure, prunes the candidate
-    templates, and matches by exact normalized-stream comparison. The
-    result is cached in the shared program cache keyed by the
-    program's structural fingerprint, so each distinct program lowers
-    once per process — and successful matches are spilled to the
-    persistent :mod:`~repro.compiler.diskcache`, so a freshly forked
-    process verifies one hinted candidate instead of scanning.
-    ``family_hint`` only reorders the candidate scan. Raises
+    Normalizes the stream once and returns the first template whose
+    normalized stream equals it. The result is cached in the shared
+    program cache keyed by the normalized stream, so each distinct
+    program lowers once per process, and each match's identity is
+    spilled to the persistent :mod:`~repro.compiler.diskcache`, so a
+    freshly forked process verifies one hinted candidate instead of
+    walking the set. ``family_hint`` only orders the walk. Raises
     :class:`~repro.errors.LoweringError` when no template matches.
     """
     memo = _LOWERED_BY_ID.get(id(program))
     if memo is not None and memo[0] is program:
         return memo[1]
-    decoded = decode_program(program)
+    normalized = normalize_program(program)
 
     def build():
-        return _match(program, decoded, family_hint)
+        return _match(program, normalized, family_hint)
 
-    kernel = PROGRAM_CACHE.get_or_build(("compiled", decoded.fingerprint),
-                                        build)
+    kernel = PROGRAM_CACHE.get_or_build(("compiled", normalized), build)
     if len(_LOWERED_BY_ID) >= PROGRAM_CACHE.maxsize:
         _LOWERED_BY_ID.clear()
     _LOWERED_BY_ID[id(program)] = (program, kernel)
     return kernel
 
 
-def _match(program, decoded, family_hint):
+def _match(program, normalized, family_hint):
     from repro.compiler import diskcache
 
-    structure = recover_structure(decoded)
     families = _template_families()
-    normalized = decoded.fingerprint
+
+    def equals(family, variant, index_bits):
+        candidate, _meta = families[family](variant, index_bits)
+        return (len(candidate.instrs) == len(normalized)
+                and normalize_program(candidate) == normalized)
 
     # The persistent cross-process cache turns a previous process's
-    # successful match into a single candidate build + compare: the
-    # hint is verified by the same exact normalized-stream equality as
-    # a scanned candidate, so a stale entry can mislead nothing.
-    hint = diskcache.load(decoded.fingerprint)
-    if hint is not None:
-        family, variant, index_bits = hint
-        build = families.get(family)
-        if (build is not None and variant in VARIANTS
-                and index_bits in (16, 32)):
-            candidate, meta = build(variant, index_bits)
-            if normalize_program(candidate) == normalized:
-                return CompiledKernel(family, variant, index_bits,
-                                      structure, meta)
+    # match into one candidate build and compare: the hint passes the
+    # same equality as a walked candidate, so a stale entry can
+    # mislead nothing.
+    hint = diskcache.load(normalized)
+    if (hint is not None and hint[0] in families and hint[1] in VARIANTS
+            and hint[2] in (16, 32) and equals(*hint)):
+        return CompiledKernel(*hint)
 
     order = list(families)
     if family_hint in families:
         order.remove(family_hint)
         order.insert(0, family_hint)
-    tried = []
     for family in order:
-        build = families[family]
         for variant in VARIANTS:
             for index_bits in (16, 32):
-                if not _prune(family, variant, index_bits, structure):
-                    continue
-                tried.append((family, variant, index_bits))
-                candidate, meta = build(variant, index_bits)
-                if normalize_program(candidate) == normalized:
-                    diskcache.store(decoded.fingerprint, family, variant,
-                                    index_bits)
-                    return CompiledKernel(family, variant, index_bits,
-                                          structure, meta)
+                if equals(family, variant, index_bits):
+                    diskcache.store(normalized, family, variant, index_bits)
+                    return CompiledKernel(family, variant, index_bits)
     raise LoweringError(
-        f"program {program.name!r} ({structure!r}) matches no op "
-        f"template; candidates tried: {tried or 'none'}")
+        f"program {program.name!r} ({len(normalized)} instructions) "
+        f"matches no op template; candidates tried: every variant "
+        f"({', '.join(VARIANTS)}) at index widths 16 and 32 of "
+        f"{', '.join(order)}")

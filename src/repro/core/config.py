@@ -45,39 +45,6 @@ REG_ISECT_STR = 27  # launch intersection stream pass (value = a-side index base
 
 LANE_WINDOW = 32
 
-#: Register offset -> symbolic name (the reverse of the constants
-#: above; exported as data so the compiler's decode pass and debug
-#: tooling can render config writes without duplicating the map).
-REG_NAMES = {
-    REG_STATUS: "STATUS",
-    REG_REPEAT: "REPEAT",
-    REG_BOUND_0: "BOUND_0",
-    REG_BOUND_1: "BOUND_1",
-    REG_BOUND_2: "BOUND_2",
-    REG_BOUND_3: "BOUND_3",
-    REG_STRIDE_0: "STRIDE_0",
-    REG_STRIDE_1: "STRIDE_1",
-    REG_STRIDE_2: "STRIDE_2",
-    REG_STRIDE_3: "STRIDE_3",
-    REG_IDX_CFG: "IDX_CFG",
-    REG_DATA_BASE: "DATA_BASE",
-    REG_IDX_BASE_B: "IDX_BASE_B",
-    REG_DATA_BASE_B: "DATA_BASE_B",
-    REG_MATCH_COUNT: "MATCH_COUNT",
-    REG_RPTR_0: "RPTR_0",
-    REG_RPTR_1: "RPTR_1",
-    REG_RPTR_2: "RPTR_2",
-    REG_RPTR_3: "RPTR_3",
-    REG_WPTR_0: "WPTR_0",
-    REG_WPTR_1: "WPTR_1",
-    REG_WPTR_2: "WPTR_2",
-    REG_WPTR_3: "WPTR_3",
-    REG_IRPTR: "IRPTR",
-    REG_IWPTR: "IWPTR",
-    REG_ISECT_CNT: "ISECT_CNT",
-    REG_ISECT_STR: "ISECT_STR",
-}
-
 #: Job modes.
 AFFINE_READ = "affine_read"
 AFFINE_WRITE = "affine_write"
@@ -85,26 +52,6 @@ INDIRECT_READ = "indirect_read"
 INDIRECT_WRITE = "indirect_write"
 INTERSECT_COUNT = "isect_count"
 INTERSECT_STREAM = "isect_stream"
-
-#: Launch registers -> (job mode, affine dimensionality). Writing one
-#: of these snapshots the shadow configuration and enqueues a job;
-#: everything else in the window is plain state. Exported as data so
-#: the compiler's structure-recovery pass shares the map with the
-#: streamer implementation.
-LAUNCH_MODES = {
-    REG_RPTR_0: (AFFINE_READ, 1),
-    REG_RPTR_1: (AFFINE_READ, 2),
-    REG_RPTR_2: (AFFINE_READ, 3),
-    REG_RPTR_3: (AFFINE_READ, 4),
-    REG_WPTR_0: (AFFINE_WRITE, 1),
-    REG_WPTR_1: (AFFINE_WRITE, 2),
-    REG_WPTR_2: (AFFINE_WRITE, 3),
-    REG_WPTR_3: (AFFINE_WRITE, 4),
-    REG_IRPTR: (INDIRECT_READ, 1),
-    REG_IWPTR: (INDIRECT_WRITE, 1),
-    REG_ISECT_CNT: (INTERSECT_COUNT, 1),
-    REG_ISECT_STR: (INTERSECT_STREAM, 1),
-}
 
 #: Index size codes for REG_IDX_CFG bit 0.
 IDX_SIZE_16 = 0
@@ -116,19 +63,6 @@ def cfg_addr(lane, reg):
     if reg < 0 or reg >= LANE_WINDOW:
         raise ConfigError(f"config register {reg} out of window")
     return lane * LANE_WINDOW + reg
-
-
-def decode_cfg_addr(addr):
-    """Invert :func:`cfg_addr`: a scfgw/scfgr address -> (lane, reg)."""
-    if addr < 0:
-        raise ConfigError(f"config address {addr} out of range")
-    return addr // LANE_WINDOW, addr % LANE_WINDOW
-
-
-def decode_idx_cfg(value):
-    """Invert :func:`idx_cfg_value`: -> (index_bits, extra_shift)."""
-    bits = 32 if (value & 1) == IDX_SIZE_32 else 16
-    return bits, (value >> 4) & 0x1F
 
 
 def idx_cfg_value(index_bits, extra_shift=0):
@@ -185,14 +119,6 @@ class SsrJob:
     @property
     def is_write(self):
         return self.mode in (AFFINE_WRITE, INDIRECT_WRITE)
-
-    @property
-    def total_elements(self):
-        """Number of data elements the FPU will see (includes repeats)."""
-        n = 1
-        for d in range(self.dims):
-            n *= self.bounds[d]
-        return n * self.repeat
 
     def __repr__(self):
         return (f"SsrJob({self.mode}, dims={self.dims}, start=0x{self.start:x}, "

@@ -13,7 +13,6 @@ shadowed configuration interface.
 from collections import deque
 
 from repro.core.affine import AffineIterator
-from repro.core.config import AFFINE_READ, AFFINE_WRITE
 from repro.errors import ConfigError, SimulationError
 from repro.utils.fifo import Fifo
 
@@ -173,8 +172,3 @@ class SsrLane:
         self.mem_writes = 0
         self.active_cycles = 0
 
-
-def make_affine_job_checks(job):
-    """Validate that a job is affine (helper for subclasses)."""
-    if job.mode not in (AFFINE_READ, AFFINE_WRITE):
-        raise ConfigError(f"expected an affine job, got {job.mode}")

@@ -171,37 +171,42 @@ class CsrMatrix:
     def to_dense(self):
         """The matrix as a dense float64 array."""
         out = np.zeros(self.shape, dtype=np.float64)
-        for r in range(self.nrows):
-            lo, hi = self.ptr[r], self.ptr[r + 1]
-            out[r, self.idcs[lo:hi]] = self.vals[lo:hi]
+        out[self._row_ids(), self.idcs] = self.vals
+        return out
+
+    def _row_ids(self):
+        """The row of every stored nonzero, in storage order."""
+        return np.repeat(np.arange(self.nrows, dtype=np.int64),
+                         self.row_lengths())
+
+    def _row_sums(self, products):
+        """Per-row sums of ``products`` ((nnz,) or (nnz, k)); an empty
+        row sums to 0 and NaN/±Inf propagate."""
+        out = np.zeros((self.nrows,) + products.shape[1:], dtype=np.float64)
+        filled = self.row_lengths() > 0
+        if filled.any():
+            out[filled] = np.add.reduceat(products, self.ptr[:-1][filled],
+                                          axis=0)
         return out
 
     def spmv(self, x):
-        """Reference CsrMV: y = A @ x via the paper's §I triple loop."""
+        """Reference CsrMV: y = A @ x, the paper's §I loop in one pass."""
         x = np.asarray(x, dtype=np.float64)
         if len(x) < self.ncols:
             raise FormatError(f"vector of length {len(x)} shorter than ncols {self.ncols}")
-        y = np.zeros(self.nrows, dtype=np.float64)
-        for r in range(self.nrows):
-            lo, hi = self.ptr[r], self.ptr[r + 1]
-            y[r] = np.dot(self.vals[lo:hi], x[self.idcs[lo:hi]])
-        return y
+        return self._row_sums(self.vals * x[self.idcs])
 
     def spmm(self, b):
         """Reference CsrMM: C = A @ B with dense row-major B."""
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] < self.ncols:
             raise FormatError(f"dense operand shape {b.shape} incompatible with ncols {self.ncols}")
-        out = np.zeros((self.nrows, b.shape[1]), dtype=np.float64)
-        for r in range(self.nrows):
-            lo, hi = self.ptr[r], self.ptr[r + 1]
-            out[r] = self.vals[lo:hi] @ b[self.idcs[lo:hi]]
-        return out
+        return self._row_sums(self.vals[:, None] * b[self.idcs])
 
     def transpose(self):
         """Return the transpose, still in CSR (i.e. CSC of the original)."""
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64), self.row_lengths())
-        return CsrMatrix.from_coo(self.idcs, rows, self.vals, (self.ncols, self.nrows))
+        return CsrMatrix.from_coo(self.idcs, self._row_ids(), self.vals,
+                                  (self.ncols, self.nrows))
 
     def __eq__(self, other):
         if not isinstance(other, CsrMatrix):

@@ -1,14 +1,13 @@
-"""Program introspection: normalization and structural fingerprints.
+"""Program introspection: the normalized instruction stream.
 
 The compiler (:mod:`repro.compiler`) identifies an assembled program by
 comparing *normalized instruction streams* — the builder resolves
 labels to absolute PCs at build time, so two programs built by the same
 builder are equal instruction-for-instruction and the normalized form
-is a sound identity. The fingerprint doubles as the compiled-kernel
-cache key in the shared :data:`~repro.kernels.common.PROGRAM_CACHE`.
+is a sound identity. The normalized stream doubles as the
+compiled-kernel cache key in the shared
+:data:`~repro.kernels.common.PROGRAM_CACHE`.
 """
-
-from repro.isa.isa import FP_OPS
 
 
 def normalize_instr(ins):
@@ -29,25 +28,3 @@ def normalize_program(program):
     execute identically normalize identically.
     """
     return tuple(normalize_instr(ins) for ins in program.instrs)
-
-
-def fingerprint(program):
-    """A hashable structural identity for ``program``.
-
-    Exact (no collisions): the normalized stream itself. Suitable as a
-    :class:`~repro.kernels.common.ProgramCache` key component.
-    """
-    return normalize_program(program)
-
-
-def op_histogram(program):
-    """Occurrence count per opcode — a cheap pre-filter for matching."""
-    counts = {}
-    for ins in program.instrs:
-        counts[ins.op] = counts.get(ins.op, 0) + 1
-    return counts
-
-
-def fp_op_count(program):
-    """Static count of FPU-subsystem instructions in the stream."""
-    return sum(1 for ins in program.instrs if ins.op in FP_OPS)

@@ -43,19 +43,18 @@ def take_rows(matrix, rows):
 
     Preserves the exact per-row nonzero order, so any kernel run on
     the sub-matrix reproduces the corresponding rows of the full-matrix
-    result to the last bit.
+    result to the last bit. One gather copies every row; a row subset
+    of a valid CSR matrix is valid, so the copy is adopted unchecked.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    lengths = matrix.row_lengths()[rows] if len(rows) else np.zeros(0, np.int64)
+    starts = matrix.ptr[rows]
+    lengths = matrix.ptr[rows + 1] - starts
     ptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(lengths, out=ptr[1:])
-    idcs = np.empty(int(ptr[-1]), dtype=np.int64)
-    vals = np.empty(int(ptr[-1]), dtype=np.float64)
-    for i, r in enumerate(rows):
-        lo, hi = int(matrix.ptr[r]), int(matrix.ptr[r + 1])
-        idcs[ptr[i]:ptr[i + 1]] = matrix.idcs[lo:hi]
-        vals[ptr[i]:ptr[i + 1]] = matrix.vals[lo:hi]
-    return CsrMatrix(ptr, idcs, vals, (len(rows), matrix.ncols))
+    # nonzero p of output row i is nonzero starts[i] + (p - ptr[i])
+    src = np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])
+    return CsrMatrix._wrap(ptr, matrix.idcs[src], matrix.vals[src],
+                           (len(rows), matrix.ncols))
 
 
 class Shard:

@@ -76,7 +76,7 @@ def _warm_backends(backend_names, kernel_cache_dir=None):
     warmed = 0
     if "compiled" in backends:
         # Pre-lower the hottest templates so the first compiled
-        # request pays no decode/match cost...
+        # request pays no lowering cost...
         from repro.compiler import diskcache, lower
         from repro.kernels.csrmv import build_csrmv
 
@@ -465,10 +465,6 @@ class WorkerPool:
         reply, nbytes = _recv(worker.conn)
         self.pipe_bytes["in"] += nbytes
         return reply
-
-    def idle_workers(self):
-        """Workers currently free to take a batch."""
-        return [w for w in self.workers if w.inflight == 0 and w.alive()]
 
     def inflight_batches(self):
         """Total batches currently in flight across the pool."""

@@ -1,9 +1,8 @@
-"""The lowering pipeline: decode, structure recovery, template match.
+"""Lowering: one exact match against the canonical op templates.
 
-The compiler's soundness argument (docs/ARCHITECTURE.md): decode and
-structure recovery only *prune* the template search; the gate to
-execution is exact equality of the normalized instruction stream
-against a canonical builder's output. These tests pin each pass —
+The compiler's soundness argument (docs/ARCHITECTURE.md): the only
+gate to execution is exact equality of the normalized instruction
+stream against a canonical builder's output. These tests pin it —
 every assembled kernel program must lower back to its own identity,
 foreign programs must fail loudly, and every row-reduction closure must
 replay the kernel's exact FP order, byte for byte against a scalar
@@ -19,19 +18,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.compiler import (
-    CompiledKernel,
-    LoweringError,
-    decode_program,
-    lower,
-    recover_structure,
-)
+from repro.compiler import CompiledKernel, LoweringError, diskcache, lower
 from repro import api
 from repro.compiler import templates, vectorize
 from repro.compiler.templates import csr_shape_class
 from repro.compiler.vectorize import accumulate_rows, lane_rows, spvv_value
 from repro.formats import CsfTensor, CsrMatrix, SparseFiber, spgemm_pattern
-from repro.isa.introspect import fingerprint, normalize_program
+from repro.isa.introspect import normalize_program
 from repro.isa.program import ProgramBuilder
 from repro.kernels.common import PROGRAM_CACHE
 from repro.kernels.csrmv import build_csrmv
@@ -132,43 +125,32 @@ def salted_products(rng, nnz, k=None, rate=0.04):
     return products
 
 
-class TestDecode:
-    @pytest.mark.parametrize("variant,bits", ALL_VARIANTS)
-    def test_issr_programs_recover_their_index_width(self, variant, bits):
-        program, _ = build_csrmv(variant, bits)
-        decoded = decode_program(program)
-        structure = recover_structure(decoded)
-        assert structure.variant_class == variant
-        if variant == "issr":
-            assert structure.index_bits == bits
-            assert structure.uses_indirection
-        if variant == "base":
-            assert not decoded.lanes
-
-    def test_intersection_evidence(self):
-        program, _ = build_masked_spvv("issr", 32)
-        structure = recover_structure(decode_program(program))
-        assert structure.uses_intersection
-        assert structure.variant_class == "issr"
-
-    def test_fingerprint_is_deterministic(self):
-        program, _ = build_spvv("issr", 16)
-        assert fingerprint(program) == fingerprint(program)
-        assert fingerprint(program) == tuple(normalize_program(program))
-
-
 class TestLowering:
     @pytest.mark.parametrize("family", sorted(BUILDERS))
     @pytest.mark.parametrize("variant,bits", ALL_VARIANTS)
     def test_every_program_lowers_to_its_own_identity(self, family,
-                                                      variant, bits):
-        """The exhaustive round trip: 6 families x 3 variants x 2 widths."""
+                                                      variant, bits,
+                                                      monkeypatch):
+        """The exhaustive round trip: 6 families x 3 variants x 2 widths,
+        each a cold, unhinted walk of the whole template set."""
+        monkeypatch.setenv(diskcache.DISABLE_ENV, "0")
+        monkeypatch.setattr(templates, "_LOWERED_BY_ID", {})
         program, _ = BUILDERS[family](variant, bits)
+        PROGRAM_CACHE._entries.pop(
+            ("compiled", normalize_program(program)), None)
         kernel = lower(program)
         assert isinstance(kernel, CompiledKernel)
         assert kernel.family == family
         assert kernel.variant == variant
         assert kernel.index_bits == bits
+
+    def test_canonical_streams_are_pairwise_distinct(self):
+        """What makes the walk's order irrelevant: no two identities
+        share a normalized stream."""
+        streams = {normalize_program(build(variant, bits)[0])
+                   for build in BUILDERS.values()
+                   for variant, bits in ALL_VARIANTS}
+        assert len(streams) == len(BUILDERS) * len(ALL_VARIANTS) == 36
 
     def test_family_hint_is_only_a_priority(self):
         program, _ = build_spvv("ssr", 32)

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.compiler import diskcache, lower
+from repro.isa.introspect import normalize_program
 from repro.kernels.common import PROGRAM_CACHE
 from repro.kernels.csrmv import build_csrmv
 
@@ -149,8 +150,7 @@ class TestLowerIntegration:
         # force a real scan: drop both in-process memo layers
         from repro.compiler import templates
         templates._LOWERED_BY_ID.pop(id(program), None)
-        from repro.compiler.decode import decode_program
-        fingerprint = decode_program(program).fingerprint
+        fingerprint = normalize_program(program)
         PROGRAM_CACHE._entries.pop(("compiled", fingerprint), None)
 
         kernel = lower(program)
@@ -163,8 +163,7 @@ class TestLowerIntegration:
         monkeypatch.setenv(diskcache.DIR_ENV, cache_base)
         program, _meta = build_csrmv("ssr", 16)
         from repro.compiler import templates
-        from repro.compiler.decode import decode_program
-        fingerprint = decode_program(program).fingerprint
+        fingerprint = normalize_program(program)
 
         templates._LOWERED_BY_ID.pop(id(program), None)
         PROGRAM_CACHE._entries.pop(("compiled", fingerprint), None)
@@ -184,8 +183,7 @@ class TestLowerIntegration:
         monkeypatch.setenv(diskcache.DIR_ENV, cache_base)
         program, _meta = build_csrmv("base", 16)
         from repro.compiler import templates
-        from repro.compiler.decode import decode_program
-        fingerprint = decode_program(program).fingerprint
+        fingerprint = normalize_program(program)
         # poison the hint with the wrong identity — verification must
         # reject it and the scan must still find the right template
         diskcache.store(fingerprint, "spvv", "issr", 32)

@@ -1,17 +1,15 @@
-"""Property-based fuzzing of the compiler's lowering pipeline.
+"""Property-based fuzzing of the compiler's lowering gate.
 
 The compiled backend's safety contract is *exact recognition*: it may
 only execute instruction streams it can prove are a canonical kernel
-template (`repro.compiler.templates._match` compares whole normalized
+template (`repro.compiler.templates.lower` compares whole normalized
 streams). These tests mutate canonical programs at random — opcode
 swaps, register/immediate perturbations, instruction deletion,
-duplication, and reordering — and assert the pipeline either rejects
-the stream loudly (:class:`LoweringError`, or :class:`ConfigError`
-for streamer-config writes decoded to invalid addresses) or recovers
-an identity whose canonical stream is *equal* to the mutant — in
-which case executing it is bit-identical by construction. A silently
-wrong lowering (accepting a mutant as some template it does not
-equal) fails the property.
+duplication, and reordering — and assert that lowering either rejects
+the stream loudly (:class:`LoweringError`) or finds an identity whose
+canonical stream is *equal* to the mutant — in which case executing it
+is bit-identical by construction. A silently wrong lowering (accepting
+a mutant as some template it does not equal) fails the property.
 """
 
 import pytest
@@ -19,8 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import LoweringError, lower
-from repro.compiler.decode import _eval_alu, _eval_alu_imm
-from repro.errors import ConfigError
 from repro.isa.introspect import normalize_program
 from repro.isa.isa import ALL_OPS, Instr
 from repro.isa.program import Program
@@ -92,7 +88,7 @@ def assert_never_silently_wrong(program, family):
     """The fuzz oracle: loud rejection, or an exact-identity match."""
     try:
         kernel = lower(program, family_hint=family)
-    except (LoweringError, ConfigError):
+    except LoweringError:
         return  # rejected loudly: the compiled backend refuses to run it
     canonical, _meta = _template_families()[kernel.family](
         kernel.variant, kernel.index_bits)
@@ -153,26 +149,23 @@ def test_truncated_program_is_rejected():
     program, _meta = _template_families()["csrmv"]("issr", 32)
     truncated = Program(list(program.instrs[: len(program.instrs) // 2]),
                         dict(program.labels), name="csrmv-truncated")
-    with pytest.raises((LoweringError, ConfigError)):
+    with pytest.raises(LoweringError):
         lower(truncated, family_hint="csrmv")
 
 
 def test_empty_program_is_rejected():
-    with pytest.raises((LoweringError, ConfigError)):
+    with pytest.raises(LoweringError):
         lower(Program([], {}, name="empty"))
-
 
 
 @pytest.mark.parametrize("op", ["slli", "srli"])
 def test_negative_shift_mutant_is_rejected(op):
-    """A shift by a negative amount is no constant: lowering rejects the
-    program loudly instead of failing inside the constant folder."""
+    """A shift by a negative amount matches no template: lowering
+    rejects the program loudly."""
     program, _meta = _template_families()["csrmm"]("issr", 16)
     instrs = list(program.instrs)
     i = next(i for i, ins in enumerate(instrs) if ins.op == "slli")
     instrs[i] = _copy_instr(instrs[i], op=op, imm=-1)
     mutant = Program(instrs, dict(program.labels), name="negative-shift")
-    with pytest.raises((LoweringError, ConfigError)):
+    with pytest.raises(LoweringError):
         lower(mutant, family_hint="csrmm")
-    assert _eval_alu_imm(op, 3, -1) is None
-    assert _eval_alu(op[:-1], 3, -1) is None  # the register form

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FormatError
 from repro.formats import CscMatrix, CsfTensor, CsrMatrix, SparseFiber, convert
+from repro.kernels.common import check_reference
 from repro.workloads import random_csr
 
 
@@ -144,6 +145,60 @@ class TestCsrOps:
     def test_transpose_twice_identity(self):
         m = random_csr(20, 30, 100, seed=5)
         assert m.transpose().transpose() == m
+
+
+def salted_rows(lengths, ncols, seed, rate=0.05):
+    """A CSR matrix with the given row lengths whose values are salted
+    with NaN, +-Inf and -0.0 at a ``rate`` share of the nonzeros."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    idcs = [np.sort(rng.choice(ncols, n, replace=False)) for n in lengths]
+    vals = rng.standard_normal(int(ptr[-1]))
+    salt = rng.random(len(vals)) < rate
+    vals[salt] = rng.choice([np.nan, np.inf, -np.inf, -0.0], int(salt.sum()))
+    return CsrMatrix(ptr, np.concatenate([np.zeros(0, np.int64)] + idcs),
+                     vals, (len(lengths), ncols))
+
+
+#: Row lengths: empty rows among short ones, an all-empty matrix, no
+#: rows at all, and one giant row among tiny ones.
+ROW_SHAPES = {
+    "empty_rows": [0, 3, 0, 0, 7, 1, 0, 12, 0],
+    "all_empty": [0] * 6,
+    "no_rows": [],
+    "giant_row": [1, 0, 3000, 2, 0],
+}
+
+
+class TestReferenceShapes:
+    """The reference CsrMV/CsrMM the simulated kernels are checked
+    against, on the shapes a vectorized reduction gets wrong first."""
+
+    @pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+    def test_to_dense_is_exact(self, shape):
+        m = salted_rows(ROW_SHAPES[shape], 4096, seed=len(shape))
+        want = np.zeros(m.shape)
+        for r in range(m.nrows):
+            lo, hi = m.ptr[r], m.ptr[r + 1]
+            want[r, m.idcs[lo:hi]] = m.vals[lo:hi]
+        assert m.to_dense().tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("rate", [0.0, 0.05])  # 0.0: no row is NaN
+    @pytest.mark.parametrize("shape", sorted(ROW_SHAPES))
+    def test_spmv_and_spmm_match_dense(self, shape, rate):
+        m = salted_rows(ROW_SHAPES[shape], 4096, seed=len(shape), rate=rate)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(m.ncols)
+        x[rng.random(m.ncols) < 0.05] = -0.0
+        b = rng.standard_normal((m.ncols, 4))
+        b[rng.random(b.shape) < 0.05] = -0.0
+        dense = m.to_dense()
+        assert m.spmv(x).shape == (m.nrows,)
+        assert m.spmm(b).shape == (m.nrows, 4)
+        check_reference(m.spmv(x), dense @ x, "spmv")
+        check_reference(m.spmm(b), dense @ b, "spmm")
 
 
 class TestCsc:

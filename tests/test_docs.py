@@ -21,7 +21,7 @@ DOC_FILES = sorted(
 )
 
 #: Packages whose docstring coverage is enforced (satellite of ISSUE 2).
-DOCUMENTED_PACKAGES = ("repro.backends", "repro.cluster",
+DOCUMENTED_PACKAGES = ("repro.backends", "repro.cluster", "repro.compiler",
                        "repro.formats", "repro.multicluster")
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -151,16 +151,16 @@ class TestCompiledPath:
         assert engines == []
 
     @pytest.mark.parametrize("kernel", api.list_kernels())
-    def test_second_call_decodes_no_program(self, kernel, monkeypatch):
+    def test_second_call_normalizes_no_program(self, kernel, monkeypatch):
         ops = _operands(kernel)
         for variant, bits in _series(kernel):
             api.run(kernel, backend="compiled", variant=variant,
                     index_bits=bits, **ops)
-        decodes = _spy(monkeypatch, templates, "decode_program")
+        normalized = _spy(monkeypatch, templates, "normalize_program")
         for variant, bits in _series(kernel):
             api.run(kernel, backend="compiled", variant=variant,
                     index_bits=bits, **ops)
-        assert decodes == []
+        assert normalized == []
 
     def test_lowered_programs_do_not_outlive_the_program_cache(
             self, monkeypatch):
@@ -180,10 +180,10 @@ class TestCompiledPath:
 
     def test_the_spy_sees_a_cold_lowering(self, monkeypatch):
         monkeypatch.setattr(templates, "_LOWERED_BY_ID", {})
-        decodes = _spy(monkeypatch, templates, "decode_program")
+        normalized = _spy(monkeypatch, templates, "normalize_program")
         api.run("csrmv", backend="compiled", variant="issr", index_bits=16,
                 **_operands("csrmv"))
-        assert decodes
+        assert normalized
 
 
 class TestOnePassPricing:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.formats import CsrMatrix
 from repro.multicluster import (
     HbmConfig,
     HbmFabric,
@@ -83,6 +84,36 @@ class TestPartitionInvariants:
         y = part.combine(parts)
         for shard, p in zip(part.shards, parts):
             assert np.array_equal(y[shard.rows], p)
+
+    @pytest.mark.parametrize("lengths", [
+        [0, 3, 0, 0, 7, 1, 0, 12, 0, 2],  # empty rows
+        [0, 0, 0],                         # all empty
+        [1, 0, 900, 2, 0, 1],              # one giant row
+    ], ids=["empty_rows", "all_empty", "giant_row"])
+    @pytest.mark.parametrize("n", [1, 3, 16])  # 16: empty shards
+    def test_cyclic_shards_equal_a_row_by_row_copy(self, lengths, n):
+        rng = np.random.default_rng(len(lengths) * n)
+        ptr = np.concatenate(([0], np.cumsum(lengths)))
+        idcs = np.concatenate([np.zeros(0, np.int64)] + [
+            np.sort(rng.choice(1024, k, replace=False)) for k in lengths])
+        matrix = CsrMatrix(ptr, idcs, rng.standard_normal(len(idcs)),
+                           (len(lengths), 1024))
+        for shard in partition_cyclic(matrix, n).shards:
+            rows = shard.rows.tolist()
+            sub_ptr, sub_idcs, sub_vals = [0], [], []
+            for r in rows:
+                lo, hi = matrix.ptr[r], matrix.ptr[r + 1]
+                sub_idcs.extend(matrix.idcs[lo:hi].tolist())
+                sub_vals.extend(matrix.vals[lo:hi].tolist())
+                sub_ptr.append(len(sub_idcs))
+            got = shard.matrix
+            assert got.shape == (len(rows), matrix.ncols)
+            assert (got.ptr.dtype, got.idcs.dtype, got.vals.dtype) == \
+                (np.int64, np.int64, np.float64)
+            assert got.ptr.tolist() == sub_ptr
+            assert got.idcs.tolist() == sub_idcs
+            assert got.vals.tobytes() == \
+                np.array(sub_vals, dtype=np.float64).tobytes()
 
     def test_take_rows_preserves_order(self):
         matrix = skewed_matrix()
