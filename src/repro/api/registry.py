@@ -200,8 +200,7 @@ KERNELS = {spec.name: spec for spec in (
                doc="Gustavson CSR x CSR product (numeric phase)"),
     KernelSpec("cluster_csrmv", ("matrix", "x"), "vector", "cluster",
                cluster_capable=True,
-               extra_kwargs=("cluster", "max_cycles", "tile_rows",
-                             "n_workers", "watchdog"),
+               extra_kwargs=("cluster", "max_cycles"),
                doc="double-buffered 8-core cluster CsrMV (§IV-B)"),
 )}
 

@@ -45,7 +45,7 @@ from repro.compiler.vectorize import (
     spvv_value,
 )
 from repro.core.intersect import MergeProfile
-from repro.errors import ConfigError, LoweringError
+from repro.errors import LoweringError
 from repro.formats.csr import CsrMatrix
 from repro.kernels.ttv import leaf_fiber_coords
 
@@ -174,8 +174,7 @@ class CompiledBackend(Backend):
         return stats, c
 
     def _exec_cluster_csrmv(self, matrix, x, variant="issr", index_bits=16,
-                            check=True, cluster=None, max_cycles=None,
-                            **kwargs):
+                            check=True, cluster=None, max_cycles=None):
         """Lower the per-worker CsrMV program; model the §IV-B schedule.
 
         Every worker core runs the same single-CC CsrMV program on its
@@ -185,10 +184,6 @@ class CompiledBackend(Backend):
         """
         from repro.kernels.csrmv import build_csrmv
 
-        if kwargs:
-            raise ConfigError(
-                f"CompiledBackend.cluster_csrmv does not model "
-                f"{sorted(kwargs)}")
         kernel = self._lower(build_csrmv, "csrmv", variant, index_bits)
         y = kernel.gather_rows(matrix.vals, matrix.idcs, matrix.ptr, x)
         model_kwargs = {}

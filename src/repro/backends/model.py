@@ -33,11 +33,11 @@ from repro.cluster.runtime import (
     BARRIER_CYCLES,
     WORKER_START_STAGGER,
     ClusterStats,
-    plan_tiles,
+    plan_tcdm,
     share_bounds,
-    tile_words,
 )
 from repro.kernels.common import BASE, ISSR, N_ACCUMULATORS, SSR
+from repro.mem.dma import overlap, transfer_cycles
 from repro.sim.counters import LaneStats, RunStats
 
 #: Documented cycle-prediction tolerances of the compiled backend, as a
@@ -631,17 +631,6 @@ def _conflict_factor(variant, nnz, nrows):
     return 1.0 + _CONFLICT_MAX * min(1.0, npr / _CONFLICT_RAMP_NPR)
 
 
-def _dma_cycles(words, n_transfers=1, words_per_cycle=8.0):
-    """Cycles for DMA transfers totalling ``words`` 64-bit words.
-
-    ``words_per_cycle`` is the effective DMA bandwidth — 8 (one
-    512-bit beat) for a lone cluster, possibly fractional under shared
-    HBM contention (see :mod:`repro.multicluster.hbm`). Element-wise
-    on an array of word counts.
-    """
-    return _ceil(words / words_per_cycle) + 2 * n_transfers
-
-
 def _running(values):
     """Running sums of ``values`` along its last axis, from a zero."""
     cum = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,),
@@ -661,11 +650,10 @@ def cluster_schedule(ptr, bounds, terms, price, writeback_words,
     shard after shard; shard ``s`` owns rows ``bounds[s]:bounds[s +
     1]``. ``resident_words`` stay in each shard's TCDM for the whole
     run (CsrMV's ``x``, CsrMM's ``B``, SpGEMM's B and accumulator);
-    :func:`plan_tiles` splits a shard's rows into tiles around them and
-    :func:`share_bounds` each tile's rows among the workers. The
-    resident transfer and the first tile prefetch are exposed;
-    afterwards each tile costs ``max(compute, next prefetch)`` plus a
-    barrier, with the last tile's writeback exposed at the end.
+    :func:`~repro.cluster.runtime.plan_tcdm` splits a shard's rows into
+    tiles around them and :func:`share_bounds` each tile's rows among
+    the workers. The resident transfer is exposed, then the tiles take
+    :func:`repro.mem.dma.overlap`'s critical path, a barrier each.
 
     ``terms`` holds the kernel's int64 cost terms, one column per row;
     their running sums give every share's and every tile's summed terms
@@ -684,13 +672,14 @@ def cluster_schedule(ptr, bounds, terms, price, writeback_words,
     """
     ptr = np.asarray(ptr, dtype=np.int64)
     bounds = [int(b) for b in bounds]
-    tiles, n_tiles = [], []
+    tiles, words, n_tiles = [], [], []
     for b0, b1 in zip(bounds, bounds[1:]):
-        planned = plan_tiles(ptr[b0:b1 + 1], b1 - b0, idx_bytes, tcdm_words,
-                             resident_words)
+        planned, sizes = plan_tcdm(ptr[b0:b1 + 1], b1 - b0, idx_bytes,
+                                   tcdm_words, resident_words)
         n_tiles.append(len(planned))
         tiles += [(b0 + r0, b0 + r1, r0 == 0, r1 == b1 - b0)
                   for r0, r1 in planned]
+        words += sizes
     t0, t1, first, last = np.array(tiles, dtype=np.int64).reshape(-1, 4).T
     n_tiles = np.array(n_tiles, dtype=np.int64)
     tile_bounds = _running(n_tiles)
@@ -721,33 +710,24 @@ def cluster_schedule(ptr, bounds, terms, price, writeback_words,
                      .transpose(0, 2, 1))
     cores = cores[..., tile_bounds[1:]] - cores[..., tile_bounds[:-1]]
 
-    # prefetched words = the tile's buffer footprint minus the result
-    # slots (the writeback carries the result instead). Each tile costs
-    # max(compute, the next tile's prefetch; none after a shard's last
-    # tile) plus a barrier; a shard's first prefetch and its last
-    # writeback are exposed.
-    words = tile_words(ptr, t0, t1, idx_bytes) - (t1 - t0)
+    # a tile prefetches its vals, idcs and ptr (three transfers) and
+    # writes its results back
+    words = np.array(words, dtype=np.int64).reshape(-1, 4)[:, :3].sum(axis=1)
     writeback = writeback_words(cum[:, t1] - cum[:, t0])
-    prefetch = _dma_cycles(words, n_transfers=3,
-                           words_per_cycle=dma_words_per_cycle)
-    exposed = first * prefetch
-    following = np.zeros(len(prefetch), dtype=np.int64)
-    following[:-1] = (prefetch - exposed)[1:]
-    per_tile = np.array((
-        compute,
-        np.maximum(compute, following) + BARRIER_CYCLES + exposed
-        + last * _dma_cycles(writeback,
-                             words_per_cycle=dma_words_per_cycle),
-        words + writeback), dtype=np.int64)
+    critical = overlap(
+        compute, transfer_cycles(words, 3, dma_words_per_cycle),
+        transfer_cycles(writeback, 1, dma_words_per_cycle), first, last,
+        BARRIER_CYCLES)
+    per_tile = np.array((compute, critical, words + writeback),
+                        dtype=np.int64)
     per_shard = _running(per_tile)
     per_shard = per_shard[:, tile_bounds[1:]] - per_shard[:, tile_bounds[:-1]]
 
     # the resident transfer cannot be overlapped with computation
     resident = max(resident_words, 1)
-    total = per_shard[1] + _dma_cycles(
-        resident, words_per_cycle=dma_words_per_cycle)
+    total = per_shard[1] + transfer_cycles(resident, 1, dma_words_per_cycle)
     dma_words = per_shard[2] + resident
-    busy = _minimum(total, _ceil(dma_words / dma_words_per_cycle))
+    busy = np.minimum(total, transfer_cycles(dma_words, 0, dma_words_per_cycle))
 
     at = len(CORE_COUNTERS)
     width = len(LANE_COUNTERS)

@@ -25,11 +25,15 @@ tiles start at arbitrary sub-word offsets — exercising the ISSR's
 "arbitrary index array alignment" support.
 """
 
+import functools
+import itertools
+
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.kernels.common import check_reference
 from repro.kernels.csrmv import build_csrmv
+from repro.mem.dma import RESERVE_WORDS, TileCosts, plan_double_buffer
 from repro.sim.engine import IDLE
 from repro.sim.counters import RunStats, collect_cc_stats
 from repro.utils.bits import pack_indices
@@ -40,17 +44,34 @@ BARRIER_CYCLES = 20
 WORKER_START_STAGGER = 2
 
 
+@functools.lru_cache(maxsize=None)
+def tile_costs(idx_bytes):
+    """A TCDM tile's :class:`~repro.mem.dma.TileCosts`: values, packed
+    indices and 32-bit row pointers (each with a word of alignment
+    slop; one pointer more than the rows), and results."""
+    return TileCosts((8, 0, 0), (idx_bytes, 0, 8), (0, 4, 12), (0, 8, 0))
+
+
 def tile_words(ptr, r0, r1, idx_bytes):
     """TCDM words needed to hold rows [r0, r1) of a CSR matrix.
 
     Element-wise when ``r0`` and ``r1`` are arrays of tile bounds.
     """
-    nnz = ptr[r1] - ptr[r0]
-    vals_w = nnz
-    idcs_w = (nnz * idx_bytes + 15) // 8  # +1 word alignment slop
-    ptr_w = ((r1 - r0 + 1) * 4 + 15) // 8
-    y_w = r1 - r0
-    return vals_w + idcs_w + ptr_w + y_w
+    return sum(tile_costs(idx_bytes).words(ptr[r1] - ptr[r0], r1 - r0))
+
+
+def plan_tcdm(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
+    """:func:`plan_tiles`' tiles and each one's words per buffer of
+    :func:`tile_costs` (:func:`~repro.mem.dma.plan_double_buffer`)."""
+    budget = tcdm_words - x_words - RESERVE_WORDS
+    if budget <= 0:
+        raise ConfigError("dense vector does not fit in the TCDM")
+    half = budget // 2
+    return plan_double_buffer(
+        ptr[:nrows + 1], tile_costs(idx_bytes), half, tile_rows,
+        overflow=lambda row, words: (
+            f"row {row} alone exceeds the tile buffer "
+            f"({words} > {half} words)"))
 
 
 def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
@@ -62,33 +83,8 @@ def plan_tiles(ptr, nrows, idx_bytes, tcdm_words, x_words, tile_rows=None):
     :func:`tile_words` fits; a row that does not fit alone raises
     :class:`ConfigError`.
     """
-    budget = tcdm_words - x_words - 64  # spare words for alignment
-    if budget <= 0:
-        raise ConfigError("dense vector does not fit in the TCDM")
-    half = budget // 2
-    if tile_rows is not None:
-        bounds = list(range(0, nrows, tile_rows)) + [nrows]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    # 8 * tile_words(r0, r1) is cost[r1] - cost[r0] + 34 less the two
-    # rounding remainders (0..14), and cost rises by >= 12 per row, so
-    # one search per tile lands at most two rows past the last fit
-    cost = (np.asarray(ptr[:nrows + 1], dtype=np.int64) * (8 + idx_bytes)
-            + 12 * np.arange(nrows + 1, dtype=np.int64))
-    tiles = []
-    r0 = 0
-    while r0 < nrows:
-        r1 = int(cost.searchsorted(cost[r0] + 8 * half - 20,
-                                   side="right")) - 1
-        while r1 > r0 and tile_words(ptr, r0, r1, idx_bytes) > half:
-            r1 -= 1
-        if r1 <= r0:
-            raise ConfigError(
-                f"row {r0} alone exceeds the tile buffer "
-                f"({tile_words(ptr, r0, r0 + 1, idx_bytes)} > {half} words)"
-            )
-        tiles.append((r0, r1))
-        r0 = r1
-    return tiles
+    return plan_tcdm(ptr, nrows, idx_bytes, tcdm_words, x_words,
+                     tile_rows)[0]
 
 
 def share_bounds(r0, r1, n_workers):
@@ -112,8 +108,36 @@ def worker_shares(r0, r1, n_workers):
     return list(zip(starts[0].tolist(), ends[0].tolist()))
 
 
+#: Counters a core adds to its cluster and a cluster to a partitioned
+#: run; the last three are the cluster's own (its cores' are zero).
+CLUSTER_COUNTERS = ("retired", "fpu_compute_ops", "fpu_mac_ops",
+                    "fpu_issued_ops", "mem_reads", "mem_writes",
+                    "icache_misses", "tcdm_conflicts", "dma_words",
+                    "dma_busy_cycles")
+
+
 class ClusterStats(RunStats):
     """Aggregate run statistics plus per-core breakdown."""
+
+
+def add_counters(stats, parts):
+    """Add every part's :data:`CLUSTER_COUNTERS` into ``stats``."""
+    for name in CLUSTER_COUNTERS:
+        setattr(stats, name, getattr(stats, name)
+                + sum(getattr(part, name) for part in parts))
+    return stats
+
+
+def collect_cluster_stats(cluster, cycles, start_cycle=0):
+    """One cluster's :class:`ClusterStats`: its cores' stats (in
+    ``per_core``) summed, plus its TCDM's and DMA's counters."""
+    stats = ClusterStats(cycles=cycles,
+                         tcdm_conflicts=cluster.tcdm.conflict_cycles,
+                         dma_words=cluster.dma.words_moved,
+                         dma_busy_cycles=cluster.dma.busy_cycles)
+    stats.per_core = [collect_cc_stats(cc, cycles, start_cycle=start_cycle)
+                      for cc in cluster.ccs]
+    return add_counters(stats, stats.per_core)
 
 
 class ClusterCsrmv:
@@ -146,8 +170,7 @@ class ClusterCsrmv:
         self._launched = set()
         self._assigned = []
         self._place_main_memory()
-        self._plan_tiles(tile_rows)
-        self._alloc_tcdm()
+        self._layout_tcdm(tile_rows)
 
     # -- setup ---------------------------------------------------------------
 
@@ -167,51 +190,45 @@ class ClusterCsrmv:
         self.mm_y = mm.alloc(8 * max(m.nrows, 1), name="y")
         mm.write_floats(self.mm_y, [0.0] * m.nrows)
 
-    def _plan_tiles(self, tile_rows):
-        """Split rows into tiles fitting half the matrix buffer budget."""
+    def _layout_tcdm(self, tile_rows):
+        """Plan the tiles; lay out ``x``, then two regions the size of
+        the largest tile. Tile ``t`` packs its vals, idcs, ptr and y
+        arrays (one word at least each) from region ``t % 2``'s base,
+        so every tile the plan accepts fits."""
         m = self.matrix
-        tcdm_words = self.cluster.tcdm.storage.size // 8
-        self.tiles = plan_tiles(m.ptr, m.nrows, self.idx_bytes, tcdm_words,
-                                len(self.x), tile_rows=tile_rows)
-        self.tile_row_cap = max((b - a for a, b in self.tiles), default=1)
-        max_nnz = max(
-            (int(m.ptr[b] - m.ptr[a]) for a, b in self.tiles), default=1
-        )
-        self.vals_cap = max(max_nnz, 1)
-        self.idcs_cap = max((max_nnz * self.idx_bytes + 15) // 8, 1)
-        self.ptr_cap = ((self.tile_row_cap + 1) * 4 + 15) // 8
-
-    def _alloc_tcdm(self):
         st = self.cluster.tcdm.storage
+        self.tiles, words = plan_tcdm(m.ptr, m.nrows, self.idx_bytes,
+                                      st.size // 8, len(self.x), tile_rows)
+        offsets = [[0, *itertools.accumulate(max(w, 1) for w in tile)]
+                   for tile in words]
         st.reset_allocator()
         self.tc_x = st.alloc(8 * max(len(self.x), 1), name="x")
-        self.buf = []
-        for p in range(2):
-            self.buf.append({
-                "vals": st.alloc(8 * self.vals_cap, name=f"vals{p}"),
-                "idcs": st.alloc(8 * self.idcs_cap, name=f"idcs{p}"),
-                "ptr": st.alloc(8 * self.ptr_cap, name=f"ptr{p}"),
-                "y": st.alloc(8 * self.tile_row_cap, name=f"y{p}"),
-            })
+        region = max((ends[-1] for ends in offsets), default=0)
+        bases = [st.alloc(8 * region, name=f"tiles{p}") for p in range(2)]
+        #: Per tile: the TCDM addresses of its vals, idcs, ptr and y arrays.
+        self.arrays = [tuple(bases[t % 2] + 8 * o for o in ends[:4])
+                       for t, ends in enumerate(offsets)]
+        # tile t's prefetch may reach tile t - 2's y while it writes back
+        self._prefetch_waits = [t >= 2 and ends[3] > offsets[t - 2][3]
+                                for t, ends in enumerate(offsets)]
 
     # -- DMA helpers -----------------------------------------------------------
 
     def _queue_prefetch(self, t):
         r0, r1 = self.tiles[t]
         m = self.matrix
-        p = t % 2
-        buf = self.buf[p]
+        vals, idcs, ptr, _y = self.arrays[t]
         nnz0, nnz1 = int(m.ptr[r0]), int(m.ptr[r1])
         nnz = nnz1 - nnz0
         transfers = []
         if nnz:
-            transfers.append((self.mm_vals + 8 * nnz0, buf["vals"], nnz))
+            transfers.append((self.mm_vals + 8 * nnz0, vals, nnz))
             gb0 = (self.mm_idcs + nnz0 * self.idx_bytes) & ~7
             gb1 = self.mm_idcs + nnz1 * self.idx_bytes
-            transfers.append((gb0, buf["idcs"], (gb1 - gb0 + 7) // 8))
+            transfers.append((gb0, idcs, (gb1 - gb0 + 7) // 8))
         pb0 = (self.mm_ptr + 4 * r0) & ~7
         pb1 = self.mm_ptr + 4 * (r1 + 1)
-        transfers.append((pb0, buf["ptr"], (pb1 - pb0 + 7) // 8))
+        transfers.append((pb0, ptr, (pb1 - pb0 + 7) // 8))
         last = len(transfers) - 1
         for i, (src, dst, words) in enumerate(transfers):
             on_done = (lambda _x, t=t: self._mark(self._prefetch_done, t)) \
@@ -224,7 +241,7 @@ class ClusterCsrmv:
             self._writeback_done[t] = True
             return
         self.cluster.dma.copy_out(
-            self.buf[t % 2]["y"], self.mm_y + 8 * r0, r1 - r0,
+            self.arrays[t][3], self.mm_y + 8 * r0, r1 - r0,
             on_done=lambda _x, t=t: self._mark(self._writeback_done, t),
         )
 
@@ -242,16 +259,15 @@ class ClusterCsrmv:
     def _start_tile(self, t):
         r0, r1 = self.tiles[t]
         m = self.matrix
-        p = t % 2
-        buf = self.buf[p]
+        vals, idcs, ptr, y = self.arrays[t]
         nnz0 = int(m.ptr[r0])
         # Virtual bases: vbase + global_offset == TCDM buffer address.
-        vbase_vals = buf["vals"] - 8 * nnz0
+        vbase_vals = vals - 8 * nnz0
         # worker index addresses resolve as vbase_idcs + ptr[j]*idx_bytes
         gb0_idcs = (self.mm_idcs + nnz0 * self.idx_bytes) & ~7
-        vbase_idcs = buf["idcs"] - (gb0_idcs - self.mm_idcs)
+        vbase_idcs = idcs - (gb0_idcs - self.mm_idcs)
         pb0 = (self.mm_ptr + 4 * r0) & ~7
-        vbase_ptr = buf["ptr"] - (pb0 - self.mm_ptr)
+        vbase_ptr = ptr - (pb0 - self.mm_ptr)
 
         shares = worker_shares(r0, r1, self.cluster.n_workers)
         self._assigned = shares
@@ -266,12 +282,12 @@ class ClusterCsrmv:
                 # launch takes effect this cycle (events for the current
                 # cycle have already been delivered)
                 self._launch_worker(w, w0, w1, vbase_vals, vbase_idcs,
-                                    vbase_ptr, buf["y"], r0)
+                                    vbase_ptr, y, r0)
             else:
                 self.engine.at(
                     self.engine.cycle + WORKER_START_STAGGER * w,
                     self._launch_worker, w, w0, w1, vbase_vals, vbase_idcs,
-                    vbase_ptr, buf["y"], r0,
+                    vbase_ptr, y, r0,
                 )
         self._computing = t
         if not self._started:  # tile with only empty shares
@@ -341,9 +357,12 @@ class ClusterCsrmv:
                 self.engine.note_progress()
                 acted = True
 
-        # Prefetch ahead (buffer free once tile np-2 has been computed).
+        # Prefetch ahead (region free once tile np-2 has been computed,
+        # and written back where the prefetch reaches its y array).
         np_ = self._next_prefetch
-        if np_ < len(self.tiles) and self._compute_done.get(np_ - 2, np_ < 2):
+        if (np_ < len(self.tiles) and self._compute_done.get(np_ - 2, np_ < 2)
+                and (not self._prefetch_waits[np_]
+                     or self._writeback_done.get(np_ - 2))):
             self._queue_prefetch(np_)
             self._next_prefetch += 1
             self.engine.note_progress()
@@ -400,20 +419,7 @@ def run_cluster_csrmv(matrix, x, variant="issr", index_bits=16,
     cycles = cluster.engine.run(lambda: job.done, max_cycles=max_cycles)
     cluster.engine.remove(job)
 
-    stats = ClusterStats(cycles=cycles)
-    for cc in cluster.ccs:
-        cs = collect_cc_stats(cc, cycles, start_cycle=start)
-        stats.per_core.append(cs)
-        stats.retired += cs.retired
-        stats.fpu_compute_ops += cs.fpu_compute_ops
-        stats.fpu_mac_ops += cs.fpu_mac_ops
-        stats.fpu_issued_ops += cs.fpu_issued_ops
-        stats.mem_reads += cs.mem_reads
-        stats.mem_writes += cs.mem_writes
-        stats.icache_misses += cs.icache_misses
-    stats.tcdm_conflicts = cluster.tcdm.conflict_cycles
-    stats.dma_words = cluster.dma.words_moved
-    stats.dma_busy_cycles = cluster.dma.busy_cycles
+    stats = collect_cluster_stats(cluster, cycles, start)
     y = job.result()
     if check:
         expect = matrix.spmv(x)

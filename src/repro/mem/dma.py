@@ -11,9 +11,16 @@ and ``OUT`` (TCDM -> main). TCDM-side beats claim banks, so worker-core
 accesses colliding with DMA traffic stall for a cycle — one ingredient
 of the paper's "initial vector transfer cannot be fully overlapped"
 observation.
+
+It also holds §IV-B's double-buffering plan, once for both levels it
+runs at (TCDM tiles and the out-of-core stream's main-memory tiles):
+:func:`plan_double_buffer`, :func:`transfer_cycles` and :func:`overlap`.
 """
 
+import math
 from collections import deque
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.sim.engine import IDLE
@@ -26,15 +33,105 @@ IN = "in"    # main memory -> TCDM
 OUT = "out"  # TCDM -> main memory
 
 
-def transfer_cycles(n_words):
-    """Cycles one duplex channel needs to move ``n_words`` (8/cycle).
+#: TCDM words a double-buffered plan keeps free for alignment slop.
+RESERVE_WORDS = 64
+#: Cycles the analytic DMA model charges each programmed transfer.
+TRANSFER_SETUP_CYCLES = 2
 
-    The analytic counterpart of a congestion-free :class:`Dma`
-    transfer — the streaming tiled executor prices its modeled tile
-    prefetches with this, so its overlap model and the cycle engine
-    share one bandwidth contract.
+
+def transfer_cycles(words, n_transfers=0, words_per_cycle=BEAT_WORDS):
+    """Cycles of ``n_transfers`` DMA transfers moving ``words`` words.
+
+    ``ceil(words / words_per_cycle)`` beats (8 words for a lone cluster,
+    fractional under shared HBM, :mod:`repro.multicluster.hbm`) plus
+    :data:`TRANSFER_SETUP_CYCLES` per transfer. Element-wise on arrays.
     """
-    return -(-int(n_words) // BEAT_WORDS)
+    beats = words / words_per_cycle
+    beats = (np.ceil(beats).astype(np.int64)
+             if isinstance(beats, np.ndarray) else math.ceil(beats))
+    return beats + TRANSFER_SETUP_CYCLES * n_transfers
+
+
+class TileCosts:
+    """A tile's buffers, in layout order: one ``(bytes per nonzero, bytes
+    per row, fixed bytes)`` triple each, rounded up to whole words."""
+
+    __slots__ = ("rounded", "per_nnz", "per_row", "fixed")
+
+    def __init__(self, *costs):
+        self.rounded = tuple((a, b, c + 7) for a, b, c in costs)
+        self.per_nnz, self.per_row, self.fixed = map(sum, zip(*costs))
+
+    def words(self, nnz, rows):
+        """Each buffer's words for ``nnz`` nonzeros in ``rows`` rows."""
+        return [(a * nnz + b * rows + c) // 8 for a, b, c in self.rounded]
+
+
+def plan_double_buffer(ptr, costs, half, tile_rows=None, *, overflow):
+    """Split the rows of ``ptr`` into tiles of at most ``half`` words.
+
+    Steady state holds two tiles, the one computing and the one
+    prefetching, so each gets half the budget: each tile is the longest
+    run of rows from its first whose buffers (``costs``, a
+    :class:`TileCosts`) fit. A row that does not fit alone raises
+    :class:`ConfigError` with message ``overflow(row, words)``;
+    ``tile_rows`` fixes the tiles' height instead, unchecked. Returns
+    each tile's ``(r0, r1)`` and one list per tile of its buffers' words.
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    nrows = len(ptr) - 1
+    if tile_rows is not None:
+        if tile_rows < 1:
+            raise ConfigError(f"tile_rows must be >= 1, got {tile_rows}")
+        bounds = np.append(np.arange(0, nrows, int(tile_rows)), nrows)
+        words = costs.words(np.diff(ptr[bounds]), np.diff(bounds))
+        return (list(zip(bounds[:-1].tolist(), bounds[1:].tolist())),
+                np.array(words).T.tolist())
+    # a tile's bytes are a lower bound on 8x its words, so one search
+    # per tile lands on the last row that fits or a few rows past it
+    cost = ptr * costs.per_nnz
+    if costs.per_row:
+        cost += np.arange(0, costs.per_row * len(ptr), costs.per_row)
+    reach = 8 * half - costs.fixed
+    tiles, words = [], []
+    r0, p0 = 0, int(ptr[0])
+    while r0 < nrows:
+        r1 = int(cost.searchsorted(cost[r0] + reach, side="right")) - 1
+        while r1 > r0:
+            nnz, rows, fit = int(ptr[r1]) - p0, r1 - r0, []
+            for a, b, c in costs.rounded:  # cheaper than a comprehension
+                fit.append((a * nnz + b * rows + c) // 8)
+            if sum(fit) <= half:
+                break
+            r1 -= 1
+        else:
+            alone = costs.words(int(ptr[r0 + 1]) - p0, 1)
+            raise ConfigError(overflow(r0, sum(alone)))
+        tiles.append((r0, r1))
+        words.append(fit)
+        r0, p0 = r1, p0 + nnz
+    return tiles, words
+
+
+def overlap(compute, prefetch, writeback=0, first=None, last=None,
+            barrier=0):
+    """Each tile's critical-path cycles in double-buffered runs.
+
+    Tile ``i`` computes while tile ``i + 1`` prefetches, so it costs
+    ``max(compute[i], prefetch[i + 1])`` plus ``barrier``; a run's first
+    prefetch and last writeback are exposed. ``first``/``last`` mark
+    each run's first and last tile when the arrays hold several runs
+    (shards) one after the other. Element-wise; returns int64 cycles.
+    """
+    compute = np.asarray(compute, dtype=np.int64)
+    prefetch = np.asarray(prefetch, dtype=np.int64)
+    if first is None:  # one run
+        first = np.arange(len(compute)) == 0
+        last = np.arange(len(compute)) == len(compute) - 1
+    following = np.zeros_like(prefetch)
+    following[:-1] = prefetch[1:]
+    return (np.maximum(compute, np.where(last, 0, following)) + barrier
+            + first * prefetch + last * writeback)
 
 
 class TransferLedger:

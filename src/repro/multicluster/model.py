@@ -17,18 +17,14 @@ share pricing.
 import numpy as np
 
 from repro.backends.model import (
-    CORE_COUNTERS,
     cluster_schedule,
     csrmm_share_costs,
     csrmv_row_terms,
     spgemm_row_terms,
     spgemm_share_costs,
 )
+from repro.cluster.runtime import add_counters
 from repro.multicluster.runtime import MultiClusterStats
-
-#: Counters a cluster prediction adds to the scale-out total.
-CLUSTER_COUNTERS = CORE_COUNTERS + ("icache_misses", "tcdm_conflicts",
-                                    "dma_words", "dma_busy_cycles")
 
 
 def scale_out_stats(partition, shards_model, hbm, result_words):
@@ -52,9 +48,8 @@ def scale_out_stats(partition, shards_model, hbm, result_words):
     stats.combine_cycles = partition.combine_cycles(
         hbm, result_words=result_words)
     stats.per_cluster = shards_model(dma_words_per_cycle=wpc)
+    add_counters(stats, stats.per_cluster)
     for cs in stats.per_cluster:
-        for attr in CLUSTER_COUNTERS:
-            setattr(stats, attr, getattr(stats, attr) + getattr(cs, attr))
         stats.per_core.extend(cs.per_core)
     stats.cycles = max((cs.cycles for cs in stats.per_cluster), default=0) \
         + stats.combine_cycles

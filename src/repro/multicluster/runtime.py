@@ -15,10 +15,15 @@ existing single-cluster simulation.
 
 import numpy as np
 
-from repro.cluster.runtime import ClusterCsrmv, ClusterStats, run_cluster_csrmv
+from repro.cluster.runtime import (
+    ClusterCsrmv,
+    ClusterStats,
+    add_counters,
+    collect_cluster_stats,
+    run_cluster_csrmv,
+)
 from repro.kernels.common import check_reference
 from repro.mem.dma import BEAT_WORDS
-from repro.sim.counters import collect_cc_stats
 from repro.sim.engine import Engine
 from repro.multicluster.hbm import HbmConfig, HbmFabric
 
@@ -50,6 +55,9 @@ def run_multicluster_cycle(partition, x, variant="issr", index_bits=16,
     one cluster behind the fabric instead so bandwidth sweeps behave
     identically on both backends.
     """
+    from repro.cluster.cluster import SnitchCluster
+    from repro.mem.mainmem import MainMemory
+
     hbm = hbm if hbm is not None else HbmConfig()
 
     # A single cluster degenerates to the plain single-cluster path —
@@ -59,99 +67,57 @@ def run_multicluster_cycle(partition, x, variant="issr", index_bits=16,
     throttling = (hbm.cluster_words_per_cycle < BEAT_WORDS
                   or hbm.words_per_cycle < 2 * BEAT_WORDS)
     if partition.n_clusters == 1 and not throttling:
-        from repro.cluster.cluster import SnitchCluster
-
         cluster = SnitchCluster(n_workers=n_workers, tcdm_bytes=tcdm_bytes,
                                 watchdog=watchdog)
         cstats, part = run_cluster_csrmv(
             partition.shards[0].matrix, x, variant, index_bits,
             cluster=cluster, check=False, max_cycles=max_cycles)
-        stats = _single_shard_stats(cstats, partition)
-        y = partition.combine([part])
-        if check:
-            _check_result(partition, x, y, variant, index_bits)
-        return stats, y
+        cycles, per_cluster, parts = cstats.cycles, [cstats], [part]
+        per_core, denied = cstats.per_core, 0
+    else:
+        engine = Engine(watchdog=watchdog)
+        fabric = HbmFabric(engine, hbm)
+        engine.add(fabric)
+        mainmem = MainMemory()
+        clusters = []
+        jobs = []
+        for shard in partition.shards:
+            cl = SnitchCluster(n_workers=n_workers, tcdm_bytes=tcdm_bytes,
+                               engine=engine, mainmem=mainmem,
+                               name=f"cl{shard.cluster_id}")
+            fabric.attach(cl.dma)
+            clusters.append(cl)
+            jobs.append(ClusterCsrmv(cl, shard.matrix, x, variant=variant,
+                                     index_bits=index_bits))
+        # Control jobs tick before every hardware component (same
+        # contract as the single-cluster runtime).
+        for job in reversed(jobs):
+            engine.add_front(job)
+        for cl in clusters:
+            cl.reset_stats()
 
-    from repro.cluster.cluster import SnitchCluster
+        start = engine.cycle
+        cycles = engine.run(lambda: all(j.done for j in jobs),
+                            max_cycles=max_cycles)
+        for job in jobs:
+            engine.remove(job)
+        per_cluster = [collect_cluster_stats(cl, cycles, start)
+                       for cl in clusters]
+        parts = [job.result() for job in jobs]
+        per_core, denied = [], fabric.words_denied
 
-    engine = Engine(watchdog=watchdog)
-    fabric = HbmFabric(engine, hbm)
-    engine.add(fabric)
-
-    from repro.mem.mainmem import MainMemory
-
-    mainmem = MainMemory()
-    clusters = []
-    jobs = []
-    for shard in partition.shards:
-        cl = SnitchCluster(n_workers=n_workers, tcdm_bytes=tcdm_bytes,
-                           engine=engine, mainmem=mainmem,
-                           name=f"cl{shard.cluster_id}")
-        fabric.attach(cl.dma)
-        clusters.append(cl)
-        job = ClusterCsrmv(cl, shard.matrix, x, variant=variant,
-                           index_bits=index_bits)
-        jobs.append(job)
-    # Control jobs tick before every hardware component (same contract
-    # as the single-cluster runtime).
-    for job in reversed(jobs):
-        engine.add_front(job)
-    for cl in clusters:
-        cl.reset_stats()
-
-    start = engine.cycle
-    cycles = engine.run(lambda: all(j.done for j in jobs),
-                        max_cycles=max_cycles)
-    for job in jobs:
-        engine.remove(job)
-
-    stats = MultiClusterStats()
+    stats = add_counters(MultiClusterStats(per_core=per_core), per_cluster)
+    stats.per_cluster = per_cluster
     stats.scheme = partition.scheme
     stats.n_clusters = partition.n_clusters
     stats.shard_nnz = partition.shard_nnz()
     stats.combine_cycles = partition.combine_cycles(hbm)
     stats.cycles = cycles + stats.combine_cycles
-    stats.hbm_words_denied = fabric.words_denied
-    for cl in clusters:
-        cs = ClusterStats(cycles=cycles)
-        for cc in cl.ccs:
-            core = collect_cc_stats(cc, cycles, start_cycle=start)
-            cs.per_core.append(core)
-            for attr in ("retired", "fpu_compute_ops", "fpu_mac_ops",
-                         "fpu_issued_ops", "mem_reads", "mem_writes",
-                         "icache_misses"):
-                setattr(cs, attr, getattr(cs, attr) + getattr(core, attr))
-        cs.tcdm_conflicts = cl.tcdm.conflict_cycles
-        cs.dma_words = cl.dma.words_moved
-        cs.dma_busy_cycles = cl.dma.busy_cycles
-        stats.per_cluster.append(cs)
-        for attr in ("retired", "fpu_compute_ops", "fpu_mac_ops",
-                     "fpu_issued_ops", "mem_reads", "mem_writes",
-                     "icache_misses", "tcdm_conflicts", "dma_words",
-                     "dma_busy_cycles"):
-            setattr(stats, attr, getattr(stats, attr) + getattr(cs, attr))
-
-    y = partition.combine([job.result() for job in jobs])
+    stats.hbm_words_denied = denied
+    y = partition.combine(parts)
     if check:
         _check_result(partition, x, y, variant, index_bits)
     return stats, y
-
-
-def _single_shard_stats(cstats, partition):
-    """Wrap a single-cluster run's stats in the multi-cluster shape."""
-    stats = MultiClusterStats()
-    for attr in ("cycles", "retired", "fpu_compute_ops", "fpu_mac_ops",
-                 "fpu_issued_ops", "mem_reads", "mem_writes",
-                 "icache_misses", "tcdm_conflicts", "dma_words",
-                 "dma_busy_cycles"):
-        setattr(stats, attr, getattr(cstats, attr))
-    stats.per_core = cstats.per_core
-    stats.per_cluster = [cstats]
-    stats.scheme = partition.scheme
-    stats.n_clusters = 1
-    stats.shard_nnz = partition.shard_nnz()
-    stats.combine_cycles = 0
-    return stats
 
 
 def _check_result(partition, x, y, variant, index_bits):

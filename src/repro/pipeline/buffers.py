@@ -25,9 +25,7 @@ the compiled one.
 """
 
 from repro.errors import ConfigError
-
-#: Words kept free for alignment slop (mirrors ``plan_tiles``).
-RESERVE_WORDS = 64
+from repro.mem.dma import RESERVE_WORDS
 
 
 def matrix_words(matrix, index_bits):

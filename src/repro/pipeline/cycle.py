@@ -29,7 +29,7 @@ the DMCC control program.
 import numpy as np
 
 from repro.cluster.cluster import SnitchCluster
-from repro.cluster.runtime import BARRIER_CYCLES
+from repro.cluster.runtime import BARRIER_CYCLES, add_counters
 from repro.errors import SimulationError
 from repro.kernels.blas1 import build_glue
 from repro.kernels.csrmv import build_csrmv
@@ -357,10 +357,7 @@ def run_pipeline_cycle(pipeline, partition, shards, n_iters, hbm,
     for ctx in ctxs:
         core = collect_cc_stats(ctx.cluster.ccs[0], total, start_cycle=start)
         stats.per_core.append(core)
-        for attr in ("retired", "fpu_compute_ops", "fpu_mac_ops",
-                     "fpu_issued_ops", "mem_reads", "mem_writes",
-                     "icache_misses"):
-            setattr(stats, attr, getattr(stats, attr) + getattr(core, attr))
+        add_counters(stats, [core])
         stats.tcdm_conflicts += ctx.cluster.tcdm.conflict_cycles
         stats.dma_words += ctx.cluster.dma.words_moved
         stats.dma_busy_cycles += ctx.cluster.dma.busy_cycles

@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 
-from repro.backends.model import _dma_cycles, csrmv_stats, glue_stats
+from repro.backends.model import csrmv_stats, glue_stats
 from repro.cluster.runtime import BARRIER_CYCLES
 from repro.compiler.templates import lower
 from repro.kernels.blas1 import apply_glue
-from repro.mem.dma import BEAT_WORDS
+from repro.mem.dma import BEAT_WORDS, transfer_cycles
 from repro.pipeline.buffers import plan_buffers
 from repro.pipeline.executor import (
     HOST_STAGE_CYCLES,
@@ -100,7 +100,7 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
                 words += w
                 transfers += 1
         stats.dma_words += words
-        setup = max(setup, _dma_cycles(words, transfers, bw))
+        setup = max(setup, transfer_cycles(words, transfers, bw))
     stats.setup_cycles = setup
 
     exchange_after = replicated_writes(pipeline)
@@ -130,11 +130,11 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
                 buf = pipeline.vectors[name]
                 w = max(buf.length, 1) if buf.replicated else local_rows[c]
                 if w:
-                    cin += _dma_cycles(w, 1, bw)
+                    cin += transfer_cycles(w, 1, bw)
                     words += w
             for name, _slot in plan.stage_spills[gidx]["out"]:
                 if local_rows[c]:
-                    cout += _dma_cycles(local_rows[c], 1, bw)
+                    cout += transfer_cycles(local_rows[c], 1, bw)
                     words += local_rows[c]
             spill_in = max(spill_in, cin)
             spill_out = max(spill_out, cout)
@@ -160,10 +160,10 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
                     # (empty shards included — mirror the cycle executor)
                     if local_rows[c]:
                         ex_out = max(ex_out,
-                                     _dma_cycles(local_rows[c], 1, bw))
+                                     transfer_cycles(local_rows[c], 1, bw))
                         words += local_rows[c]
                     full = max(pipeline.vectors[name].length, 1)
-                    ex_in = max(ex_in, _dma_cycles(full, 1, bw))
+                    ex_in = max(ex_in, transfer_cycles(full, 1, bw))
                     words += full
             cycles += ex_out + ex_in
         if stage.kind in ("dot", "diff2"):
@@ -237,16 +237,16 @@ def run_pipeline_fast(pipeline, partition, shards, n_iters, hbm,
                 continue
             if buf.replicated:
                 if n_clusters == 1:
-                    wb = max(wb, _dma_cycles(max(buf.length, 1), 1, bw))
+                    wb = max(wb, transfer_cycles(max(buf.length, 1), 1, bw))
                     stats.dma_words += max(buf.length, 1)
             elif local_rows[c]:
-                wb = max(wb, _dma_cycles(local_rows[c], 1, bw))
+                wb = max(wb, transfer_cycles(local_rows[c], 1, bw))
                 stats.dma_words += local_rows[c]
     total += wb
 
     stats.cycles = int(math.ceil(total))
     stats.dma_busy_cycles = min(stats.cycles,
-                                int(math.ceil(stats.dma_words / bw)))
+                                transfer_cycles(stats.dma_words, 0, bw))
     stats.scalars = dict(scalars)
     outputs = {name: state[name].copy() for name in pipeline.outputs}
     return stats, outputs

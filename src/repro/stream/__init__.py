@@ -3,12 +3,12 @@
 The paper-sized workloads are mainmem-resident; this subsystem runs
 CsrMV / SpVV / solver iterations on matrices **larger than the
 configured main-memory budget** by streaming double-buffered row-block
-tiles (prefetch tile ``i+1`` while computing tile ``i``) through the
-same analytic DMA bandwidth contract the cycle engine enforces
-(:func:`repro.mem.dma.transfer_cycles`). Results are bit-identical to
-the resident backends by construction: row-block tiling preserves each
-row's exact accumulation order, and the SpVV fold carries the ISSR
-accumulator state across chunks.
+tiles (prefetch tile ``i+1`` while computing tile ``i``), §IV-B's
+cluster DMA scheme one level up, under the same analytic DMA contract
+the cycle engine enforces (:mod:`repro.mem.dma`). Results are
+bit-identical to the resident backends by construction: row-block
+tiling preserves each row's exact accumulation order, and the SpVV
+fold carries the ISSR accumulator state across chunks.
 
 See ``docs/outofcore.md`` for the tiling contract and the
 memory-budget semantics.

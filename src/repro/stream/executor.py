@@ -14,9 +14,9 @@ selected backend on one tile at a time, and composes the full result:
   the link exactly once per pass.
 
 Timing follows the double-buffered DMA schedule of the §IV-B cluster
-runtime, lifted one level (disk/HBM -> main-memory tiles): the first
-tile's prefetch is exposed, every later prefetch overlaps the current
-tile's compute, so
+runtime, lifted one level (disk/HBM -> main-memory tiles), through the
+same :func:`repro.mem.dma.overlap`: the first tile's prefetch is
+exposed, every later prefetch overlaps the current tile's compute, so
 
     cycles = dma[0] + sum(max(compute[i], dma[i+1])) + compute[last]
 
@@ -34,7 +34,7 @@ from repro.api.registry import get_kernel
 from repro.errors import ConfigError, FormatError
 from repro.formats.fiber import SparseFiber
 from repro.kernels.common import ISSR, N_ACCUMULATORS
-from repro.mem.dma import IN, OUT, transfer_cycles
+from repro.mem.dma import IN, OUT, overlap, transfer_cycles
 from repro.stream.plan import plan_row_tiles, tile_bytes
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -88,30 +88,28 @@ class StreamStats:
         return self
 
 
-def _overlap(compute, dma):
-    """Critical-path cycles of the double-buffered schedule."""
-    if not compute:
-        return 0
-    total = dma[0]
-    for i in range(len(compute) - 1):
-        total += max(compute[i], dma[i + 1])
-    return total + compute[-1]
+def _finish_pass(stats, kernel, pass_id, tiles, compute, dma, sizes):
+    """Fill ``stats`` from a pass's per-tile cycles and buffer bytes.
 
-
-def _finish_stats(stats, compute, dma, tiles, ptr):
+    ``compute``/``dma`` are each tile's compute and prefetch cycles,
+    ``sizes`` its bytes; the critical path is their
+    :func:`~repro.mem.dma.overlap`, which the trace renders too.
+    """
     stats.tiles = len(tiles)
     stats.tile_bounds = list(tiles)
     stats.compute_cycles = sum(compute)
     stats.dma_cycles = sum(dma)
-    stats.cycles = _overlap(compute, dma)
-    sizes = [tile_bytes(ptr, r0, r1) for r0, r1 in tiles]
-    stats.matrix_bytes = int(ptr[-1]) * 16 + len(ptr) * 8
-    if len(sizes) == 1:
-        stats.peak_resident_bytes = sizes[0]
-    else:
-        stats.peak_resident_bytes = max(sizes[i] + sizes[i + 1]
-                                        for i in range(len(sizes) - 1))
-    return stats
+    critical = overlap(compute, dma)
+    stats.cycles = int(critical.sum())
+    # two consecutive tiles are resident at once: the computing one and
+    # the prefetching one
+    pairs = [a + b for a, b in zip(sizes, sizes[1:])] or sizes
+    stats.peak_resident_bytes = max(pairs, default=0)
+    if _metrics.ENABLED:
+        _metrics.absorb_stream_pass(stats, kernel)
+    if _trace.active():
+        _trace.stream_pass(kernel, pass_id, tiles, compute, dma,
+                           critical.tolist())
 
 
 def stream_csrmv(matrix, x, *, budget_bytes=None, tile_rows=None,
@@ -143,11 +141,13 @@ def stream_csrmv(matrix, x, *, budget_bytes=None, tile_rows=None,
                            tile_rows=tile_rows)
     y = np.zeros(matrix.nrows, dtype=np.float64)
     stats = StreamStats()
-    compute, dma = [], []
+    stats.matrix_bytes = int(matrix.ptr[-1]) * 16 + len(matrix.ptr) * 8
+    compute, dma, sizes = [], [], []
     can_release = release and hasattr(matrix, "release_rows")
     for i, (r0, r1) in enumerate(tiles):
         tile = matrix.row_block(r0, r1)
-        words = tile_bytes(matrix.ptr, r0, r1) // 8
+        sizes.append(tile_bytes(matrix.ptr, r0, r1))
+        words = sizes[-1] // 8
         if ledger is not None:
             ledger.record(pass_id, ("tile", i), words, IN)
             ledger.record(pass_id, ("y", i), r1 - r0, OUT)
@@ -162,11 +162,7 @@ def stream_csrmv(matrix, x, *, budget_bytes=None, tile_rows=None,
             on_tile(i, r0, r1)
         if can_release:
             matrix.release_rows(r0, r1)
-    _finish_stats(stats, compute, dma, tiles, matrix.ptr)
-    if _metrics.ENABLED:
-        _metrics.absorb_stream_pass(stats, "csrmv")
-    if _trace.active():
-        _trace.stream_pass("csrmv", pass_id, tiles, compute, dma)
+    _finish_pass(stats, "csrmv", pass_id, tiles, compute, dma, sizes)
     return stats, y
 
 
@@ -225,23 +221,10 @@ def stream_spvv(indices, values, x, *, chunk_nnz=1 << 16, variant="issr",
         compute.append(int(kstats.cycles))
         dma.append(transfer_cycles(words))
         stats.bytes_in += words * 8
-    result = lane_tree(lanes)
-    stats.tiles = len(chunks)
-    stats.tile_bounds = list(chunks)
-    stats.compute_cycles = sum(compute)
-    stats.dma_cycles = sum(dma)
-    stats.cycles = _overlap(compute, dma)
     stats.matrix_bytes = nnz * 16
-    sizes = [16 * (c1 - c0) for c0, c1 in chunks]
-    if sizes:
-        stats.peak_resident_bytes = (sizes[0] if len(sizes) == 1 else
-                                     max(sizes[i] + sizes[i + 1]
-                                         for i in range(len(sizes) - 1)))
-    if _metrics.ENABLED:
-        _metrics.absorb_stream_pass(stats, "spvv")
-    if _trace.active():
-        _trace.stream_pass("spvv", pass_id, chunks, compute, dma)
-    return stats, result
+    _finish_pass(stats, "spvv", pass_id, chunks, compute, dma,
+                 [16 * (c1 - c0) for c0, c1 in chunks])
+    return stats, lane_tree(lanes)
 
 
 def stream_power_iteration(matrix, n_iters, *, budget_bytes=None,

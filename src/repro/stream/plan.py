@@ -1,10 +1,9 @@
-"""Row-tile planning for the out-of-core streaming executor.
+"""Row-tile planning for the out-of-core streaming executor (§IV-B).
 
-The pure planning core, split out the same way
-:func:`repro.cluster.runtime.plan_tiles` is for the TCDM level: both
-backends (and the tests) derive the identical tile schedule from the
-row-pointer array alone, so planning never touches the nonzero payload
-of an mmap-backed matrix.
+The cluster runtime's TCDM tiling lifted one level, through the same
+planner (:func:`repro.mem.dma.plan_double_buffer`, one buffer per
+tile). Planning reads only the row-pointer array, so it never touches
+the nonzero payload of an mmap-backed matrix.
 
 Budget semantics (the **double-buffering contract**): a tile must fit
 half the main-memory budget, because steady state holds two tiles —
@@ -14,14 +13,16 @@ tiling preserves per-row accumulation order) and raises
 :class:`~repro.errors.ConfigError`.
 """
 
-import numpy as np
-
 from repro.errors import ConfigError
+from repro.mem.dma import TileCosts, plan_double_buffer
 
 #: Bytes per nonzero in a streamed tile: 8 (value) + 8 (column index).
 NNZ_BYTES = 16
 #: Bytes per row of streamed row-pointer bookkeeping.
 ROW_BYTES = 8
+#: The :class:`~repro.mem.dma.TileCosts` of a streamed tile, one buffer:
+#: its payload plus its rebased row pointers, one more than its rows.
+TILE_COSTS = TileCosts((NNZ_BYTES, ROW_BYTES, ROW_BYTES))
 
 
 def tile_bytes(ptr, r0, r1):
@@ -42,34 +43,17 @@ def plan_row_tiles(ptr, nrows, budget_bytes, tile_rows=None):
     """
     if nrows < 0:
         raise ConfigError(f"negative row count {nrows}")
-    if tile_rows is not None:
-        if tile_rows < 1:
-            raise ConfigError(f"tile_rows must be >= 1, got {tile_rows}")
-        bounds = list(range(0, nrows, int(tile_rows))) + [nrows]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    if budget_bytes is None or budget_bytes < 2 * (NNZ_BYTES + 2 * ROW_BYTES):
+    if tile_rows is None and (
+            budget_bytes is None
+            or budget_bytes < 2 * (NNZ_BYTES + 2 * ROW_BYTES)):
         raise ConfigError(
             f"main-memory budget {budget_bytes!r} bytes cannot hold two "
             "single-nonzero tiles — raise the budget")
-    half = budget_bytes // 2
-    # Greedy packing via searchsorted over the cumulative byte cost:
-    # O(tiles * log nrows) ptr lookups, no payload touched.
-    ptr = np.asarray(ptr)
-    cost = ptr * NNZ_BYTES + np.arange(nrows + 1, dtype=np.int64) * ROW_BYTES
-    tiles = []
-    r0 = 0
-    while r0 < nrows:
-        # largest r1 with cost[r1] - cost[r0] + ROW_BYTES <= half
-        limit = cost[r0] + half - ROW_BYTES
-        r1 = int(np.searchsorted(cost, limit, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), nrows)
-        # cost is strictly increasing, so searchsorted is exact; only a
-        # forced single-row tile can still overflow the half-budget
-        if tile_bytes(ptr, r0, r1) > half:
-            raise ConfigError(
-                f"row {r0} alone needs {tile_bytes(ptr, r0, r1)} bytes "
-                f"but the double-buffered half-budget is {half} — "
-                "raise the budget; a row cannot be split")
-        tiles.append((r0, r1))
-        r0 = r1
-    return tiles
+    half = (budget_bytes or 0) // 2
+    # a tile's bytes are whole words: it fits half bytes iff half // 8 words
+    return plan_double_buffer(
+        ptr[:nrows + 1], TILE_COSTS, half // 8, tile_rows,
+        overflow=lambda row, words: (
+            f"row {row} alone needs {8 * words} bytes but the "
+            f"double-buffered half-budget is {half} — raise the budget; "
+            "a row cannot be split"))[0]

@@ -273,15 +273,15 @@ class EngineTracer:
 
 # -- streaming executor integration ------------------------------------------
 
-def stream_pass(kernel, pass_id, tiles, compute, dma):
+def stream_pass(kernel, pass_id, tiles, compute, dma, critical):
     """Render one streaming pass's modeled schedule as dma/compute lanes.
 
-    ``compute``/``dma`` are the per-tile cycle lists the executor
-    priced; the lanes replay the double-buffered schedule whose
-    critical path is ``dma[0] + Σ max(compute[i], dma[i+1]) +
-    compute[-1]`` — prefetch ``i+1`` starts with compute ``i``, so
-    Perfetto shows exactly which tiles hide their DMA and which stall.
-    Passes append sequentially on the recorder's stream clock.
+    ``compute``/``dma`` are the per-tile cycles the executor priced,
+    ``critical`` their :func:`repro.mem.dma.overlap`: tile ``i``'s
+    compute starts where the tiles before it end (tile 0's after its
+    exposed prefetch) and prefetch ``i+1`` with it, so Perfetto shows
+    which tiles hide their DMA and which stall. Passes append
+    sequentially on the recorder's stream clock.
     """
     rec = _RECORDER
     if rec is None or not compute:
@@ -290,22 +290,20 @@ def stream_pass(kernel, pass_id, tiles, compute, dma):
     tid_dma = rec.thread(pid, "dma")
     tid_cmp = rec.thread(pid, "compute")
     base = rec._stream_clock
-    n = len(compute)
     rec.complete(pid, tid_dma, "stream", f"prefetch t0 p{pass_id}",
                  base, dma[0], args={"tile": list(tiles[0]),
                                      "pass": pass_id})
-    cursor = base + dma[0]  # compute[0] start
-    for i in range(n):
+    # where each tile's critical path starts, then where the pass ends
+    clock = list(itertools.accumulate(critical, initial=base))
+    for i in range(len(compute)):
+        start = clock[i] + (dma[0] if i == 0 else 0)
         rec.complete(pid, tid_cmp, "stream", f"compute t{i} p{pass_id}",
-                     cursor, compute[i],
+                     start, compute[i],
                      args={"tile": list(tiles[i]), "pass": pass_id})
-        if i + 1 < n:
+        if i + 1 < len(compute):
             rec.complete(pid, tid_dma, "stream",
                          f"prefetch t{i + 1} p{pass_id}",
-                         cursor, dma[i + 1],
+                         start, dma[i + 1],
                          args={"tile": list(tiles[i + 1]),
                                "pass": pass_id})
-            cursor += max(compute[i], dma[i + 1])
-        else:
-            cursor += compute[i]
-    rec._stream_clock = cursor
+    rec._stream_clock = clock[-1]

@@ -358,6 +358,23 @@ class TestLegalityBattery:
             admit(kernel, operands, variant, index_bits)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("knob", ["tile_rows", "n_workers", "watchdog"])
+    def test_cluster_knobs_no_backend_takes_are_refused(self, knob):
+        """A ``cluster_csrmv`` keyword neither backend takes is the
+        registry's one ConfigError, on both backends and at admission."""
+        operands = {**small_operands("cluster_csrmv"), knob: 8}
+        seen = set()
+        for backend in api.list_backends():
+            with pytest.raises(ConfigError) as info:
+                api.run("cluster_csrmv", backend=backend, variant="issr",
+                        index_bits=16, **operands)
+            seen.add(str(info.value))
+        message, = seen
+        assert f"unknown ['{knob}']" in message
+        with pytest.raises(RequestError) as info:
+            admit("cluster_csrmv", operands, "issr", 16)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("kernel", ["spvv", "csrmv", "csrmm", "ttv",
                                         "cluster_csrmv"])
     def test_integer_dense_operand_returns_equal_bytes(self, kernel):

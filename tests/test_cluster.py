@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import api
+from repro.backends import cycles_within_tolerance
 from repro.cluster import SnitchCluster, run_cluster_csrmv
-from repro.workloads import random_csr, random_dense_vector
+from repro.multicluster import run_multicluster
+from repro.multicluster.hbm import HbmConfig
+from repro.workloads import get_spec, random_csr, random_dense_vector
 
 
 class TestClusterCsrmv:
@@ -105,3 +109,71 @@ class TestClusterConstruction:
         x = np.zeros(40000)
         with pytest.raises(ConfigError):
             ClusterCsrmv(cl, m, x)
+
+
+def _both_backends(matrix, x, index_bits=16, **kwargs):
+    """``cluster_csrmv`` on both backends: compiled and cycle stats, and
+    whether their results are equal bytes."""
+    runs = {backend: api.run("cluster_csrmv", backend=backend,
+                             variant="issr", index_bits=index_bits,
+                             matrix=matrix, x=x, **kwargs)
+            for backend in ("compiled", "cycle")}
+    (predicted, y_model), (simulated, y_engine) = runs.values()
+    return predicted, simulated, \
+        np.asarray(y_model).tobytes() == np.asarray(y_engine).tobytes()
+
+
+class TestPlannedLayout:
+    """The TCDM layout comes from the tile plan, so both backends run
+    every input the planner accepts."""
+
+    def test_power_law_tiles_fit_a_small_tcdm(self):
+        """Its largest-nnz tile and its largest-row tile differ, so
+        buffers sized at their own maxima overran the half budget."""
+        m = random_csr(64, 256, 512, distribution="powerlaw", seed=3)
+        x = random_dense_vector(256, seed=4)
+        predicted, simulated, equal = _both_backends(
+            m, x, cluster=SnitchCluster(tcdm_bytes=8192))
+        assert equal
+        assert cycles_within_tolerance(predicted.cycles, simulated.cycles,
+                                       "cluster")
+
+    def test_prefetch_waits_for_the_writeback_it_reaches(self):
+        """Under a narrowed HBM fabric a cluster's IN channel outruns its
+        OUT channel: a tile whose prefetch reaches the y array of the
+        tile two before it must wait for that array's writeback."""
+        m = random_csr(256, 256, 2048, distribution="powerlaw", seed=0)
+        x = random_dense_vector(256, seed=100)
+        kwargs = dict(n_clusters=2, hbm=HbmConfig(words_per_cycle=8),
+                      tcdm_bytes=8192)
+        _, y = run_multicluster(m, x, backend="cycle", **kwargs)
+        _, expect = run_multicluster(m, x, backend="compiled", **kwargs)
+        assert y.tobytes() == expect.tobytes()
+
+
+#: Catalog runs (matrix, scale, index bits) whose per-buffer maxima
+#: overran the TCDM half budget before the layout came from the plan.
+OVERRAN_THE_HALF_BUDGET = [
+    ("psmigr_2", 0.5, 16), ("psmigr_2", 0.5, 32),
+    ("psmigr_2", 1.0, 16), ("psmigr_2", 1.0, 32),
+    ("memplus", 1.0, 32),
+    ("wm1", 1.0, 16), ("wm1", 1.0, 32), ("wm1", 0.5, 32),
+    ("powerlaw-sorted-2k", 0.2, 32), ("powerlaw-sorted-2k", 0.5, 16),
+    ("powerlaw-sorted-2k", 0.5, 32), ("powerlaw-sorted-2k", 1.0, 16),
+    ("powerlaw-sorted-2k", 1.0, 32),
+    ("powerlaw-2k", 1.0, 16), ("powerlaw-2k", 1.0, 32),
+    ("powerlaw-2k", 0.5, 32),
+]
+
+
+@pytest.mark.stress
+@pytest.mark.parametrize("name,scale,bits", OVERRAN_THE_HALF_BUDGET)
+def test_catalog_runs_on_both_backends(name, scale, bits):
+    """ISSR, x from N(0, 1), the default 256 KiB TCDM, stable seed."""
+    m = get_spec(name).generate(scale=scale)
+    x = np.random.default_rng(0).standard_normal(m.ncols)
+    predicted, simulated, equal = _both_backends(m, x, index_bits=bits)
+    assert equal
+    assert cycles_within_tolerance(predicted.cycles, simulated.cycles,
+                                   "cluster"), \
+        f"predicted {predicted.cycles} vs simulated {simulated.cycles}"

@@ -33,13 +33,39 @@ class TestTilePlanning:
         for r0, r1 in job.tiles:
             assert tile_words(m.ptr, r0, r1, job.idx_bytes) <= half
 
-    def test_buffers_disjoint(self):
-        _, job, _, _ = make_job()
-        spans = []
-        for buf in job.buf:
-            for name in ("vals", "idcs", "ptr", "y"):
-                spans.append(buf[name])
-        assert len(set(spans)) == len(spans)
+    @pytest.mark.parametrize("distribution,nrows,npr,tile_rows", [
+        ("uniform", 1024, 32, None),   # budget-planned
+        ("powerlaw", 100, 4, 2),       # fixed height, some tiles empty
+    ])
+    def test_tile_arrays_lie_inside_their_region(self, distribution, nrows,
+                                                 npr, tile_rows):
+        """Each tile's four arrays (one word at least each) are disjoint
+        and inside its region; the two regions overlap neither x nor
+        each other; everything ends inside the TCDM."""
+        cl = SnitchCluster()
+        m = random_csr(nrows, 256, nrows * npr, distribution=distribution,
+                       seed=1)
+        job = ClusterCsrmv(cl, m, random_dense_vector(256, seed=2),
+                           tile_rows=tile_rows)
+        assert len(job.tiles) > 2
+        if tile_rows:
+            assert any(m.ptr[r0] == m.ptr[r1] for r0, r1 in job.tiles)
+        st = cl.tcdm.storage
+        spans = {name: (base, base + max(n_bytes, 8))
+                 for name, (base, n_bytes) in st.segments.items()}
+        regions = [spans["tiles0"], spans["tiles1"]]
+        for t, ((r0, r1), arrays) in enumerate(zip(job.tiles, job.arrays)):
+            nnz = int(m.ptr[r1] - m.ptr[r0])
+            words = (max(nnz, 1), (nnz * job.idx_bytes + 15) // 8,
+                     ((r1 - r0 + 1) * 4 + 15) // 8, max(r1 - r0, 1))
+            tile = sorted((a, a + 8 * w) for a, w in zip(arrays, words))
+            assert tile[0][0] == regions[t % 2][0]
+            assert all(a[1] <= b[0] for a, b in zip(tile, tile[1:]))
+            assert tile[-1][1] <= regions[t % 2][1]
+        ordered = sorted([spans["x"], *regions])
+        assert spans["x"][0] == 0
+        assert all(a[1] <= b[0] for a, b in zip(ordered, ordered[1:]))
+        assert ordered[-1][1] <= st.size
 
     def test_single_tile_when_small(self):
         _, job, _, _ = make_job(nrows=16, npr=2)

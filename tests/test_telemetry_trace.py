@@ -24,8 +24,10 @@ import pytest
 
 from repro import api, telemetry
 from repro.serve.protocol import result_digest
+from repro.stream import stream_csrmv, stream_spvv
 from repro.telemetry import trace
-from repro.workloads import random_csr, random_dense_vector
+from repro.workloads import (random_csr, random_dense_vector,
+                             random_sparse_vector)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "trace_csrmv.json")
@@ -152,6 +154,38 @@ class TestNoPerturbation:
             telemetry.disable()
         assert np.asarray(y1).tobytes() == np.asarray(y0).tobytes()
         assert stats1.cycles == stats0.cycles
+
+
+class TestStreamLanes:
+    @staticmethod
+    def _passes():
+        matrix = random_csr(64, 128, 1024, seed=5)
+        x = random_dense_vector(128, seed=6)
+        fiber = random_sparse_vector(128, 100, seed=7)
+        return [lambda: stream_csrmv(matrix, x, tile_rows=16),
+                lambda: stream_csrmv(matrix, x, budget_bytes=4096),
+                lambda: stream_spvv(fiber.indices, fiber.values, x,
+                                    chunk_nnz=16)]
+
+    def test_last_compute_ends_at_the_pass_cycles(self):
+        """The trace and the stats read one schedule: each pass's last
+        compute event ends where its ``stats.cycles`` say, with the
+        passes appended one after the other."""
+        rec = trace.start()
+        try:
+            stats = [run()[0] for run in self._passes()]
+        finally:
+            trace.stop()
+        computes = [e for e in rec.events if e.get("cat") == "stream"
+                    and e["name"].startswith("compute")]
+        assert len(computes) == sum(s.tiles for s in stats)
+        first = end = 0
+        for s in stats:
+            assert s.tiles > 1
+            last = computes[first + s.tiles - 1]
+            first += s.tiles
+            end += s.cycles
+            assert last["ts"] + last["dur"] == end
 
 
 class TestSession:
